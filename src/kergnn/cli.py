@@ -44,13 +44,6 @@ def _require_dir(path: str, flag: str) -> str:
     return path
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("KERGNN_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def cmd_train(args) -> int:
     _require_dir(args.dataset_dir, "--dataset-dir")
     _require_file(args.config, "--config")
@@ -65,8 +58,7 @@ def cmd_train(args) -> int:
 
     ds = load_tudataset(args.dataset_dir, args.dataset_name)
     t0 = time.perf_counter()
-    result = cross_validate(ds, cfg, seed=seed, n_folds=args.folds,
-                            threads=_threads(args), out_dir=args.out)
+    result = cross_validate(ds, cfg, seed=seed, n_folds=args.folds, out_dir=args.out)
     elapsed = time.perf_counter() - t0
 
     payload = {
@@ -152,8 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for results and checkpoints")
     p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (falls back to KERGNN_THREADS)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("kernel", help="random walk kernel between two graph files")

@@ -47,12 +47,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable undirected attributed graph.
 
     adjacency: (n, n) symmetric binary matrix with zero diagonal.
     attributes: (n, d) real matrix, one row per node.
+
+    Equality and hashing are by identity (the fields are arrays), so a graph
+    can key a dict of per-graph data such as model.graph_stacks' memo.
     """
 
     num_nodes: int
@@ -166,8 +169,11 @@ class DatasetStats:
 
 
 def _read_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _require(path: str) -> str:
@@ -196,9 +202,11 @@ def load_tudataset(directory: str, name: str) -> Dataset:
         except ValueError:
             raise DatasetError(f"{indicator_path}:{lineno}: expected an integer graph id") from None
     num_nodes_total = len(indicator)
-    num_graphs = max(indicator) if indicator else 0
-    if sorted(set(indicator)) != list(range(1, num_graphs + 1)):
-        raise DatasetError(f"{indicator_path}: graph ids must cover 1..{num_graphs}")
+    graph_ids = set(indicator)
+    num_graphs = len(graph_ids)
+    # distinct integers cover 1..n exactly when the smallest is 1 and the largest n
+    if graph_ids and (min(graph_ids) != 1 or max(graph_ids) != num_graphs):
+        raise DatasetError(f"{indicator_path}: graph ids must cover 1..{max(graph_ids)}")
 
     raw_graph_labels = []
     for lineno, line in enumerate(_read_lines(labels_path), start=1):
@@ -447,20 +455,10 @@ class SubgraphStack:
     A^1..A^P are cached and extended on demand.
     """
 
-    node_ids: list
-    sizes: np.ndarray
     gather_idx: np.ndarray  # (num_nodes, k_max), 0 where padded
     mask: np.ndarray  # (num_nodes, k_max), 1.0 real slot / 0.0 pad
     adjacency: np.ndarray  # (num_nodes, k_max, k_max)
     _powers: list = field(default_factory=list)
-
-    @property
-    def num_nodes(self) -> int:
-        return self.adjacency.shape[0]
-
-    @property
-    def k_max(self) -> int:
-        return self.adjacency.shape[1]
 
     def powers(self, max_p: int) -> list:
         """[A^1, ..., A^max_p], each (num_nodes, k_max, k_max)."""
@@ -476,24 +474,15 @@ class SubgraphStack:
 
 
 def stack_subgraphs(g: Graph, hops: int, k_max: int) -> SubgraphStack:
-    node_ids, sizes = [], []
     gather = np.zeros((g.num_nodes, k_max), dtype=np.int64)
     mask = np.zeros((g.num_nodes, k_max))
     adj = np.zeros((g.num_nodes, k_max, k_max))
     for v in range(g.num_nodes):
         sub = extract_subgraph(g, v, hops, k_max)
-        node_ids.append(np.array(sub.node_ids, dtype=np.int64))
-        sizes.append(sub.size)
-        gather[v, : sub.size] = node_ids[-1]
+        gather[v, : sub.size] = sub.node_ids
         mask[v, : sub.size] = 1.0
         adj[v] = sub.adjacency
-    return SubgraphStack(
-        node_ids=node_ids,
-        sizes=np.array(sizes, dtype=np.int64),
-        gather_idx=gather,
-        mask=mask,
-        adjacency=adj,
-    )
+    return SubgraphStack(gather_idx=gather, mask=mask, adjacency=adj)
 
 
 # ---------------------------------------------------------------------------
@@ -518,17 +507,24 @@ def read_graph_file(path: str) -> Graph:
         n, d = int(header[0]), int(header[1])
     except ValueError:
         raise DatasetError(f"{path}:1: header must be two integers") from None
+    if n < 0 or d < 0:
+        raise DatasetError(f"{path}:1: header 'n d' must not be negative, got '{n} {d}'")
     if len(lines) < 1 + n:
         raise DatasetError(f"{path}: expected {n} attribute lines after the header")
-    attrs = np.zeros((n, d))
+    # rows are checked before any array is sized from the header
+    rows = []
     for k in range(n):
         row = lines[1 + k].split()
         if len(row) != d:
             raise DatasetError(f"{path}:{k + 2}: expected {d} attribute values")
         try:
-            attrs[k] = [float(x) for x in row]
+            rows.append([float(x) for x in row])
         except ValueError:
             raise DatasetError(f"{path}:{k + 2}: expected real attribute values") from None
+    try:
+        attrs = np.array(rows, dtype=np.float64).reshape(n, d)
+    except ValueError:  # only an empty graph with a huge width gets here
+        raise DatasetError(f"{path}:1: attribute width {d} is too large") from None
     adj = np.zeros((n, n))
     for k, line in enumerate(lines[1 + n:]):
         parts = line.split()

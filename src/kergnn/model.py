@@ -250,9 +250,22 @@ def named_parameters(params: ModelParams) -> list:
 # ---------------------------------------------------------------------------
 
 
-def graph_stacks(g: Graph, params: ModelParams) -> list:
-    """One SubgraphStack per layer; reusable across epochs (topology only)."""
-    return [stack_subgraphs(g, layer.hops, layer.k_max) for layer in params.layers]
+def graph_stacks(g: Graph, params: ModelParams, memo: dict | None = None) -> list:
+    """One SubgraphStack per layer, built once per distinct (graph, hops, k_max).
+
+    `memo` carries stacks across calls (epochs, folds); its keys hold the
+    graph object itself, so an entry is never served to another graph that
+    happens to reuse a freed graph's address. Without a memo, layers that
+    share (hops, k_max) still share one stack.
+    """
+    memo = {} if memo is None else memo
+    stacks = []
+    for layer in params.layers:
+        key = (g, layer.hops, layer.k_max)
+        if key not in memo:
+            memo[key] = stack_subgraphs(g, layer.hops, layer.k_max)
+        stacks.append(memo[key])
+    return stacks
 
 
 def _layer_arrays(layer: KerGNNLayer):
@@ -282,11 +295,10 @@ def _layer_apply(layer: KerGNNLayer, stack: SubgraphStack, feats: np.ndarray, po
     return values, (cache, pre)
 
 
-def layer_forward(g: Graph, feats: np.ndarray, layer: KerGNNLayer, post_relu: bool = False,
-                  stack: SubgraphStack | None = None) -> np.ndarray:
+def layer_forward(g: Graph, feats: np.ndarray, layer: KerGNNLayer,
+                  post_relu: bool = False) -> np.ndarray:
     """Per-node kernel values (num_nodes, d_l) against every filter."""
-    if stack is None:
-        stack = stack_subgraphs(g, layer.hops, layer.k_max)
+    stack = stack_subgraphs(g, layer.hops, layer.k_max)
     values, _ = _layer_apply(layer, stack, np.asarray(feats, dtype=np.float64), post_relu)
     return values
 
@@ -307,12 +319,12 @@ class GraphForward:
 
 def forward_graph(g: Graph, params: ModelParams, train: bool = False,
                   rng: np.random.Generator | None = None,
-                  stacks: list | None = None) -> GraphForward:
+                  memo: dict | None = None) -> GraphForward:
+    """One graph's forward pass; `memo` is passed on to graph_stacks."""
     cfg = params.config
     if g.attr_dim != cfg.attr_dim:
         raise ValueError(f"graph attribute width {g.attr_dim} != model width {cfg.attr_dim}")
-    if stacks is None:
-        stacks = graph_stacks(g, params)
+    stacks = graph_stacks(g, params, memo)
 
     feats0 = g.attributes
     if params.input_map is not None:

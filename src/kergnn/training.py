@@ -15,13 +15,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .errors import ConfigError, TrainingError
-from .graphs import Dataset, Graph, stack_subgraphs
+from .graphs import Dataset
 from .model import (
     LayerSpec,
     ModelConfig,
@@ -46,7 +45,6 @@ __all__ = [
     "stratified_kfold",
     "stratified_split",
     "load_splits",
-    "StackCache",
 ]
 
 
@@ -213,22 +211,6 @@ class Adam:
             arr -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-class StackCache:
-    """Per-graph subgraph stacks keyed by (graph identity, hops, k_max)."""
-
-    def __init__(self):
-        self._stacks = {}
-
-    def stacks_for(self, g: Graph, params: ModelParams) -> list:
-        out = []
-        for layer in params.layers:
-            key = (id(g), layer.hops, layer.k_max)
-            if key not in self._stacks:
-                self._stacks[key] = stack_subgraphs(g, layer.hops, layer.k_max)
-            out.append(self._stacks[key])
-        return out
-
-
 def _graphs_of(data) -> list:
     return list(data.graphs) if isinstance(data, Dataset) else list(data)
 
@@ -242,45 +224,32 @@ def _restore_tensors(params: ModelParams, snapshot: dict):
         arr[:] = snapshot[name]
 
 
-def evaluate(params: ModelParams, graphs, cache: StackCache | None = None) -> float:
-    """Eval-mode accuracy over a list of labeled graphs."""
+def evaluate(params: ModelParams, graphs, memo: dict | None = None) -> float:
+    """Eval-mode accuracy over a list of labeled graphs (memo: see graph_stacks)."""
     graphs = _graphs_of(graphs)
     if not graphs:
         raise ValueError("cannot evaluate on an empty split")
     correct = 0
     for g in graphs:
-        stacks = cache.stacks_for(g, params) if cache is not None else None
-        fwd = forward_graph(g, params, train=False, stacks=stacks)
+        fwd = forward_graph(g, params, train=False, memo=memo)
         if int(np.argmax(fwd.logits)) == g.graph_label:
             correct += 1
     return correct / len(graphs)
 
 
-def _graph_loss_and_grads(g, params, stacks, seed):
-    rng = np.random.default_rng(seed) if params.config.dropout > 0 else None
-    fwd = forward_graph(g, params, train=True, rng=rng, stacks=stacks)
-    loss, dlogits = softmax_cross_entropy(fwd.logits, g.graph_label)
-    return loss, backward_graph(fwd, dlogits, params)
-
-
-def _batch_step(graphs, params, cache, rng, threads):
+def _batch_step(graphs, params, memo, rng):
+    # one dropout seed per graph is drawn even without dropout, so the rng
+    # stream (every later shuffle and init) does not depend on the dropout rate
     seeds = rng.integers(0, 2**63 - 1, size=len(graphs))
-    stacks = [cache.stacks_for(g, params) for g in graphs]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(_graph_loss_and_grads, graphs, [params] * len(graphs), stacks, seeds)
-            )
-    else:
-        results = [
-            _graph_loss_and_grads(g, params, s, sd) for g, s, sd in zip(graphs, stacks, seeds)
-        ]
     # fixed graph-index reduction order keeps training bit-reproducible
     total = {}
     loss = 0.0
-    for li, gi in results:
+    for g, seed in zip(graphs, seeds):
+        drop_rng = np.random.default_rng(seed) if params.config.dropout > 0 else None
+        fwd = forward_graph(g, params, train=True, rng=drop_rng, memo=memo)
+        li, dlogits = softmax_cross_entropy(fwd.logits, g.graph_label)
         loss += li
-        for name, grad in gi.items():
+        for name, grad in backward_graph(fwd, dlogits, params).items():
             if name in total:
                 total[name] += grad
             else:
@@ -299,13 +268,13 @@ def _clip_grads(grads: dict, max_norm: float):
             g *= factor
 
 
-def train_fold(train_set, val_set, cfg: TrainConfig, rng, threads: int = 1,
-               cache: StackCache | None = None):
+def train_fold(train_set, val_set, cfg: TrainConfig, rng, memo: dict | None = None):
     """Train on train_set; return the parameters of the best-validation epoch.
 
     Ties in validation accuracy go to the earliest epoch. The history records
     per-epoch train loss, train/validation accuracy, learning rate, and wall
-    time.
+    time. Subgraph stacks are built once per graph into `memo` (see
+    graph_stacks), a fresh one unless the caller shares its own.
     """
     cfg.validate()
     train_graphs = _graphs_of(train_set)
@@ -314,8 +283,8 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng, threads: int = 1,
         raise ValueError("train and validation splits must be nonempty")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    if cache is None:
-        cache = StackCache()
+    if memo is None:
+        memo = {}
 
     sample = train_graphs[0]
     num_classes = max(g.graph_label for g in train_graphs + val_graphs) + 1
@@ -337,7 +306,7 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng, threads: int = 1,
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_graphs[i] for i in order[start: start + cfg.batch_size]]
-            loss, grads = _batch_step(batch, params, cache, rng, threads)
+            loss, grads = _batch_step(batch, params, memo, rng)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
@@ -346,8 +315,8 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng, threads: int = 1,
                 _clip_grads(grads, cfg.grad_clip)
             opt.step(grads, lr)
             losses.append(loss)
-        train_acc = evaluate(params, train_graphs, cache)
-        val_acc = evaluate(params, val_graphs, cache)
+        train_acc = evaluate(params, train_graphs, memo)
+        val_acc = evaluate(params, val_graphs, memo)
         history["train_loss"].append(float(np.mean(losses)))
         history["train_acc"].append(train_acc)
         history["val_acc"].append(val_acc)
@@ -370,7 +339,7 @@ def _grid_candidates(grid) -> list:
     return list(grid)
 
 
-def _grid_search_full(train_set, val_set, grid, rng, threads=1, cache=None):
+def _grid_search_full(train_set, val_set, grid, rng, memo=None):
     candidates = _grid_candidates(grid)
     if not candidates:
         raise ValueError("grid must contain at least one configuration")
@@ -381,7 +350,7 @@ def _grid_search_full(train_set, val_set, grid, rng, threads=1, cache=None):
             cfg.validate()
         except ConfigError:
             continue
-        params, history = train_fold(train_set, val_set, cfg, int(seed), threads, cache)
+        params, history = train_fold(train_set, val_set, cfg, int(seed), memo)
         score = history["best_val_acc"]
         if best is None or score > best[2]:
             best = (cfg, params, score, history)
@@ -390,11 +359,11 @@ def _grid_search_full(train_set, val_set, grid, rng, threads=1, cache=None):
     return best
 
 
-def grid_search(train_set, val_set, grid, rng, threads: int = 1) -> TrainConfig:
+def grid_search(train_set, val_set, grid, rng) -> TrainConfig:
     """Candidate with the best validation accuracy; ties keep grid order."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    return _grid_search_full(train_set, val_set, grid, rng, threads)[0]
+    return _grid_search_full(train_set, val_set, grid, rng)[0]
 
 
 def load_splits(path: str) -> list:
@@ -443,7 +412,7 @@ def stratified_split(labels: np.ndarray, holdout_frac: float, rng: np.random.Gen
     return np.array(sorted(train), dtype=np.int64), np.array(sorted(hold), dtype=np.int64)
 
 
-def cross_validate(ds: Dataset, grid, seed: int, n_folds: int = 10, threads: int = 1,
+def cross_validate(ds: Dataset, grid, seed: int, n_folds: int = 10,
                    out_dir: str | None = None, splits: list | None = None) -> CVResult:
     """Stratified n-fold assessment with inner 90/10 holdout model selection.
 
@@ -475,7 +444,7 @@ def cross_validate(ds: Dataset, grid, seed: int, n_folds: int = 10, threads: int
                 (np.setdiff1d(all_idx, fold), fold) for fold in folds
             ]
 
-    cache = StackCache()
+    memo = {}  # subgraph stacks, shared by every fold and candidate of this call
     accuracies, selected, epoch_seconds, histories = [], [], [], []
     per_fold_ss = ss.spawn(len(splits))
     for k, (train_idx, test_idx) in enumerate(splits):
@@ -487,10 +456,10 @@ def cross_validate(ds: Dataset, grid, seed: int, n_folds: int = 10, threads: int
         inner_val = ds.subset(train_idx[va])
 
         cfg, params, _, history = _grid_search_full(
-            inner_train, inner_val, grid, np.random.default_rng(cand_ss), threads, cache
+            inner_train, inner_val, grid, np.random.default_rng(cand_ss), memo
         )
         test_graphs = ds.subset(test_idx)
-        acc = evaluate(params, test_graphs, cache)
+        acc = evaluate(params, test_graphs, memo)
         accuracies.append(float(acc))
         selected.append(cfg.to_dict())
         epoch_seconds.append(float(np.mean(history["epoch_seconds"])))

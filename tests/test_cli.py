@@ -182,6 +182,16 @@ def test_train_missing_config_names_flag(tmp_path, capsys):
     assert "--config" in capsys.readouterr().err
 
 
+def test_train_threads_flag_is_usage_error(tmp_path, capsys):
+    # training is single-threaded; the removed --threads flag must not parse
+    ddir = make_dataset_dir(tmp_path)
+    config = write_config(tmp_path)
+    code = main(["train", "--dataset-dir", ddir, "--dataset-name", "SYN",
+                 "--config", config, "--out", str(tmp_path / "o"), "--threads", "2"])
+    assert code == 1
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_train_bad_config_is_data_error(tmp_path, capsys):
     ddir = make_dataset_dir(tmp_path)
     config = write_config(tmp_path, lr=-5.0)
@@ -219,16 +229,3 @@ def test_unknown_command_is_usage_error(capsys):
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["kernel", "--graph-a", "x"]) == 1
 
-
-def test_threads_env_fallback(monkeypatch):
-    from kergnn.cli import _threads
-
-    class Args:
-        threads = None
-
-    monkeypatch.setenv("KERGNN_THREADS", "3")
-    assert _threads(Args()) == 3
-    monkeypatch.delenv("KERGNN_THREADS")
-    assert _threads(Args()) == 1
-    Args.threads = 2
-    assert _threads(Args()) == 2

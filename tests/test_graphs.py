@@ -93,6 +93,16 @@ def test_load_missing_file_names_it(tmp_path):
         load_tudataset(str(tmp_path), "part")
 
 
+def test_load_graph_ids_must_cover_range(tmp_path):
+    adj = np.array([[0, 1], [1, 0]])
+    # a gap, and an id so large that listing 1..id would exhaust memory
+    for ids in ("1\n3\n", "1\n99999999999999999999\n"):
+        write_tudataset(tmp_path, "ids", [adj], [1])
+        (tmp_path / "ids_graph_indicator.txt").write_text(ids)
+        with pytest.raises(DatasetError, match="graph ids must cover"):
+            load_tudataset(str(tmp_path), "ids")
+
+
 def test_load_out_of_range_edge_reports_line(tmp_path):
     adj = np.array([[0, 1], [1, 0]])
     write_tudataset(tmp_path, "oor", [adj], [1])
@@ -280,6 +290,13 @@ def test_graph_file_errors(tmp_path):
         read_graph_file(str(bad))
     with pytest.raises(DatasetError, match="missing"):
         read_graph_file(str(tmp_path / "nope.graph"))
+    for header in ("-1 2", "2 -1", "0 99999999999999999999"):
+        bad.write_text(header + "\n")
+        with pytest.raises(DatasetError, match=r"bad\.graph:1: "):
+            read_graph_file(str(bad))
+    bad.write_bytes(b"1 1\n\xff\n")
+    with pytest.raises(DatasetError, match="not UTF-8"):
+        read_graph_file(str(bad))
 
 
 @pytest.mark.parametrize("name,expected", [

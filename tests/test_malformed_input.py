@@ -1,0 +1,124 @@
+"""Property tests: mutated graph files and TUDataset directories raise only DatasetError.
+
+Each example starts from a valid file (or dataset directory), applies a few
+byte-level edits, and loads the result: it must either load or raise the
+package's own DatasetError, never a numpy, Unicode or memory error.
+"""
+
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from kergnn.errors import DatasetError
+from kergnn.graphs import load_tudataset, read_graph_file, write_graph_file
+
+from conftest import random_graph, write_tudataset
+
+# derandomized so the suite is deterministic; every run explores the same examples
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+# the bytes the parsers care about: digits, signs, separators, line breaks,
+# comment marks, float spellings, huge numbers and a byte that is not UTF-8
+TOKENS = (b"0", b"1", b"2", b"9", b"-", b"-1", b"+", b".", b",", b" ", b"\n", b"#", b"e",
+          b"x", b"nan", b"inf", b"1e999", b"99999999999", b"99999999999999999999", b"\xff")
+
+MUTATION = st.one_of(
+    st.tuples(st.just("replace"), st.integers(0, 10**6), st.sampled_from(TOKENS)),
+    st.tuples(st.just("insert"), st.integers(0, 10**6), st.sampled_from(TOKENS)),
+    st.tuples(st.just("delete"), st.integers(0, 10**6), st.integers(1, 8)),
+    st.tuples(st.just("drop_line"), st.integers(0, 10**6), st.just(None)),
+    st.tuples(st.just("repeat_line"), st.integers(0, 10**6), st.just(None)),
+)
+MUTATIONS = st.lists(MUTATION, min_size=1, max_size=4)
+
+
+def mutate(data: bytes, mutations) -> bytes:
+    for op, pos, arg in mutations:
+        if op in ("drop_line", "repeat_line"):
+            lines = data.split(b"\n")
+            k = pos % len(lines)
+            lines[k:k + 1] = [] if op == "drop_line" else [lines[k], lines[k]]
+            data = b"\n".join(lines)
+            continue
+        pos %= len(data) + 1
+        if op == "replace":
+            data = data[:pos] + arg + data[pos + 1:]
+        elif op == "insert":
+            data = data[:pos] + arg + data[pos:]
+        else:
+            data = data[:pos] + data[pos + arg:]
+    return data
+
+
+def valid_graph_file() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.graph")
+        write_graph_file(random_graph(np.random.default_rng(0), 5, 0.5, d=2), path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def valid_dataset_files() -> dict:
+    """Suffix -> bytes of a 3-graph dataset with node labels and attributes."""
+    rng = np.random.default_rng(1)
+    adjs = [random_graph(rng, n, 0.6).adjacency for n in (3, 4, 2)]
+    labels = [int(v) for v in rng.integers(0, 3, size=9)]
+    attrs = rng.normal(size=(9, 2)).round(3).tolist()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_tudataset(tmp, "D", adjs, [1, -1, 1], node_labels=labels, node_attributes=attrs)
+        out = {}
+        for name in sorted(os.listdir(tmp)):
+            with open(os.path.join(tmp, name), "rb") as fh:
+                out[name[len("D"):]] = fh.read()
+        return out
+
+
+GRAPH_FILE = valid_graph_file()
+DATASET_FILES = valid_dataset_files()
+
+
+def test_unmutated_inputs_load():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.graph")
+        with open(path, "wb") as fh:
+            fh.write(GRAPH_FILE)
+        assert read_graph_file(path).num_nodes == 5
+        for suffix, data in DATASET_FILES.items():
+            with open(os.path.join(tmp, "D" + suffix), "wb") as fh:
+                fh.write(data)
+        assert len(load_tudataset(tmp, "D")) == 3
+
+
+@PROPERTY_SETTINGS
+@given(mutations=MUTATIONS)
+def test_mutated_graph_file_raises_only_dataset_error(mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.graph")
+        with open(path, "wb") as fh:
+            fh.write(mutate(GRAPH_FILE, mutations))
+        try:
+            read_graph_file(path)
+        except DatasetError:
+            pass
+
+
+@PROPERTY_SETTINGS
+@given(edits=st.lists(st.tuples(st.sampled_from(sorted(DATASET_FILES)), MUTATIONS),
+                      min_size=1, max_size=3),
+       removed=st.sampled_from([None] + sorted(DATASET_FILES)))
+def test_mutated_tudataset_raises_only_dataset_error(edits, removed):
+    files = dict(DATASET_FILES)
+    for suffix, mutations in edits:
+        files[suffix] = mutate(files[suffix], mutations)
+    if removed is not None:
+        del files[removed]
+    with tempfile.TemporaryDirectory() as tmp:
+        for suffix, data in files.items():
+            with open(os.path.join(tmp, "D" + suffix), "wb") as fh:
+                fh.write(data)
+        try:
+            load_tudataset(tmp, "D")
+        except DatasetError:
+            pass

@@ -124,16 +124,6 @@ def test_train_fold_deterministic():
         assert np.array_equal(a1, a2), n1
 
 
-def test_train_fold_threaded_matches_serial():
-    ds = micro_pair()
-    cfg = tiny_cfg(epochs=5, batch_size=2)
-    p1, h1 = train_fold(ds, ds, cfg, rng=3, threads=1)
-    p2, h2 = train_fold(ds, ds, cfg, rng=3, threads=2)
-    assert h1["train_loss"] == h2["train_loss"]
-    for (_, a1), (_, a2) in zip(named_parameters(p1), named_parameters(p2)):
-        assert np.array_equal(a1, a2)
-
-
 def test_train_fold_returns_best_epoch_params():
     ds = micro_pair()
     cfg = tiny_cfg(epochs=10)
@@ -260,6 +250,42 @@ def two_class_dataset(n_per_class=12, seed=9):
         graphs.append(random_graph(rng, 5, 0.2, d=1, label=0))
         graphs.append(random_graph(rng, 5, 0.8, d=1, label=1))
     return Dataset("two", graphs, 2, 1)
+
+
+@pytest.fixture
+def stack_builds(monkeypatch):
+    """Every (graph, hops, k_max) passed to stack_subgraphs, in call order."""
+    import kergnn.model
+
+    builds = []
+    build = kergnn.model.stack_subgraphs
+
+    def counting(g, hops, k_max):
+        builds.append((g, hops, k_max))
+        return build(g, hops, k_max)
+
+    monkeypatch.setattr(kergnn.model, "stack_subgraphs", counting)
+    return builds
+
+
+def test_cross_validate_builds_each_stack_once(stack_builds):
+    ds = two_class_dataset()
+    # the second candidate's two layers share one (hops, k_max)
+    grid = [tiny_cfg(epochs=2, walk_length=1), tiny_cfg(epochs=2, walk_length=2, num_layers=2)]
+    cross_validate(ds, grid, seed=5, n_folds=3)
+    keys = [(id(g), hops, k_max) for g, hops, k_max in stack_builds]
+    assert len(keys) == len(set(keys))
+    assert {key[0] for key in keys} == {id(g) for g in ds.graphs}
+
+
+def test_evaluate_without_memo_builds_stacks_every_call(stack_builds):
+    ds = two_class_dataset()
+    params = init_params(tiny_cfg().model_config(ds.attr_dim, ds.num_classes),
+                         np.random.default_rng(0))
+    evaluate(params, ds)
+    assert len(stack_builds) == len(ds)
+    evaluate(params, ds)
+    assert len(stack_builds) == 2 * len(ds)
 
 
 def test_cross_validate_constant_labels_is_perfect():
