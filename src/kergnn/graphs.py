@@ -17,6 +17,7 @@ one-hot block if both exist), and the scalar node degree when neither exists.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -275,6 +276,8 @@ def load_tudataset(directory: str, name: str) -> Dataset:
                 row = [float(x) for x in line.replace(",", " ").split()]
             except ValueError:
                 raise DatasetError(f"{attributes_path}:{lineno}: expected comma-separated reals") from None
+            if not all(math.isfinite(x) for x in row):
+                raise DatasetError(f"{attributes_path}:{lineno}: attribute values must be finite")
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -521,6 +524,8 @@ def read_graph_file(path: str) -> Graph:
             rows.append([float(x) for x in row])
         except ValueError:
             raise DatasetError(f"{path}:{k + 2}: expected real attribute values") from None
+        if not all(math.isfinite(x) for x in rows[-1]):
+            raise DatasetError(f"{path}:{k + 2}: attribute values must be finite")
     try:
         attrs = np.array(rows, dtype=np.float64).reshape(n, d)
     except ValueError:  # only an empty graph with a huge width gets here

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "RWKernelConfig",
     "KernelGradients",
@@ -49,17 +51,17 @@ class RWKernelConfig:
 
     def __post_init__(self):
         if self.P < 0:
-            raise ValueError("P must be >= 0")
+            raise ConfigError("P must be >= 0")
         lambdas = self.lambdas
         if lambdas is None:
             lambdas = (1.0,) * (self.P + 1)
         lambdas = tuple(float(x) for x in np.atleast_1d(lambdas))
         if len(lambdas) != self.P + 1:
-            raise ValueError(f"lambdas must have P+1 = {self.P + 1} entries, got {len(lambdas)}")
+            raise ConfigError(f"lambdas must have P+1 = {self.P + 1} entries, got {len(lambdas)}")
         if any(x < 0 for x in lambdas):
-            raise ValueError("lambda weights must be nonnegative")
+            raise ConfigError("lambda weights must be nonnegative")
         if self.variant not in ("plain", "deep"):
-            raise ValueError(f"unknown kernel variant: {self.variant!r}")
+            raise ConfigError(f"unknown kernel variant: {self.variant!r}")
         object.__setattr__(self, "lambdas", lambdas)
 
     @property

@@ -47,7 +47,7 @@ __all__ = [
     "CHECKPOINT_VERSION",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -58,46 +58,47 @@ class GraphFilter:
     adjacency: np.ndarray
     attributes: np.ndarray
 
-    def validate(self):
-        if self.adjacency.shape != (self.n_nodes, self.n_nodes):
-            raise ConfigError("filter adjacency shape mismatch")
-        if not np.allclose(self.adjacency, self.adjacency.T):
-            raise ConfigError("filter adjacency must be symmetric")
-        if np.any(np.diag(self.adjacency) != 0):
-            raise ConfigError("filter adjacency must have zero diagonal")
-        if self.attributes.shape[0] != self.n_nodes:
-            raise ConfigError("filter attributes must have one row per node")
 
-
-@dataclass
 class KerGNNLayer:
-    filters: list
-    kernel_cfg: RWKernelConfig
-    hops: int
-    k_max: int
-    deep_weights: list | None = None  # one (n_nodes, k_max) matrix per filter
+    """f graph filters of n nodes, stored only as the stacked tensors the kernel
+    reads: adjacency (f, n, n), attributes (f, n, d) and, for the deep variant,
+    deep_weights (f, n, k_max). The constructor copies the filters into them.
+    """
+
+    def __init__(self, filters, kernel_cfg: RWKernelConfig, hops: int, k_max: int,
+                 deep_weights=None):
+        self.adjacency = np.array([f.adjacency for f in filters], dtype=np.float64)
+        self.attributes = np.array([f.attributes for f in filters], dtype=np.float64)
+        self.deep_weights = None if deep_weights is None else np.array(deep_weights, dtype=np.float64)
+        self.kernel_cfg, self.hops, self.k_max = kernel_cfg, hops, k_max
+
+    @property
+    def filters(self) -> list:
+        """GraphFilter views of the stacked tensors; writes through them reach the layer."""
+        n = self.adjacency.shape[1]
+        return [GraphFilter(n, adj, attr) for adj, attr in zip(self.adjacency, self.attributes)]
 
     @property
     def out_dim(self) -> int:
-        return len(self.filters)
+        return self.adjacency.shape[0]
 
     @property
     def in_dim(self) -> int:
-        return self.filters[0].attributes.shape[1]
+        return self.attributes.shape[2]
 
     def validate(self):
-        n = self.filters[0].n_nodes
-        d = self.in_dim
-        for filt in self.filters:
-            filt.validate()
-            if filt.n_nodes != n or filt.attributes.shape[1] != d:
-                raise ConfigError("filters in a layer must share node count and width")
+        adj, attr = self.adjacency, self.attributes
+        if (adj.ndim != 3 or adj.shape[1] != adj.shape[2] or attr.ndim != 3
+                or attr.shape[:2] != adj.shape[:2]):
+            raise ConfigError("filter tensors must be adjacency (f, n, n) and attributes (f, n, d)")
+        if not np.allclose(adj, adj.transpose(0, 2, 1)):
+            raise ConfigError("filter adjacency must be symmetric")
+        if np.any(np.diagonal(adj, axis1=1, axis2=2) != 0):
+            raise ConfigError("filter adjacency must have zero diagonal")
         if self.kernel_cfg.is_deep:
-            if self.deep_weights is None or len(self.deep_weights) != len(self.filters):
-                raise ConfigError("deep variant needs one weight matrix per filter")
-            for w in self.deep_weights:
-                if w.shape != (n, self.k_max):
-                    raise ConfigError("deep weights must have shape (filter_nodes, k_max)")
+            want = adj.shape[:2] + (self.k_max,)
+            if self.deep_weights is None or self.deep_weights.shape != want:
+                raise ConfigError(f"deep variant needs deep weights of shape {want}")
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,7 @@ class ModelConfig:
                 raise ConfigError("layer sizes must be positive")
         if any(h < 1 for h in self.mlp_hidden):
             raise ConfigError("mlp hidden dims must be positive")
+        self.kernel_cfg()  # walk length, lambdas and variant
 
     def kernel_cfg(self) -> RWKernelConfig:
         return RWKernelConfig(self.walk_length, self.lambdas, self.kernel_variant)
@@ -172,15 +174,10 @@ def _build_params(config: ModelConfig) -> ModelParams:
     d_in = config.width_after_input()
     layers = []
     for ls in config.layers:
-        filters = [
-            GraphFilter(ls.filter_nodes, np.zeros((ls.filter_nodes, ls.filter_nodes)),
-                        np.zeros((ls.filter_nodes, d_in)))
-            for _ in range(ls.num_filters)
-        ]
-        deep = None
-        if kernel_cfg.is_deep:
-            deep = [np.ones((ls.filter_nodes, ls.k_max)) for _ in range(ls.num_filters)]
-        layers.append(KerGNNLayer(filters, kernel_cfg, ls.hops, ls.k_max, deep))
+        n = ls.filter_nodes
+        blank = GraphFilter(n, np.zeros((n, n)), np.zeros((n, d_in)))
+        deep = np.ones((ls.num_filters, n, ls.k_max)) if kernel_cfg.is_deep else None
+        layers.append(KerGNNLayer([blank] * ls.num_filters, kernel_cfg, ls.hops, ls.k_max, deep))
         d_in = ls.num_filters
 
     mlp = []
@@ -233,12 +230,10 @@ def named_parameters(params: ModelParams) -> list:
         out.append(("input_map.weight", params.input_map[0]))
         out.append(("input_map.bias", params.input_map[1]))
     for l, layer in enumerate(params.layers):
-        for i, filt in enumerate(layer.filters):
-            out.append((f"layers.{l}.filters.{i}.adjacency", filt.adjacency))
-            out.append((f"layers.{l}.filters.{i}.attributes", filt.attributes))
+        out.append((f"layers.{l}.adjacency", layer.adjacency))
+        out.append((f"layers.{l}.attributes", layer.attributes))
         if layer.deep_weights is not None:
-            for i, w in enumerate(layer.deep_weights):
-                out.append((f"layers.{l}.deep_weights.{i}", w))
+            out.append((f"layers.{l}.deep_weights", layer.deep_weights))
     for j, (w, b) in enumerate(params.mlp):
         out.append((f"mlp.{j}.weight", w))
         out.append((f"mlp.{j}.bias", b))
@@ -269,15 +264,14 @@ def graph_stacks(g: Graph, params: ModelParams, memo: dict | None = None) -> lis
 
 
 def _layer_arrays(layer: KerGNNLayer):
-    attr_h = np.stack([f.attributes for f in layer.filters])
-    adj_h = np.stack([f.adjacency for f in layer.filters])
+    """(attributes, [A_H^1..A_H^P], deep weights or None): the kernel's filter-side inputs."""
     pows_h = []
     power = None
     for _ in range(layer.kernel_cfg.P):
-        power = adj_h if power is None else power @ adj_h
+        power = layer.adjacency if power is None else power @ layer.adjacency
         pows_h.append(power)
-    weights = np.stack(layer.deep_weights) if layer.kernel_cfg.is_deep else None
-    return attr_h, pows_h, weights
+    weights = layer.deep_weights if layer.kernel_cfg.is_deep else None
+    return layer.attributes, pows_h, weights
 
 
 def _layer_apply(layer: KerGNNLayer, stack: SubgraphStack, feats: np.ndarray, post_relu: bool):
@@ -308,7 +302,7 @@ class GraphForward:
     """Everything backward_graph needs from one graph's forward pass."""
 
     feats: list  # feats_0..feats_L, each (num_nodes, d_l)
-    layer_caches: list
+    layer_caches: list  # hold the layer tensors themselves: backward before they change
     readout: np.ndarray
     mlp_inputs: list
     dropout_masks: list
@@ -406,11 +400,10 @@ def backward_graph(fwd: GraphForward, dlogits: np.ndarray, params: ModelParams) 
         if cfg.post_relu:
             gout = gout * (pre > 0)
         d_xh, d_adj, d_w, d_xsub = stacked_kernel_backward(cache, gout)
-        for i in range(len(layer.filters)):
-            grads[f"layers.{l}.filters.{i}.adjacency"] = d_adj[i]
-            grads[f"layers.{l}.filters.{i}.attributes"] = d_xh[i]
-            if d_w is not None:
-                grads[f"layers.{l}.deep_weights.{i}"] = d_w[i]
+        grads[f"layers.{l}.adjacency"] = d_adj
+        grads[f"layers.{l}.attributes"] = d_xh
+        if d_w is not None:
+            grads[f"layers.{l}.deep_weights"] = d_w
         # padded slots are structurally zero; mask before scattering back
         contrib = d_xsub * stack.mask[:, :, None]
         carry = np.zeros((num_nodes, layer.in_dim))
@@ -504,7 +497,11 @@ def load_checkpoint(path: str):
             data = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
             if data.shape != arr.shape:
                 raise CheckpointError(f"tensor {name} has shape {data.shape}, expected {arr.shape}")
+            if not np.all(np.isfinite(data)):
+                raise CheckpointError(f"tensor {name} has non-finite values")
             arr[:] = data
+        for layer in params.layers:
+            layer.validate()  # a ConfigError is a ValueError, reported below
         seed = int(payload["seed"])
     except CheckpointError:
         raise

@@ -13,9 +13,10 @@ Everything is driven by integer seeds through numpy SeedSequence spawning, so
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -46,6 +47,17 @@ __all__ = [
     "stratified_split",
     "load_splits",
 ]
+
+
+# TrainConfig field annotations (strings, see the __future__ import) -> value checks
+_TYPE_CHECKS = {
+    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "tuple": lambda v: isinstance(v, tuple),
+    "None": lambda v: v is None,
+}
 
 
 @dataclass(frozen=True)
@@ -94,10 +106,14 @@ class TrainConfig:
         return [v] * self.num_layers
 
     def validate(self):
+        """Field types and training settings here; the model fields are checked
+        by building the ModelConfig they describe."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not any(_TYPE_CHECKS[t.strip()](value) for t in f.type.split("|")):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.lr <= 0:
             raise ConfigError("lr must be > 0")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must lie in [0, 1)")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -106,16 +122,7 @@ class TrainConfig:
             raise ConfigError("lr_half_every must be >= 1")
         if self.num_layers < 0:
             raise ConfigError("num_layers must be >= 0")
-        if self.walk_length < 0:
-            raise ConfigError("walk_length must be >= 0")
-        if self.kernel_variant not in ("plain", "deep"):
-            raise ConfigError(f"unknown kernel variant {self.kernel_variant!r}")
-        if self.num_layers > 0:
-            for v in self._per_layer(self.num_filters) + self._per_layer(self.filter_nodes):
-                if int(v) < 1:
-                    raise ConfigError("filter counts and sizes must be >= 1")
-            if self.k_max < 1 or self.hops < 1:
-                raise ConfigError("k_max and hops must be >= 1")
+        self.model_config(attr_dim=1, num_classes=1)
 
     def model_config(self, attr_dim: int, num_classes: int) -> ModelConfig:
         filters = self._per_layer(self.num_filters)
@@ -418,11 +425,19 @@ def cross_validate(ds: Dataset, grid, seed: int, n_folds: int = 10,
 
     `grid` is a TrainConfig or a list of them. With n_folds=1 a single
     stratified 90/10 train/test holdout is evaluated. Pre-computed splits
-    (list of (train_indices, test_indices) pairs) override fold generation.
+    (list of (train_indices, test_indices) pairs) override fold generation;
+    their indices must lie in [0, len(ds)) and train and test must not overlap.
     """
     labels = ds.labels()
     counts = np.bincount(labels, minlength=ds.num_classes)
-    if splits is None:
+    if splits is not None:
+        for k, (train_idx, test_idx) in enumerate(splits):
+            both = np.concatenate([train_idx, test_idx])
+            if np.any((both < 0) | (both >= len(ds))):
+                raise ConfigError(f"split {k}: indices must lie in [0, {len(ds)})")
+            if np.intersect1d(train_idx, test_idx).size:
+                raise ConfigError(f"split {k}: train/test overlap")
+    else:
         if n_folds < 1:
             raise ValueError("n_folds must be >= 1")
         if np.any(counts < max(n_folds, 2)):

@@ -200,6 +200,15 @@ def test_train_bad_config_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_train_string_valued_field_is_data_error(tmp_path, capsys):
+    ddir = make_dataset_dir(tmp_path)
+    config = write_config(tmp_path, epochs="3")
+    code = main(["train", "--dataset-dir", ddir, "--dataset-name", "SYN",
+                 "--config", config, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "epochs" in capsys.readouterr().err
+
+
 def test_export_filters_roundtrip(tmp_path, capsys):
     cfg = TrainConfig(num_filters=3, filter_nodes=3, k_max=5)
     params = init_params(cfg.model_config(2, 2), np.random.default_rng(0))

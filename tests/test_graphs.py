@@ -297,6 +297,19 @@ def test_graph_file_errors(tmp_path):
     bad.write_bytes(b"1 1\n\xff\n")
     with pytest.raises(DatasetError, match="not UTF-8"):
         read_graph_file(str(bad))
+    for value in ("nan", "inf", "-inf", "1e999"):
+        bad.write_text(f"2 1\n1.0\n{value}\n0 1\n")
+        with pytest.raises(DatasetError, match=r"bad\.graph:3: .*finite"):
+            read_graph_file(str(bad))
+
+
+def test_load_rejects_non_finite_attributes(tmp_path):
+    adj = np.array([[0, 1], [1, 0]])
+    for value in ("nan", "inf"):
+        write_tudataset(tmp_path, "nf", [adj], [0], node_attributes=[[0.5], [1.0]])
+        (tmp_path / "nf_node_attributes.txt").write_text(f"0.5\n{value}\n")
+        with pytest.raises(DatasetError, match=r"nf_node_attributes\.txt:2: .*finite"):
+            load_tudataset(str(tmp_path), "nf")
 
 
 @pytest.mark.parametrize("name,expected", [

@@ -228,6 +228,60 @@ def test_config_validation_errors():
 # ---------------------------------------------------------------------------
 
 
+def test_named_parameters_are_the_stacked_layer_tensors():
+    cfg = small_config(kernel_variant="deep", input_map_dim=3,
+                       layers=(LayerSpec(3, 4, 6, 1), LayerSpec(2, 3, 6, 1)))
+    params = init_params(cfg, np.random.default_rng(19))
+    names = [name for name, _ in named_parameters(params)]
+    assert names == ["input_map.weight", "input_map.bias",
+                     "layers.0.adjacency", "layers.0.attributes", "layers.0.deep_weights",
+                     "layers.1.adjacency", "layers.1.attributes", "layers.1.deep_weights",
+                     "mlp.0.weight", "mlp.0.bias", "mlp.1.weight", "mlp.1.bias"]
+    layer = params.layers[0]
+    assert layer.adjacency.shape == (3, 4, 4)
+    assert layer.attributes.shape == (3, 4, 3)
+    assert layer.deep_weights.shape == (3, 4, 6)
+
+
+def test_filters_are_views_of_the_layer_tensors():
+    params = init_params(small_config(), np.random.default_rng(20))
+    layer = params.layers[0]
+    filt = layer.filters[1]
+    assert filt.n_nodes == 3
+    filt.adjacency[0, 2] = filt.adjacency[2, 0] = 0.25
+    filt.attributes[1] = 7.0
+    assert layer.adjacency[1, 0, 2] == layer.adjacency[1, 2, 0] == 0.25
+    assert np.array_equal(layer.attributes[1, 1], [7.0, 7.0])
+
+
+def test_layer_copies_filters_into_stacked_tensors():
+    rng = np.random.default_rng(21)
+    filters = [random_filter(rng, 4, 2) for _ in range(3)]
+    layer = KerGNNLayer(filters, RWKernelConfig(2), hops=1, k_max=5)
+    for i, filt in enumerate(filters):
+        assert np.array_equal(layer.adjacency[i], filt.adjacency)
+        assert np.array_equal(layer.attributes[i], filt.attributes)
+    assert (layer.out_dim, layer.in_dim) == (3, 2)
+    layer.validate()
+
+
+def test_layer_validate_rejects_bad_filters():
+    rng = np.random.default_rng(22)
+    layer = KerGNNLayer([random_filter(rng, 3, 2) for _ in range(2)], RWKernelConfig(1),
+                        hops=1, k_max=4)
+    layer.adjacency[1, 0, 1] += 1.0
+    with pytest.raises(ConfigError, match="symmetric"):
+        layer.validate()
+    layer.adjacency[1, 0, 1] -= 1.0
+    layer.adjacency[0, 2, 2] = 0.5
+    with pytest.raises(ConfigError, match="diagonal"):
+        layer.validate()
+    deep = KerGNNLayer([random_filter(rng, 3, 2)], RWKernelConfig(1, variant="deep"),
+                       hops=1, k_max=4, deep_weights=[np.ones((3, 5))])
+    with pytest.raises(ConfigError, match="deep weights"):
+        deep.validate()
+
+
 def test_init_shapes_and_ranges():
     rng = np.random.default_rng(12)
     cfg = ModelConfig(attr_dim=32, num_classes=2,
@@ -297,11 +351,12 @@ def test_end_to_end_gradients_match_finite_differences(variant):
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
-            if symmetric and idx[0] >= idx[1]:
+            # adjacency tensors are (filters, n, n): mirror over the last two axes
+            if symmetric and idx[-2] >= idx[-1]:
                 continue
-            mirror = idx[::-1]
             orig = arr[idx]
             if symmetric:
+                mirror = idx[:-2] + (idx[-1], idx[-2])
                 arr[idx] = arr[mirror] = orig + h
                 up = loss_only()
                 arr[idx] = arr[mirror] = orig - h
@@ -382,6 +437,23 @@ def test_checkpoint_version_mismatch(tmp_path):
     payload["format_version"] = 999
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match="version"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("name,index,value,message", [
+    ("layers.0.adjacency", 1, 5.0, "symmetric"),  # entry (0, 0, 1); (0, 1, 0) keeps its value
+    ("layers.0.adjacency", 0, 0.5, "diagonal"),  # entry (0, 0, 0)
+    ("layers.0.attributes", 0, float("nan"), "non-finite"),
+    ("mlp.0.bias", 0, float("inf"), "non-finite"),
+])
+def test_checkpoint_rejects_invalid_tensors(tmp_path, name, index, value, message):
+    params = init_params(small_config(), np.random.default_rng(23))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), params, seed=0)
+    payload = json.loads(path.read_text())
+    payload["tensors"][name]["data"][index] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(str(path))
 
 

@@ -207,6 +207,13 @@ def test_grid_search_filters_invalid_configs():
         grid_search(ds, ds, [], rng=0)
 
 
+def test_grid_search_skips_candidate_with_wrong_lambda_count():
+    ds = micro_pair()
+    good = tiny_cfg(epochs=2)
+    bad = tiny_cfg(epochs=2, walk_length=2, lambdas=(1.0, 0.5))  # needs P+1 = 3
+    assert grid_search(ds, ds, [bad, good], rng=0) == good
+
+
 def test_cone_pair_is_degenerate_at_walk_length_one():
     # structural half of the grid-search story: any P=1 model gives the two
     # cone graphs identical outputs, so no training can tell them apart
@@ -338,6 +345,18 @@ def test_cross_validate_accepts_explicit_splits():
     assert len(result.fold_accuracies) == 1
 
 
+@pytest.mark.parametrize("train,test,message", [
+    ([0, 1, 2], [-1], r"\[0, "),  # -1 would wrap to the last graph
+    ([0, 1, 2], [99], r"\[0, "),
+    ([0, 1, 2, 3], [3, 4], "overlap"),
+])
+def test_cross_validate_rejects_bad_explicit_splits(train, test, message):
+    ds = two_class_dataset()
+    splits = [(np.array(train), np.array(test))]
+    with pytest.raises(ConfigError, match=message):
+        cross_validate(ds, tiny_cfg(epochs=1), seed=0, splits=splits)
+
+
 def test_load_splits_file(tmp_path):
     import json
 
@@ -436,3 +455,16 @@ def test_config_validation():
         tiny_cfg(kernel_variant="geometric").validate()
     with pytest.raises(ConfigError):
         TrainConfig(num_layers=2, num_filters=(4,)).validate()
+    with pytest.raises(ConfigError, match="lambdas"):
+        tiny_cfg(walk_length=2, lambdas=(1.0,)).validate()
+    with pytest.raises(ConfigError):
+        tiny_cfg(walk_length=-1).validate()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epochs", "3"), ("lr", "0.1"), ("dropout", None), ("post_relu", 1),
+    ("num_filters", 2.5), ("kernel_variant", 3), ("grad_clip", "1"),
+])
+def test_config_wrong_field_type_names_the_field(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig.from_dict({field: value}).validate()
