@@ -148,13 +148,6 @@ class Subgraph:
     def capacity(self) -> int:
         return self.adjacency.shape[0]
 
-    def with_attributes(self, feats: np.ndarray) -> "Subgraph":
-        """Same topology, attribute rows gathered from `feats` by node id."""
-        feats = np.asarray(feats, dtype=np.float64)
-        attr = np.zeros((self.capacity, feats.shape[1]))
-        attr[: self.size] = feats[list(self.node_ids)]
-        return Subgraph(self.center, self.node_ids, self.adjacency, attr, self.size)
-
 
 @dataclass
 class DatasetStats:

@@ -16,7 +16,22 @@ Two routes compute the same quantity:
 respect to the filter-side parameters. The stacked_* functions evaluate the
 same forward/backward over every subgraph of a graph and every filter of a
 layer at once; they are the training fast path and are pinned to the scalar
-functions by tests.
+functions by tests. Two forms serve them:
+
+* Gram form, plain variant only. Summing the Hadamard identity gives
+
+      K_p = < X_H^T A_H^p X_H , X_G^T A_G^p X_G >_F
+
+  a Frobenius product of explicit d x d feature maps per walk step, so all
+  subgraph/filter pairs are one (N, (P+1)d^2) @ ((P+1)d^2, f) matmul.
+* Hadamard form over (f, n, N, k) tensors. The deep variant always takes it,
+  since its per-pair weights do not factor.
+
+The plain variant takes whichever form has fewer entries per subgraph:
+(P+1) d^2 for the Gram maps, f n k for the Hadamard tensors. Both paths are
+dominated by passes over these intermediates, so the smaller is also the
+faster away from the boundary; wide features (one-hot node labels, a later
+layer's num_filters) make the d^2 maps the larger.
 """
 
 from __future__ import annotations
@@ -58,8 +73,8 @@ class RWKernelConfig:
         lambdas = tuple(float(x) for x in np.atleast_1d(lambdas))
         if len(lambdas) != self.P + 1:
             raise ConfigError(f"lambdas must have P+1 = {self.P + 1} entries, got {len(lambdas)}")
-        if any(x < 0 for x in lambdas):
-            raise ConfigError("lambda weights must be nonnegative")
+        if not all(0.0 <= x < np.inf for x in lambdas):  # also false for nan
+            raise ConfigError(f"lambda weights must be finite and nonnegative, got {lambdas}")
         if self.variant not in ("plain", "deep"):
             raise ConfigError(f"unknown kernel variant: {self.variant!r}")
         object.__setattr__(self, "lambdas", lambdas)
@@ -232,19 +247,24 @@ def rw_kernel_grad(sub, filt, cfg: RWKernelConfig, deep_weights=None):
 
 @dataclass
 class StackedKernelCache:
-    """Intermediates saved by stacked_kernel_forward for the backward pass."""
+    """Intermediates saved by stacked_kernel_forward for the backward pass.
+
+    The Gram form keeps the per-step feature maps phi_h/phi_g; the Hadamard
+    form keeps the (f, n, N, k) tensors s4/msum4 and the deep variant's weights.
+    """
 
     cfg: RWKernelConfig
     attr_h: np.ndarray  # (f, n, d)
     pows_h: list  # [A_H^1..A_H^P], each (f, n, n)
     pows_g: list  # [A_G^1..A_G^P], each (N, k, k)
     x_sub: np.ndarray  # (N, k, d)
-    u: list  # U_p, (f, n, d)
-    v: list  # V_p, (N, k, d)
-    s4: np.ndarray  # (f, n, N, k)
-    msum4: np.ndarray  # (f, n, N, k), lambda-weighted sum of M_p
-    t4: np.ndarray  # S or W (.) S
-    weights: np.ndarray | None  # (f, n, k)
+    u: list  # U_p = A_H^p X_H, (f, n, d)
+    v: list  # V_p = A_G^p X_G, (N, k, d)
+    phi_h: np.ndarray | None = None  # (f, P+1, d*d), X_H^T U_p flattened
+    phi_g: np.ndarray | None = None  # (N, P+1, d*d), lambda_p X_G^T V_p flattened
+    s4: np.ndarray | None = None  # (f, n, N, k), S
+    msum4: np.ndarray | None = None  # (f, n, N, k), lambda-weighted sum of M_p
+    weights: np.ndarray | None = None  # (f, n, k), None for plain
 
 
 def stacked_kernel_forward(attr_h, pows_h, x_sub, pows_g, cfg: RWKernelConfig, weights=None):
@@ -252,39 +272,20 @@ def stacked_kernel_forward(attr_h, pows_h, x_sub, pows_g, cfg: RWKernelConfig, w
 
     attr_h: (f, n, d) filter attributes; pows_h: [A_H^1..A_H^P] stacked per
     filter; x_sub: (N, k, d) padded subgraph attributes; pows_g likewise per
-    node. Everything reduces to (f*n, N*k) matmuls.
+    node; weights: (f, n, k) pair weights, required by the deep variant.
     """
-    f, n, d = attr_h.shape
-    big_n, k, _ = x_sub.shape
-    xh2 = attr_h.reshape(f * n, d)
-    xs2 = x_sub.reshape(big_n * k, d)
-
-    s2 = xh2 @ xs2.T
-    s4 = s2.reshape(f, n, big_n, k)
-    msum2 = cfg.lambdas[0] * s2  # M_0 == S
-    u = [attr_h]
-    v = [x_sub]
-    for p in range(1, cfg.P + 1):
-        u_p = pows_h[p - 1] @ attr_h
-        v_p = pows_g[p - 1] @ x_sub
-        u.append(u_p)
-        v.append(v_p)
-        msum2 = msum2 + cfg.lambdas[p] * (u_p.reshape(f * n, d) @ v_p.reshape(big_n * k, d).T)
-    msum4 = msum2.reshape(f, n, big_n, k)
-
+    u = [attr_h] + [pows_h[p - 1] @ attr_h for p in range(1, cfg.P + 1)]
+    v = [x_sub] + [pows_g[p - 1] @ x_sub for p in range(1, cfg.P + 1)]
+    cache = StackedKernelCache(cfg=cfg, attr_h=attr_h, pows_h=pows_h, pows_g=pows_g,
+                               x_sub=x_sub, u=u, v=v)
     if cfg.is_deep:
         if weights is None:
             raise ValueError("deep variant requires pair weights")
-        t4 = s4 * weights[:, :, None, :]
-    else:
-        t4 = s4
-
-    values = np.einsum("fnvk,fnvk->vf", t4, msum4)
-    cache = StackedKernelCache(
-        cfg=cfg, attr_h=attr_h, pows_h=pows_h, pows_g=pows_g, x_sub=x_sub,
-        u=u, v=v, s4=s4, msum4=msum4, t4=t4, weights=weights,
-    )
-    return values, cache
+        return _hadamard_forward(cache, weights), cache
+    f, n, d = attr_h.shape
+    if (cfg.P + 1) * d * d <= f * n * x_sub.shape[1]:  # Gram maps are the smaller
+        return _gram_forward(cache), cache
+    return _hadamard_forward(cache, None), cache
 
 
 def stacked_kernel_backward(cache: StackedKernelCache, gout):
@@ -293,39 +294,115 @@ def stacked_kernel_backward(cache: StackedKernelCache, gout):
     Returns (d_attr_h, d_adj_h, d_weights, d_x_sub); d_adj_h is symmetrized
     with a zero diagonal, d_weights is None for the plain variant.
     """
+    if cache.phi_g is None:
+        d_xh, d_xsub, d_weights, zu = _hadamard_backward(cache, gout)
+    else:
+        d_xh, d_xsub, zu = _gram_backward(cache, gout)
+        d_weights = None
+    return d_xh, _adjacency_grad(cache, zu), d_weights, d_xsub
+
+
+def _gram_forward(cache: StackedKernelCache) -> np.ndarray:
+    """Plain variant: K = sum_p lambda_p <X_G^T V_p, X_H^T U_p>_F, one matmul.
+
+    sum_ij [S (.) U_p V_p^T]_ij = tr(X_G X_H^T U_p V_p^T), which is the
+    Frobenius product of the d x d maps X_H^T U_p and X_G^T V_p.
+    """
+    f, _, d = cache.attr_h.shape
+    big_n = cache.x_sub.shape[0]
+    lam = np.asarray(cache.cfg.lambdas)[:, None]
+    xh_t = cache.attr_h.transpose(0, 2, 1)
+    xs_t = cache.x_sub.transpose(0, 2, 1)
+    cache.phi_h = np.stack([(xh_t @ u_p).reshape(f, d * d) for u_p in cache.u], axis=1)
+    cache.phi_g = np.stack([(xs_t @ v_p).reshape(big_n, d * d) for v_p in cache.v], axis=1) * lam
+    return cache.phi_g.reshape(big_n, -1) @ cache.phi_h.reshape(f, -1).T
+
+
+def _gram_backward(cache: StackedKernelCache, gout):
+    """(d_attr_h, d_x_sub, [dK/dU_1..dK/dU_P]) of the Gram form.
+
+    The gradients of sum gout * K with respect to the maps are
+    G_p[f] = lambda_p sum_v gout[v,f] X_G^T V_p (phi_g carries lambda_p) and
+    D_p[v] = lambda_p sum_f gout[v,f] X_H^T U_p. With symmetric adjacencies
+    dX_H = sum_p U_p (G_p^T + G_p), dX_G = sum_p V_p (D_p^T + D_p), and
+    dK/dU_p = X_H G_p feeds the adjacency split sum.
+    """
+    f, _, d = cache.attr_h.shape
+    big_n = cache.x_sub.shape[0]
+    lam = np.asarray(cache.cfg.lambdas)[:, None]
+    gam = (gout.T @ cache.phi_g.reshape(big_n, -1)).reshape(f, -1, d, d)
+    dlt = ((gout @ cache.phi_h.reshape(f, -1)).reshape(big_n, -1, d * d) * lam).reshape(big_n, -1, d, d)
+    gam_sym = gam + gam.transpose(0, 1, 3, 2)
+    dlt_sym = dlt + dlt.transpose(0, 1, 3, 2)
+    d_xh = sum(u_p @ gam_sym[:, p] for p, u_p in enumerate(cache.u))
+    d_xsub = sum(v_p @ dlt_sym[:, p] for p, v_p in enumerate(cache.v))
+    zu = [cache.attr_h @ gam[:, p] for p in range(1, cache.cfg.P + 1)]
+    return d_xh, d_xsub, zu
+
+
+def _hadamard_forward(cache: StackedKernelCache, weights) -> np.ndarray:
+    """sum_ij [(W (.) S) (.) sum_p lambda_p U_p V_p^T]_ij from (f, n, N, k)
+    tensors built by (f*n, N*k) matmuls; weights W is None for plain."""
+    cfg = cache.cfg
+    f, n, d = cache.attr_h.shape
+    big_n, k, _ = cache.x_sub.shape
+    s2 = cache.attr_h.reshape(f * n, d) @ cache.x_sub.reshape(big_n * k, d).T
+    msum2 = cfg.lambdas[0] * s2  # M_0 == S
+    for p in range(1, cfg.P + 1):
+        msum2 = msum2 + cfg.lambdas[p] * (cache.u[p].reshape(f * n, d) @ cache.v[p].reshape(big_n * k, d).T)
+    cache.s4 = s2.reshape(f, n, big_n, k)
+    cache.msum4 = msum2.reshape(f, n, big_n, k)
+    cache.weights = weights
+    t4 = cache.s4 if weights is None else cache.s4 * weights[:, :, None, :]
+    return np.einsum("fnvk,fnvk->vf", t4, cache.msum4)
+
+
+def _hadamard_backward(cache: StackedKernelCache, gout):
+    """(d_attr_h, d_x_sub, d_weights, [dK/dU_1..dK/dU_P]) of the Hadamard form;
+    d_weights is None for plain."""
     cfg = cache.cfg
     f, n, big_n, k = cache.s4.shape
     d = cache.attr_h.shape[2]
     xh2 = cache.attr_h.reshape(f * n, d)
     xs2 = cache.x_sub.reshape(big_n * k, d)
     gb = gout.T[:, None, :, None]  # broadcast over (f, n, N, k)
-
-    gs4 = cache.msum4 * cache.weights[:, :, None, :] if cfg.is_deep else cache.msum4
-    gsg2 = (gs4 * gb).reshape(f * n, big_n * k)
-    tg2 = (cache.t4 * gb).reshape(f * n, big_n * k)
-
-    d_weights = None
-    if cfg.is_deep:
+    if cache.weights is None:
+        gsg4, tg4, d_weights = cache.msum4 * gb, cache.s4 * gb, None
+    else:
+        wb = cache.weights[:, :, None, :]
+        gsg4, tg4 = cache.msum4 * wb * gb, cache.s4 * wb * gb
         d_weights = np.einsum("vf,fnvk->fnk", gout, cache.s4 * cache.msum4)
+    gsg2 = gsg4.reshape(f * n, big_n * k)
+    tg2 = tg4.reshape(f * n, big_n * k)
 
     d_xh = (gsg2 @ xs2).reshape(f, n, d)
     d_xsub = (gsg2.T @ xh2).reshape(big_n, k, d)
-    d_adj = np.zeros((f, n, n))
+    zu = []
     for p in range(cfg.P + 1):
-        zu = cfg.lambdas[p] * (tg2 @ cache.v[p].reshape(big_n * k, d)).reshape(f, n, d)
-        zv = cfg.lambdas[p] * (tg2.T @ cache.u[p].reshape(f * n, d)).reshape(big_n, k, d)
-        d_xh += cache.pows_h[p - 1] @ zu if p > 0 else zu
-        d_xsub += cache.pows_g[p - 1] @ zv if p > 0 else zv
-        if p > 0:
-            zx = zu @ cache.attr_h.transpose(0, 2, 1)  # (f, n, n)
-            for q in range(p):
-                term = zx
-                if q > 0:
-                    term = cache.pows_h[q - 1] @ term
-                if p - 1 - q > 0:
-                    term = term @ cache.pows_h[p - 2 - q]
-                d_adj += term
+        zu_p = cfg.lambdas[p] * (tg2 @ cache.v[p].reshape(big_n * k, d)).reshape(f, n, d)
+        zv_p = cfg.lambdas[p] * (tg2.T @ cache.u[p].reshape(f * n, d)).reshape(big_n, k, d)
+        d_xh += cache.pows_h[p - 1] @ zu_p if p > 0 else zu_p
+        d_xsub += cache.pows_g[p - 1] @ zv_p if p > 0 else zv_p
+        zu.append(zu_p)
+    return d_xh, d_xsub, d_weights, zu[1:]
+
+
+def _adjacency_grad(cache: StackedKernelCache, zu) -> np.ndarray:
+    """Filter adjacency gradient from zu = [dK/dU_1..dK/dU_P]: the matrix-power
+    split sum sum_{p, q<p} A^q (Z_p X_H^T) A^(p-1-q), symmetrized with a zero
+    diagonal."""
+    f, n, _ = cache.attr_h.shape
+    d_adj = np.zeros((f, n, n))
+    for p in range(1, cache.cfg.P + 1):
+        zx = zu[p - 1] @ cache.attr_h.transpose(0, 2, 1)  # (f, n, n)
+        for q in range(p):
+            term = zx
+            if q > 0:
+                term = cache.pows_h[q - 1] @ term
+            if p - 1 - q > 0:
+                term = term @ cache.pows_h[p - 2 - q]
+            d_adj += term
     d_adj = (d_adj + d_adj.transpose(0, 2, 1)) / 2.0
     idx = np.arange(n)
     d_adj[:, idx, idx] = 0.0
-    return d_xh, d_adj, d_weights, d_xsub
+    return d_adj

@@ -15,8 +15,9 @@ layer back to the filter parameters and the optional input linear map.
 from __future__ import annotations
 
 import json
+import numbers
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, astuple
 
 import numpy as np
 
@@ -130,6 +131,9 @@ class ModelConfig:
             "layers",
             tuple(ls if isinstance(ls, LayerSpec) else LayerSpec(**ls) for ls in self.layers),
         )
+        sizes = [*self.mlp_hidden, *(v for ls in self.layers for v in astuple(ls))]
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in sizes):
+            raise ConfigError(f"layer sizes and mlp hidden dims must be integers, got {sizes}")
         object.__setattr__(self, "mlp_hidden", tuple(int(h) for h in self.mlp_hidden))
         if self.lambdas is not None:
             object.__setattr__(self, "lambdas", tuple(float(x) for x in self.lambdas))

@@ -49,13 +49,22 @@ __all__ = [
 ]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 # TrainConfig field annotations (strings, see the __future__ import) -> value checks
 _TYPE_CHECKS = {
-    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "int": _is_int,
+    "float": _is_real,
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
-    "tuple": lambda v: isinstance(v, tuple),
+    "tuple[int, ...]": lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
+    "tuple[float, ...]": lambda v: isinstance(v, tuple) and all(map(_is_real, v)),
     "None": lambda v: v is None,
 }
 
@@ -75,28 +84,25 @@ class TrainConfig:
     dropout: float = 0.0
     grad_clip: float | None = None
     num_layers: int = 1
-    num_filters: int | tuple = 16
-    filter_nodes: int | tuple = 6
+    num_filters: int | tuple[int, ...] = 16
+    filter_nodes: int | tuple[int, ...] = 6
     k_max: int = 10
     hops: int = 1
     walk_length: int = 2
-    lambdas: tuple | None = None
+    lambdas: tuple[float, ...] | None = None
     kernel_variant: str = "plain"
     input_map_dim: int | None = None
-    mlp_hidden: tuple = (32,)
+    mlp_hidden: tuple[int, ...] = (32,)
     post_relu: bool = False
 
     def __post_init__(self):
-        for name in ("num_filters", "filter_nodes"):
+        # JSON lists become tuples with their entries as given; validate checks them
+        for name in ("num_filters", "filter_nodes", "mlp_hidden", "lambdas"):
             v = getattr(self, name)
-            if isinstance(v, (list, tuple)):
-                object.__setattr__(self, name, tuple(int(x) for x in v))
-        if isinstance(self.mlp_hidden, (list, tuple)):
-            object.__setattr__(self, "mlp_hidden", tuple(int(h) for h in self.mlp_hidden))
-        else:
-            object.__setattr__(self, "mlp_hidden", (int(self.mlp_hidden),))
-        if self.lambdas is not None:
-            object.__setattr__(self, "lambdas", tuple(float(x) for x in self.lambdas))
+            if isinstance(v, list):
+                object.__setattr__(self, name, tuple(v))
+        if not isinstance(self.mlp_hidden, tuple):
+            object.__setattr__(self, "mlp_hidden", (self.mlp_hidden,))
 
     def _per_layer(self, v) -> list:
         if isinstance(v, tuple):
@@ -128,7 +134,7 @@ class TrainConfig:
         filters = self._per_layer(self.num_filters)
         nodes = self._per_layer(self.filter_nodes)
         layers = [
-            LayerSpec(num_filters=int(f), filter_nodes=int(n), k_max=self.k_max, hops=self.hops)
+            LayerSpec(num_filters=f, filter_nodes=n, k_max=self.k_max, hops=self.hops)
             for f, n in zip(filters, nodes)
         ]
         return ModelConfig(

@@ -77,6 +77,16 @@ def random_subgraph(rng, size, k_max, d):
                     attributes=attrs, size=size)
 
 
+def with_attributes(sub, feats):
+    """`sub` with the same topology and attribute rows gathered from `feats` by node id."""
+    from kergnn.graphs import Subgraph
+
+    feats = np.asarray(feats, dtype=np.float64)
+    attr = np.zeros((sub.capacity, feats.shape[1]))
+    attr[: sub.size] = feats[list(sub.node_ids)]
+    return Subgraph(sub.center, sub.node_ids, sub.adjacency, attr, sub.size)
+
+
 def brute_force_isomorphic(g1, g2):
     """Permutation search over <= 8 node graphs, respecting node labels."""
     if g1.num_nodes != g2.num_nodes:

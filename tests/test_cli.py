@@ -85,6 +85,17 @@ def test_kernel_custom_lambdas(tmp_path, capsys):
     assert float(out.split(":")[1]) == pytest.approx(2.0 * 36.0)
 
 
+@pytest.mark.parametrize("lambdas", ["1,nan", "inf"])
+def test_kernel_non_finite_lambdas_is_data_error(tmp_path, capsys, lambdas):
+    a = single_node_file(tmp_path, "a.graph", 2.0)
+    b = single_node_file(tmp_path, "b.graph", 3.0)
+    p = str(lambdas.count(","))
+    assert main(["kernel", "--graph-a", a, "--graph-b", b, "--p", p, "--lambdas", lambdas]) == 2
+    captured = capsys.readouterr()
+    assert "kernel:" not in captured.out
+    assert "lambda" in captured.err
+
+
 def test_kernel_missing_file_is_usage_error(tmp_path, capsys):
     a = single_node_file(tmp_path, "a.graph", 1.0)
     assert main(["kernel", "--graph-a", a, "--graph-b", str(tmp_path / "nope")]) == 1
@@ -207,6 +218,21 @@ def test_train_string_valued_field_is_data_error(tmp_path, capsys):
                  "--config", config, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("over", [
+    {"walk_length": 1, "lambdas": [1.0, float("nan")]},  # json.dumps writes a NaN literal
+    {"num_filters": [2.5]},
+    {"mlp_hidden": 7.9},
+    {"filter_nodes": ["3"]},
+])
+def test_train_inexact_config_is_data_error(tmp_path, capsys, over):
+    ddir = make_dataset_dir(tmp_path)
+    config = write_config(tmp_path, **over)
+    code = main(["train", "--dataset-dir", ddir, "--dataset-name", "SYN",
+                 "--config", config, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_export_filters_roundtrip(tmp_path, capsys):

@@ -139,11 +139,47 @@ def test_gradient_errors_mirror_kernel_errors():
         rw_kernel_grad(sub, filt_bad, RWKernelConfig(1))
 
 
-@pytest.mark.parametrize("variant", ["plain", "deep"])
-def test_stacked_backward_matches_scalar_gradients(variant):
+# (variant, attribute width d, walk length P); d = 1 is imdb's degree feature.
+# The d = 3, P = 3 instances keep their original ids. With 3 filters of 4
+# nodes and k_max = 7, plain takes the Gram form for d in {1, 3} and for
+# d = 8 at P = 0, and the Hadamard form for d = 8 at P in {1, 3}.
+STACKED_CASES = [
+    pytest.param(variant, d, p_steps, id=variant if (d, p_steps) == (3, 3) else f"{variant}-d{d}-P{p_steps}")
+    for variant in ("plain", "deep") for d in (1, 3, 8) for p_steps in (0, 1, 3)
+]
+
+
+def fd_x_sub_grad(attr_h, pows_h, x_sub, pows_g, cfg, weights, gout):
+    """Central differences of sum gout * K over every entry of x_sub.
+
+    The kernel is quadratic in x_sub, so central differences are exact up to
+    rounding at any step; a large step keeps the rounding error small.
+    """
+    from kergnn.kernels import stacked_kernel_forward
+
+    def loss():
+        return float(np.sum(gout * stacked_kernel_forward(attr_h, pows_h, x, pows_g, cfg, weights)[0]))
+
+    step = 0.5
+    x = x_sub.copy()
+    grad = np.zeros_like(x)
+    for idx in np.ndindex(*x.shape):
+        orig = x[idx]
+        x[idx] = orig + step
+        up = loss()
+        x[idx] = orig - step
+        down = loss()
+        x[idx] = orig
+        grad[idx] = (up - down) / (2 * step)
+    return grad
+
+
+@pytest.mark.parametrize("variant,d,p_steps", STACKED_CASES)
+def test_stacked_backward_matches_scalar_gradients(variant, d, p_steps):
     # the training fast path and the scalar closed form must agree: the
     # stacked gradient of sum_{v,i} gout[v,i] K[v,i] equals the gout-weighted
-    # sum of per-(subgraph, filter) scalar gradients
+    # sum of per-(subgraph, filter) scalar gradients, for the filter side and
+    # for x_sub, the gradient passed on to the previous layer's features
     from kergnn.graphs import extract_subgraph, stack_subgraphs
     from kergnn.kernels import stacked_kernel_backward, stacked_kernel_forward
     from kergnn.model import KerGNNLayer, _layer_arrays
@@ -151,19 +187,21 @@ def test_stacked_backward_matches_scalar_gradients(variant):
     from conftest import random_graph
 
     rng = np.random.default_rng(77)
-    g = random_graph(rng, 6, 0.5, d=3)
-    cfg = RWKernelConfig(3, variant=variant)
-    filters = [random_filter(rng, 4, 3) for _ in range(3)]
+    g = random_graph(rng, 6, 0.5, d=d)
+    cfg = RWKernelConfig(p_steps, variant=variant)
+    filters = [random_filter(rng, 4, d) for _ in range(3)]
     weights = [rng.random((4, 7)) for _ in filters] if cfg.is_deep else None
     layer = KerGNNLayer(filters, cfg, hops=1, k_max=7, deep_weights=weights)
 
     stack = stack_subgraphs(g, 1, 7)
     attr_h, pows_h, w_stack = _layer_arrays(layer)
     x_sub = stack.gather(g.attributes)
-    values, cache = stacked_kernel_forward(attr_h, pows_h, x_sub, stack.powers(cfg.P), cfg, w_stack)
+    pows_g = stack.powers(cfg.P)
+    values, cache = stacked_kernel_forward(attr_h, pows_h, x_sub, pows_g, cfg, w_stack)
     gout = rng.normal(size=values.shape)
-    d_xh, d_adj, d_w, _ = stacked_kernel_backward(cache, gout)
+    d_xh, d_adj, d_w, d_xsub = stacked_kernel_backward(cache, gout)
 
+    want_xsub = np.zeros_like(x_sub)
     for i, filt in enumerate(filters):
         want_attr = np.zeros_like(filt.attributes)
         want_adj = np.zeros_like(filt.adjacency)
@@ -176,7 +214,34 @@ def test_stacked_backward_matches_scalar_gradients(variant):
             want_adj += gout[v, i] * grads.d_adjacency
             if cfg.is_deep:
                 want_w += gout[v, i] * grads.d_deep_weights
+            else:
+                # the plain kernel is symmetric in its two graphs, so the
+                # filter-side gradient with the roles swapped is d/dx_sub
+                swapped, sub_grads = rw_kernel_grad(filt, sub, cfg)
+                assert swapped == pytest.approx(value, rel=1e-9)
+                want_xsub[v] += gout[v, i] * sub_grads.d_attributes
         assert np.allclose(d_xh[i], want_attr, rtol=1e-9, atol=1e-9)
         assert np.allclose(d_adj[i], want_adj, rtol=1e-9, atol=1e-9)
         if cfg.is_deep:
             assert np.allclose(d_w[i], want_w, rtol=1e-9, atol=1e-9)
+        else:
+            assert d_w is None
+    if cfg.is_deep:
+        want_xsub = fd_x_sub_grad(attr_h, pows_h, x_sub, pows_g, cfg, w_stack, gout)
+    assert np.allclose(d_xsub, want_xsub, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("d,gram", [(1, True), (17, True), (18, False), (89, False)])
+def test_plain_stacked_kernel_keeps_the_smaller_intermediate(d, gram):
+    # paper layer, 16 filters of 6 nodes on subgraphs of <= 10 nodes, P = 2:
+    # the Gram maps hold 3 d^2 entries per subgraph, the Hadamard tensors
+    # 16 * 6 * 10 = 960; one-hot labels make d wide (89 on DD), where the
+    # Gram maps would be ~25x larger
+    from kergnn.kernels import stacked_kernel_forward
+
+    f, n, big_n, k = 16, 6, 5, 10
+    rng = np.random.default_rng(d)
+    attr_h, x_sub = rng.random((f, n, d)), rng.random((big_n, k, d))
+    pows_h, pows_g = [np.zeros((f, n, n))] * 2, [np.zeros((big_n, k, k))] * 2
+    _, cache = stacked_kernel_forward(attr_h, pows_h, x_sub, pows_g, RWKernelConfig(2))
+    assert (cache.phi_g is not None, cache.s4 is not None) == (gram, not gram)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kergnn.errors import ConfigError
 from kergnn.graphs import Graph, Subgraph, extract_subgraph
 from kergnn.kernels import (
     RWKernelConfig,
@@ -210,6 +211,10 @@ def test_config_validation():
         RWKernelConfig(1, (1.0, -0.5))
     with pytest.raises(ValueError):
         RWKernelConfig(1, variant="geometric")
+    # nan slipped past the old `x < 0` check and gave a nan kernel value
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError, match="finite and nonnegative"):
+            RWKernelConfig(1, (1.0, bad))
 
 
 def test_walk_kernel_symmetric_in_arguments():

@@ -21,9 +21,9 @@ from kergnn.model import (
     named_parameters,
     save_checkpoint,
 )
-from kergnn.training import softmax_cross_entropy
+from kergnn.training import TrainConfig, softmax_cross_entropy
 
-from conftest import hexagon, random_filter, random_graph, two_triangles
+from conftest import hexagon, random_filter, random_graph, two_triangles, with_attributes
 
 
 def small_config(**over):
@@ -88,7 +88,7 @@ def test_layer_forward_matches_scalar_kernel(variant):
     feats = rng.normal(size=(7, 3))
     out = layer_forward(g, feats, layer)
     for v in range(7):
-        sub = extract_subgraph(g, v, layer.hops, layer.k_max).with_attributes(feats)
+        sub = with_attributes(extract_subgraph(g, v, layer.hops, layer.k_max), feats)
         for i, filt in enumerate(layer.filters):
             w = layer.deep_weights[i] if layer.kernel_cfg.is_deep else None
             assert out[v, i] == pytest.approx(rw_kernel(sub, filt, layer.kernel_cfg, w), rel=1e-9)
@@ -221,6 +221,24 @@ def test_config_validation_errors():
         small_config(dropout=1.0)
     with pytest.raises(ConfigError):
         small_config(layers=(LayerSpec(0, 3, 6, 1),))
+
+
+@pytest.mark.parametrize("over", [
+    {"mlp_hidden": (7.9,)}, {"mlp_hidden": (True,)},
+    {"layers": (LayerSpec(2.5, 3, 6, 1),)}, {"layers": (LayerSpec(3, 3, 6.0, 1),)},
+])
+def test_config_sizes_must_be_integers(over):
+    # mlp_hidden (7.9,) used to become (7,); a 2.5-filter layer failed in numpy
+    with pytest.raises(ConfigError, match="integers"):
+        small_config(**over)
+
+
+@pytest.mark.parametrize("over", [{"num_filters": [2.5]}, {"filter_nodes": ["3"]}, {"mlp_hidden": 7.9}])
+def test_train_config_model_config_sizes_must_be_integers(over):
+    # model_config is called by library code without validate(); [2.5] used to
+    # build a 2-filter layer there
+    with pytest.raises(ConfigError, match="integers"):
+        TrainConfig(**over).model_config(attr_dim=2, num_classes=2)
 
 
 # ---------------------------------------------------------------------------

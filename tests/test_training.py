@@ -459,12 +459,26 @@ def test_config_validation():
         tiny_cfg(walk_length=2, lambdas=(1.0,)).validate()
     with pytest.raises(ConfigError):
         tiny_cfg(walk_length=-1).validate()
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="lambda"):
+            tiny_cfg(walk_length=1, lambdas=(1.0, bad)).validate()
 
 
 @pytest.mark.parametrize("field,value", [
     ("epochs", "3"), ("lr", "0.1"), ("dropout", None), ("post_relu", 1),
     ("num_filters", 2.5), ("kernel_variant", 3), ("grad_clip", "1"),
+    # list entries are kept as given: [2.5] used to train as 2 and ["3"] as 3
+    ("num_filters", [2.5]), ("mlp_hidden", 7.9), ("filter_nodes", ["3"]),
+    ("mlp_hidden", [True]), ("num_filters", [4, True]), ("lambdas", [1.0, "0.5", 0.25]),
 ])
 def test_config_wrong_field_type_names_the_field(field, value):
     with pytest.raises(ConfigError, match=field):
         TrainConfig.from_dict({field: value}).validate()
+
+
+def test_config_keeps_list_entries_as_given():
+    cfg = TrainConfig.from_dict({"num_filters": [2], "filter_nodes": [3], "mlp_hidden": 7,
+                                 "lambdas": [1, 0.5, 0.25]})
+    cfg.validate()
+    assert (cfg.num_filters, cfg.filter_nodes, cfg.mlp_hidden) == ((2,), (3,), (7,))
+    assert cfg.model_config(attr_dim=1, num_classes=2).kernel_cfg().lambdas == (1.0, 0.5, 0.25)
