@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -446,27 +446,25 @@ def extract_subgraph(g: Graph, v: int, hops: int, k_max: int) -> Subgraph:
 class SubgraphStack:
     """All of a graph's padded subgraphs stacked for batched kernel math.
 
-    gather_idx/mask turn a per-node feature matrix into the stacked padded
-    attribute tensor: feats[gather_idx] * mask[..., None]. Adjacency powers
-    A^1..A^P are cached and extended on demand.
+    gather_idx/mask fix the padding layout: `gather` turns a per-node feature
+    matrix into the stacked padded attribute tensor, `scatter` is its adjoint.
     """
 
     gather_idx: np.ndarray  # (num_nodes, k_max), 0 where padded
     mask: np.ndarray  # (num_nodes, k_max), 1.0 real slot / 0.0 pad
     adjacency: np.ndarray  # (num_nodes, k_max, k_max)
-    _powers: list = field(default_factory=list)
-
-    def powers(self, max_p: int) -> list:
-        """[A^1, ..., A^max_p], each (num_nodes, k_max, k_max)."""
-        while len(self._powers) < max_p:
-            prev = self._powers[-1] if self._powers else None
-            nxt = self.adjacency if prev is None else prev @ self.adjacency
-            self._powers.append(nxt)
-        return self._powers[:max_p]
 
     def gather(self, feats: np.ndarray) -> np.ndarray:
         """(num_nodes, k_max, d) padded attribute tensor from per-node feats."""
         return feats[self.gather_idx] * self.mask[:, :, None]
+
+    def scatter(self, grad: np.ndarray) -> np.ndarray:
+        """(num_nodes, d) per-node sums of a (num_nodes, k_max, d) tensor over
+        the real slots that hold each node: the adjoint of gather."""
+        d = grad.shape[2]
+        out = np.zeros((self.gather_idx.shape[0], d))
+        np.add.at(out, self.gather_idx.ravel(), (grad * self.mask[:, :, None]).reshape(-1, d))
+        return out
 
 
 def stack_subgraphs(g: Graph, hops: int, k_max: int) -> SubgraphStack:

@@ -13,10 +13,12 @@ Two routes compute the same quantity:
   (i, j) summand by a per-node-pair weight, shared across all p.
 
 `rw_kernel_grad` returns the exact derivatives of the Hadamard form with
-respect to the filter-side parameters. The stacked_* functions evaluate the
-same forward/backward over every subgraph of a graph and every filter of a
-layer at once; they are the training fast path and are pinned to the scalar
-functions by tests. Two forms serve them:
+respect to the filter-side parameters from explicit matrix powers. These
+scalar functions are the references. The stacked_* functions, the training
+path, evaluate the same forward/backward over every subgraph of a graph and
+every filter of a layer at once from the adjacencies alone: walks by
+repeated products, backward sums by Horner's rule, no matrix power stored.
+Tests pin them to the scalar functions. Two forms serve them:
 
 * Gram form, plain variant only. Summing the Hadamard identity gives
 
@@ -255,11 +257,11 @@ class StackedKernelCache:
 
     cfg: RWKernelConfig
     attr_h: np.ndarray  # (f, n, d)
-    pows_h: list  # [A_H^1..A_H^P], each (f, n, n)
-    pows_g: list  # [A_G^1..A_G^P], each (N, k, k)
+    adj_h: np.ndarray  # (f, n, n)
     x_sub: np.ndarray  # (N, k, d)
-    u: list  # U_p = A_H^p X_H, (f, n, d)
-    v: list  # V_p = A_G^p X_G, (N, k, d)
+    adj_g: np.ndarray  # (N, k, k)
+    u: list  # U_p = A_H U_{p-1}, U_0 = X_H, (f, n, d)
+    v: list  # V_p = A_G V_{p-1}, V_0 = X_G, (N, k, d)
     phi_h: np.ndarray | None = None  # (f, P+1, d*d), X_H^T U_p flattened
     phi_g: np.ndarray | None = None  # (N, P+1, d*d), lambda_p X_G^T V_p flattened
     s4: np.ndarray | None = None  # (f, n, N, k), S
@@ -267,17 +269,28 @@ class StackedKernelCache:
     weights: np.ndarray | None = None  # (f, n, k), None for plain
 
 
-def stacked_kernel_forward(attr_h, pows_h, x_sub, pows_g, cfg: RWKernelConfig, weights=None):
+def _horner(adj, zs) -> np.ndarray:
+    """sum_p A^p zs[p] by Horner's rule: zs[0] + A (zs[1] + A (zs[2] + ...))."""
+    acc = zs[-1]
+    for z in reversed(zs[:-1]):
+        acc = z + adj @ acc
+    return acc
+
+
+def stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg: RWKernelConfig, weights=None):
     """Kernel values (N, f) of all subgraphs against all filters.
 
-    attr_h: (f, n, d) filter attributes; pows_h: [A_H^1..A_H^P] stacked per
-    filter; x_sub: (N, k, d) padded subgraph attributes; pows_g likewise per
-    node; weights: (f, n, k) pair weights, required by the deep variant.
+    Same argument order as walk_kernel, stacked: attr_h (f, n, d) and adj_h
+    (f, n, n) are the filters, x_sub (N, k, d) and adj_g (N, k, k) the padded
+    subgraphs, weights (f, n, k) the pair weights the deep variant requires.
+    The walks U_p = A_H^p X_H and V_p = A_G^p X_G are built by repeated
+    products with the adjacencies; no matrix power is formed.
     """
-    u = [attr_h] + [pows_h[p - 1] @ attr_h for p in range(1, cfg.P + 1)]
-    v = [x_sub] + [pows_g[p - 1] @ x_sub for p in range(1, cfg.P + 1)]
-    cache = StackedKernelCache(cfg=cfg, attr_h=attr_h, pows_h=pows_h, pows_g=pows_g,
-                               x_sub=x_sub, u=u, v=v)
+    u, v = [attr_h], [x_sub]
+    for _ in range(cfg.P):
+        u.append(adj_h @ u[-1])
+        v.append(adj_g @ v[-1])
+    cache = StackedKernelCache(cfg=cfg, attr_h=attr_h, adj_h=adj_h, x_sub=x_sub, adj_g=adj_g, u=u, v=v)
     if cfg.is_deep:
         if weights is None:
             raise ValueError("deep variant requires pair weights")
@@ -363,8 +376,6 @@ def _hadamard_backward(cache: StackedKernelCache, gout):
     cfg = cache.cfg
     f, n, big_n, k = cache.s4.shape
     d = cache.attr_h.shape[2]
-    xh2 = cache.attr_h.reshape(f * n, d)
-    xs2 = cache.x_sub.reshape(big_n * k, d)
     gb = gout.T[:, None, :, None]  # broadcast over (f, n, N, k)
     if cache.weights is None:
         gsg4, tg4, d_weights = cache.msum4 * gb, cache.s4 * gb, None
@@ -375,34 +386,31 @@ def _hadamard_backward(cache: StackedKernelCache, gout):
     gsg2 = gsg4.reshape(f * n, big_n * k)
     tg2 = tg4.reshape(f * n, big_n * k)
 
-    d_xh = (gsg2 @ xs2).reshape(f, n, d)
-    d_xsub = (gsg2.T @ xh2).reshape(big_n, k, d)
-    zu = []
-    for p in range(cfg.P + 1):
-        zu_p = cfg.lambdas[p] * (tg2 @ cache.v[p].reshape(big_n * k, d)).reshape(f, n, d)
-        zv_p = cfg.lambdas[p] * (tg2.T @ cache.u[p].reshape(f * n, d)).reshape(big_n, k, d)
-        d_xh += cache.pows_h[p - 1] @ zu_p if p > 0 else zu_p
-        d_xsub += cache.pows_g[p - 1] @ zv_p if p > 0 else zv_p
-        zu.append(zu_p)
+    zu = [cfg.lambdas[p] * (tg2 @ v_p.reshape(big_n * k, d)).reshape(f, n, d)
+          for p, v_p in enumerate(cache.v)]
+    zv = [cfg.lambdas[p] * (tg2.T @ u_p.reshape(f * n, d)).reshape(big_n, k, d)
+          for p, u_p in enumerate(cache.u)]
+    d_xh = (gsg2 @ cache.x_sub.reshape(big_n * k, d)).reshape(f, n, d) + _horner(cache.adj_h, zu)
+    d_xsub = (gsg2.T @ cache.attr_h.reshape(f * n, d)).reshape(big_n, k, d) + _horner(cache.adj_g, zv)
     return d_xh, d_xsub, d_weights, zu[1:]
 
 
 def _adjacency_grad(cache: StackedKernelCache, zu) -> np.ndarray:
-    """Filter adjacency gradient from zu = [dK/dU_1..dK/dU_P]: the matrix-power
-    split sum sum_{p, q<p} A^q (Z_p X_H^T) A^(p-1-q), symmetrized with a zero
-    diagonal."""
+    """Filter adjacency gradient from zu = [dK/dU_1..dK/dU_P], symmetrized with
+    a zero diagonal. With M_p = Z_p X_H^T it is the split sum
+    sum_{p, q<p} A^q M_p A^(p-1-q) = sum_q A^q W_q, W_q = sum_r M_(q+1+r) A^r,
+    taken in 2(P-1) matmuls by two coupled Horner recursions from W_(P-1) = M_P:
+    W_q = M_(q+1) + W_(q+1) A and T = W_q + A T."""
     f, n, _ = cache.attr_h.shape
-    d_adj = np.zeros((f, n, n))
-    for p in range(1, cache.cfg.P + 1):
-        zx = zu[p - 1] @ cache.attr_h.transpose(0, 2, 1)  # (f, n, n)
-        for q in range(p):
-            term = zx
-            if q > 0:
-                term = cache.pows_h[q - 1] @ term
-            if p - 1 - q > 0:
-                term = term @ cache.pows_h[p - 2 - q]
-            d_adj += term
-    d_adj = (d_adj + d_adj.transpose(0, 2, 1)) / 2.0
+    if not zu:
+        return np.zeros((f, n, n))
+    xh_t = cache.attr_h.transpose(0, 2, 1)
+    adj = cache.adj_h
+    w = t = zu[-1] @ xh_t
+    for z in reversed(zu[:-1]):
+        w = z @ xh_t + w @ adj
+        t = w + adj @ t
+    d_adj = (t + t.transpose(0, 2, 1)) / 2.0
     idx = np.arange(n)
     d_adj[:, idx, idx] = 0.0
     return d_adj

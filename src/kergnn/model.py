@@ -267,26 +267,14 @@ def graph_stacks(g: Graph, params: ModelParams, memo: dict | None = None) -> lis
     return stacks
 
 
-def _layer_arrays(layer: KerGNNLayer):
-    """(attributes, [A_H^1..A_H^P], deep weights or None): the kernel's filter-side inputs."""
-    pows_h = []
-    power = None
-    for _ in range(layer.kernel_cfg.P):
-        power = layer.adjacency if power is None else power @ layer.adjacency
-        pows_h.append(power)
-    weights = layer.deep_weights if layer.kernel_cfg.is_deep else None
-    return layer.attributes, pows_h, weights
-
-
 def _layer_apply(layer: KerGNNLayer, stack: SubgraphStack, feats: np.ndarray, post_relu: bool):
     if feats.shape[1] != layer.in_dim:
         raise ValueError(
             f"feature width {feats.shape[1]} does not match layer input width {layer.in_dim}"
         )
-    attr_h, pows_h, weights = _layer_arrays(layer)
-    x_sub = stack.gather(feats)
-    pows_g = stack.powers(layer.kernel_cfg.P)
-    values, cache = stacked_kernel_forward(attr_h, pows_h, x_sub, pows_g, layer.kernel_cfg, weights)
+    weights = layer.deep_weights if layer.kernel_cfg.is_deep else None
+    values, cache = stacked_kernel_forward(layer.attributes, layer.adjacency, stack.gather(feats),
+                                           stack.adjacency, layer.kernel_cfg, weights)
     pre = values
     if post_relu:
         values = np.maximum(values, 0.0)
@@ -394,11 +382,8 @@ def backward_graph(fwd: GraphForward, dlogits: np.ndarray, params: ModelParams) 
     dblocks = [dreadout[offsets[l]: offsets[l + 1]] for l in range(len(widths))]
 
     # kernel layers, last to first
-    num_nodes = fwd.feats[0].shape[0]
     carry = np.zeros_like(fwd.feats[-1])
     for l in reversed(range(len(params.layers))):
-        layer = params.layers[l]
-        stack = fwd.stacks[l]
         cache, pre = fwd.layer_caches[l]
         gout = carry + np.broadcast_to(dblocks[l + 1], fwd.feats[l + 1].shape)
         if cfg.post_relu:
@@ -408,10 +393,7 @@ def backward_graph(fwd: GraphForward, dlogits: np.ndarray, params: ModelParams) 
         grads[f"layers.{l}.attributes"] = d_xh
         if d_w is not None:
             grads[f"layers.{l}.deep_weights"] = d_w
-        # padded slots are structurally zero; mask before scattering back
-        contrib = d_xsub * stack.mask[:, :, None]
-        carry = np.zeros((num_nodes, layer.in_dim))
-        np.add.at(carry, stack.gather_idx.ravel(), contrib.reshape(-1, layer.in_dim))
+        carry = fwd.stacks[l].scatter(d_xsub)
 
     dfeats0 = carry + np.broadcast_to(dblocks[0], fwd.feats[0].shape)
     if params.input_map is not None:

@@ -118,16 +118,20 @@ class TrainConfig:
             value = getattr(self, f.name)
             if not any(_TYPE_CHECKS[t.strip()](value) for t in f.type.split("|")):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        if self.lr <= 0:
-            raise ConfigError("lr must be > 0")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.lr_half_every < 1:
-            raise ConfigError("lr_half_every must be >= 1")
-        if self.num_layers < 0:
-            raise ConfigError("num_layers must be >= 0")
+        # each range test is written so that nan fails it
+        for name, ok, want in (
+            ("lr", 0 < self.lr < np.inf, "finite and > 0"),
+            ("grad_clip", self.grad_clip is None or self.grad_clip > 0, "> 0"),
+            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("eps", 0 < self.eps < np.inf, "finite and > 0"),
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("lr_half_every", self.lr_half_every >= 1, ">= 1"),
+            ("num_layers", self.num_layers >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {want}, got {getattr(self, name)!r}")
         self.model_config(attr_dim=1, num_classes=1)
 
     def model_config(self, attr_dim: int, num_classes: int) -> ModelConfig:
@@ -380,18 +384,24 @@ def grid_search(train_set, val_set, grid, rng) -> TrainConfig:
 
 
 def load_splits(path: str) -> list:
-    """Fold indices from a JSON file: [{"train": [...], "test": [...]}, ...]."""
+    """Fold indices from a JSON file: [{"train": [...], "test": [...]}, ...],
+    each index list a flat list of JSON integers in the int64 range."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"bad JSON in {path}: {exc}") from exc
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{path}: expected a nonempty list of fold objects")
     splits = []
     for k, fold in enumerate(raw):
-        try:
-            train = np.array(fold["train"], dtype=np.int64)
-            test = np.array(fold["test"], dtype=np.int64)
-        except (TypeError, KeyError) as exc:
-            raise ConfigError(f"{path}: fold {k} needs 'train' and 'test' index lists") from exc
+        if not isinstance(fold, dict) or not all(
+                isinstance(fold.get(key), list)
+                and all(_is_int(i) and -2**63 <= i < 2**63 for i in fold[key])
+                for key in ("train", "test")):
+            raise ConfigError(f"{path}: fold {k} needs 'train' and 'test' lists of integers")
+        train = np.array(fold["train"], dtype=np.int64)
+        test = np.array(fold["test"], dtype=np.int64)
         if np.intersect1d(train, test).size:
             raise ConfigError(f"{path}: fold {k} train/test overlap")
         splits.append((train, test))

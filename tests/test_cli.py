@@ -211,6 +211,16 @@ def test_train_bad_config_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_train_bad_optimizer_setting_is_data_error(tmp_path, capsys):
+    ddir = make_dataset_dir(tmp_path)
+    config = write_config(tmp_path, grad_clip=-1.0)
+    code = main(["train", "--dataset-dir", ddir, "--dataset-name", "SYN",
+                 "--config", config, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "grad_clip" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_string_valued_field_is_data_error(tmp_path, capsys):
     ddir = make_dataset_dir(tmp_path)
     config = write_config(tmp_path, epochs="3")

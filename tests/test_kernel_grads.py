@@ -149,7 +149,7 @@ STACKED_CASES = [
 ]
 
 
-def fd_x_sub_grad(attr_h, pows_h, x_sub, pows_g, cfg, weights, gout):
+def fd_x_sub_grad(attr_h, adj_h, x_sub, adj_g, cfg, weights, gout):
     """Central differences of sum gout * K over every entry of x_sub.
 
     The kernel is quadratic in x_sub, so central differences are exact up to
@@ -158,7 +158,7 @@ def fd_x_sub_grad(attr_h, pows_h, x_sub, pows_g, cfg, weights, gout):
     from kergnn.kernels import stacked_kernel_forward
 
     def loss():
-        return float(np.sum(gout * stacked_kernel_forward(attr_h, pows_h, x, pows_g, cfg, weights)[0]))
+        return float(np.sum(gout * stacked_kernel_forward(attr_h, adj_h, x, adj_g, cfg, weights)[0]))
 
     step = 0.5
     x = x_sub.copy()
@@ -182,7 +182,7 @@ def test_stacked_backward_matches_scalar_gradients(variant, d, p_steps):
     # for x_sub, the gradient passed on to the previous layer's features
     from kergnn.graphs import extract_subgraph, stack_subgraphs
     from kergnn.kernels import stacked_kernel_backward, stacked_kernel_forward
-    from kergnn.model import KerGNNLayer, _layer_arrays
+    from kergnn.model import KerGNNLayer
 
     from conftest import random_graph
 
@@ -194,10 +194,9 @@ def test_stacked_backward_matches_scalar_gradients(variant, d, p_steps):
     layer = KerGNNLayer(filters, cfg, hops=1, k_max=7, deep_weights=weights)
 
     stack = stack_subgraphs(g, 1, 7)
-    attr_h, pows_h, w_stack = _layer_arrays(layer)
+    attr_h, adj_h, w_stack = layer.attributes, layer.adjacency, layer.deep_weights
     x_sub = stack.gather(g.attributes)
-    pows_g = stack.powers(cfg.P)
-    values, cache = stacked_kernel_forward(attr_h, pows_h, x_sub, pows_g, cfg, w_stack)
+    values, cache = stacked_kernel_forward(attr_h, adj_h, x_sub, stack.adjacency, cfg, w_stack)
     gout = rng.normal(size=values.shape)
     d_xh, d_adj, d_w, d_xsub = stacked_kernel_backward(cache, gout)
 
@@ -227,7 +226,7 @@ def test_stacked_backward_matches_scalar_gradients(variant, d, p_steps):
         else:
             assert d_w is None
     if cfg.is_deep:
-        want_xsub = fd_x_sub_grad(attr_h, pows_h, x_sub, pows_g, cfg, w_stack, gout)
+        want_xsub = fd_x_sub_grad(attr_h, adj_h, x_sub, stack.adjacency, cfg, w_stack, gout)
     assert np.allclose(d_xsub, want_xsub, rtol=1e-9, atol=1e-9)
 
 
@@ -242,6 +241,6 @@ def test_plain_stacked_kernel_keeps_the_smaller_intermediate(d, gram):
     f, n, big_n, k = 16, 6, 5, 10
     rng = np.random.default_rng(d)
     attr_h, x_sub = rng.random((f, n, d)), rng.random((big_n, k, d))
-    pows_h, pows_g = [np.zeros((f, n, n))] * 2, [np.zeros((big_n, k, k))] * 2
-    _, cache = stacked_kernel_forward(attr_h, pows_h, x_sub, pows_g, RWKernelConfig(2))
+    adj_h, adj_g = np.zeros((f, n, n)), np.zeros((big_n, k, k))
+    _, cache = stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, RWKernelConfig(2))
     assert (cache.phi_g is not None, cache.s4 is not None) == (gram, not gram)

@@ -377,6 +377,20 @@ def test_load_splits_file(tmp_path):
     path.write_text("[]")
     with pytest.raises(ConfigError):
         load_splits(str(path))
+    # only flat lists of JSON integers: 1.5 was truncated to 1, "0" and true
+    # were read as indices, nested lists became 2-D index arrays
+    for bad in ([0, 1.5], ["0"], [0, True], [[0, 1], [2]], None, {"0": 1}, [2**70]):
+        path.write_text(json.dumps([{"train": [2, 3], "test": [4]},
+                                    {"train": bad, "test": [0]}]))
+        with pytest.raises(ConfigError, match=f"{path.name}: fold 1"):
+            load_splits(str(path))
+    path.write_text(json.dumps([{"train": [0, 1]}]))
+    with pytest.raises(ConfigError, match="fold 0"):
+        load_splits(str(path))
+    for text in ('[{"train": [0], "test": [1]', "\xff"):
+        path.write_text(text, encoding="latin-1")
+        with pytest.raises(ConfigError, match=path.name):
+            load_splits(str(path))
 
 
 def test_gradient_clipping_keeps_training_finite():
@@ -462,6 +476,16 @@ def test_config_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="lambda"):
             tiny_cfg(walk_length=1, lambdas=(1.0, bad)).validate()
+    # optimizer settings: nan slipped past `lr <= 0`, a negative grad_clip
+    # reversed every update, beta1 = 1 divided by a zero bias correction
+    nan, inf = float("nan"), float("inf")
+    for field, bad in [("lr", nan), ("lr", inf), ("grad_clip", 0.0), ("grad_clip", -1.0),
+                       ("grad_clip", nan), ("beta1", 1.0), ("beta1", -0.1), ("beta1", nan),
+                       ("beta2", 1.0), ("beta2", 1.5), ("eps", 0.0), ("eps", -1e-8),
+                       ("eps", nan), ("eps", inf)]:
+        with pytest.raises(ConfigError, match=field):
+            tiny_cfg(**{field: bad}).validate()
+    tiny_cfg(beta1=0.0, beta2=0.0, grad_clip=inf).validate()
 
 
 @pytest.mark.parametrize("field,value", [
