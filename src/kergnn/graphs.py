@@ -13,6 +13,15 @@ Datasets in the TUDataset text format are read from a directory of files:
 Node attributes fed to models are built as: one-hot node labels when labels
 are present, raw continuous attributes when present (concatenated after the
 one-hot block if both exist), and the scalar node degree when neither exists.
+
+A node's subgraph is the vertex-induced subgraph of the nodes within `hops`
+of it, center first, then hop ascending, id ascending inside a hop, cut to
+k_max nodes and zero-padded to k_max. `extract_subgraph` builds one by BFS
+and is the reference; `stack_subgraphs`, which the model uses, builds every
+node's at once with array code and equals it per node byte for byte: hop-
+limited reachability by 0/1 matmuls with the edge indicator, a row-wise
+argsort of the key dist * n + id, and one gather of the adjacency, in blocks
+of rows so no n x n int64 matrix is formed.
 """
 
 from __future__ import annotations
@@ -467,15 +476,57 @@ class SubgraphStack:
         return out
 
 
+# Rows of the hop-limited reachability built at a time: the (chunk, n) key
+# and frontier blocks of a DD-sized graph (~5.7k nodes) stay ~12 MB each.
+_ROW_CHUNK = 256
+# sort key of a node not within `hops`: after every reached node
+_UNREACHED = np.iinfo(np.int64).max
+
+
 def stack_subgraphs(g: Graph, hops: int, k_max: int) -> SubgraphStack:
-    gather = np.zeros((g.num_nodes, k_max), dtype=np.int64)
-    mask = np.zeros((g.num_nodes, k_max))
-    adj = np.zeros((g.num_nodes, k_max, k_max))
-    for v in range(g.num_nodes):
-        sub = extract_subgraph(g, v, hops, k_max)
-        gather[v, : sub.size] = sub.node_ids
-        mask[v, : sub.size] = 1.0
-        adj[v] = sub.adjacency
+    """Every node's padded subgraph, equal per node to extract_subgraph.
+
+    Row v of gather_idx holds extract_subgraph(g, v, hops, k_max).node_ids
+    then zeros, mask marks those slots, and adjacency[v] is its padded
+    adjacency, byte for byte. Rows are built in blocks of _ROW_CHUNK nodes:
+    hop-limited reachability by 0/1 matmuls with the edge indicator (A != 0),
+    stopped once a step reaches no new node; then a row-wise argsort of the
+    key dist * n + id, unreached nodes last, cut to k_max (center first, hop
+    ascending, id ascending inside a hop); then one gather from g.adjacency.
+    """
+    if hops < 1:
+        raise ValueError("hops must be >= 1")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    n = g.num_nodes
+    gather = np.zeros((n, k_max), dtype=np.int64)
+    mask = np.zeros((n, k_max))
+    adj = np.zeros((n, k_max, k_max))
+    a = g.adjacency
+    # a 0/1 adjacency is its own edge indicator, with no n x n copy; other
+    # weights could cancel in the frontier sums
+    edges = a if ((a == 0) | (a == 1)).all() else (a != 0).astype(np.float64)
+    k = min(k_max, n)
+    for start in range(0, n, _ROW_CHUNK):
+        stop = min(start + _ROW_CHUNK, n)
+        block, rows, local = slice(start, stop), np.arange(start, stop), np.arange(stop - start)
+        key = np.full((stop - start, n), _UNREACHED, dtype=np.int64)
+        key[local, rows] = rows
+        new = a[block] != 0  # hop 1: the centers' adjacency rows
+        for dist in range(1, hops + 1):
+            if dist > 1:
+                new = (new.astype(np.float64) @ edges != 0) & (key == _UNREACHED)
+            if not new.any():
+                break
+            key[new] = dist * n + np.nonzero(new)[1]
+        order = np.argsort(key, axis=1)[:, :k]
+        real = key[local[:, None], order] != _UNREACHED
+        # copies into the zeroed outputs, so padding stays +0.0 whatever the weights
+        np.copyto(gather[block, :k], order, where=real)
+        np.copyto(mask[block, :k], real)
+        pairs = order[:, :, None] * n + order[:, None, :]
+        both = real[:, :, None] & real[:, None, :]
+        np.copyto(adj[block, :k, :k], a.ravel().take(pairs), where=both)
     return SubgraphStack(gather_idx=gather, mask=mask, adjacency=adj)
 
 

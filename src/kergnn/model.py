@@ -268,9 +268,11 @@ def graph_stacks(g: Graph, params: ModelParams, memo: dict | None = None) -> lis
 
 
 def _layer_apply(layer: KerGNNLayer, stack: SubgraphStack, feats: np.ndarray, post_relu: bool):
-    if feats.shape[1] != layer.in_dim:
+    expected = (stack.gather_idx.shape[0], layer.in_dim)
+    if feats.shape != expected:
         raise ValueError(
-            f"feature width {feats.shape[1]} does not match layer input width {layer.in_dim}"
+            f"feature shape {feats.shape} does not match {expected}: one row per graph node, "
+            f"one column per layer input"
         )
     weights = layer.deep_weights if layer.kernel_cfg.is_deep else None
     values, cache = stacked_kernel_forward(layer.attributes, layer.adjacency, stack.gather(feats),

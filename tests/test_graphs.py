@@ -1,6 +1,10 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import kergnn.graphs
 from kergnn.errors import DatasetError
 from kergnn.graphs import (
     Graph,
@@ -9,10 +13,19 @@ from kergnn.graphs import (
     load_tudataset,
     read_graph_file,
     save_tudataset,
+    stack_subgraphs,
     write_graph_file,
 )
 
-from conftest import cycle_graph, complete_graph, hexagon, random_graph, write_tudataset
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    hexagon,
+    path_graph,
+    random_graph,
+    write_tudataset,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +264,88 @@ def test_subgraph_argument_errors():
         extract_subgraph(g, 0, 0, 5)
     with pytest.raises(ValueError):
         extract_subgraph(g, 0, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# Stacked extraction: per node equal to extract_subgraph
+# ---------------------------------------------------------------------------
+
+
+def assert_stack_matches_extract(g, hops, k_max):
+    stack = stack_subgraphs(g, hops, k_max)
+    assert stack.gather_idx.shape == stack.mask.shape == (g.num_nodes, k_max)
+    assert stack.gather_idx.dtype == np.int64
+    assert stack.adjacency.shape == (g.num_nodes, k_max, k_max)
+    for v in range(g.num_nodes):
+        sub = extract_subgraph(g, v, hops, k_max)
+        assert tuple(stack.gather_idx[v, :sub.size]) == sub.node_ids
+        assert not stack.gather_idx[v, sub.size:].any()
+        mask = np.zeros(k_max)
+        mask[:sub.size] = 1.0
+        # byte equality: the same values, signs of zeros and padding
+        assert stack.mask[v].tobytes() == mask.tobytes()
+        assert stack.adjacency[v].tobytes() == sub.adjacency.tobytes()
+
+
+@st.composite
+def symmetric_graphs(draw, max_nodes=40):
+    """Random symmetric graphs from empty to dense, binary or weighted
+    (weights of both signs, so reachability must not sum them)."""
+    n = draw(st.integers(0, max_nodes))
+    density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3, 0.7, 1.0]))
+    weighted = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < density, k=1).astype(np.float64)
+    if weighted:
+        upper *= rng.choice([-1.0, 1.0, 0.5], p=[0.45, 0.45, 0.1], size=(n, n))
+    return Graph(n, upper + upper.T, np.ones((n, 1)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(g=symmetric_graphs(), hops=st.integers(1, 4), extra=st.integers(0, 43))
+def test_stack_subgraphs_equals_extract_subgraph(g, hops, extra):
+    k_max = 1 + extra % (g.num_nodes + 3)  # 1 .. n + 3
+    assert_stack_matches_extract(g, hops, k_max)
+
+
+def test_stack_subgraphs_weights_do_not_cancel():
+    # node 3 is two hops from 0 through edges of weight 1 and -1
+    adj = np.zeros((4, 4))
+    for i, j, w in [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, -1.0)]:
+        adj[i, j] = adj[j, i] = w
+    g = Graph(4, adj, np.ones((4, 1)))
+    assert list(stack_subgraphs(g, 2, 4).gather_idx[0]) == [0, 1, 2, 3]
+    assert_stack_matches_extract(g, 2, 4)
+
+
+def test_stack_subgraphs_across_row_chunks(monkeypatch):
+    # chunks of 3 rows: 11 nodes end on a partial chunk, and each chunk must
+    # still see the whole graph's columns
+    monkeypatch.setattr(kergnn.graphs, "_ROW_CHUNK", 3)
+    rng = np.random.default_rng(12)
+    g = disjoint_union(random_graph(rng, 7, 0.4), cycle_graph(4))
+    for hops, k_max in [(1, 3), (2, 6), (3, 14)]:
+        assert_stack_matches_extract(g, hops, k_max)
+
+
+def test_stack_subgraphs_huge_hops_stop_at_the_diameter():
+    g = path_graph(60)
+    start = time.perf_counter()
+    assert_stack_matches_extract(g, 10**6, 64)
+    # a step per hop would take seconds; the walk stops at the diameter, 59
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("n", [0, 4])
+def test_stack_subgraphs_argument_errors(n):
+    # a zero-node graph returned an empty stack for any hops and k_max
+    g = cycle_graph(n) if n else Graph(0, np.zeros((0, 0)), np.zeros((0, 1)))
+    with pytest.raises(ValueError, match="hops must be >= 1"):
+        stack_subgraphs(g, 0, 5)
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        stack_subgraphs(g, 1, 0)
+    with pytest.raises(ValueError, match="hops must be >= 1"):
+        stack_subgraphs(g, 0, 0)
 
 
 # ---------------------------------------------------------------------------
