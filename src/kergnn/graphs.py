@@ -503,9 +503,7 @@ def stack_subgraphs(g: Graph, hops: int, k_max: int) -> SubgraphStack:
     mask = np.zeros((n, k_max))
     adj = np.zeros((n, k_max, k_max))
     a = g.adjacency
-    # a 0/1 adjacency is its own edge indicator, with no n x n copy; other
-    # weights could cancel in the frontier sums
-    edges = a if ((a == 0) | (a == 1)).all() else (a != 0).astype(np.float64)
+    edges = (a != 0).astype(np.float64)  # weights could cancel in the frontier sums
     k = min(k_max, n)
     for start in range(0, n, _ROW_CHUNK):
         stop = min(start + _ROW_CHUNK, n)

@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -329,11 +327,25 @@ def test_stack_subgraphs_across_row_chunks(monkeypatch):
 
 
 def test_stack_subgraphs_huge_hops_stop_at_the_diameter():
+    class CountingAdjacency(np.ndarray):
+        """An adjacency whose arrays count the matrix products taken with them."""
+
+        products = 0
+
+        def __matmul__(self, other):
+            CountingAdjacency.products += 1
+            return super().__matmul__(other)
+
+        def __rmatmul__(self, other):
+            CountingAdjacency.products += 1
+            return super().__rmatmul__(other)
+
     g = path_graph(60)
-    start = time.perf_counter()
+    object.__setattr__(g, "adjacency", g.adjacency.view(CountingAdjacency))
     assert_stack_matches_extract(g, 10**6, 64)
-    # a step per hop would take seconds; the walk stops at the diameter, 59
-    assert time.perf_counter() - start < 2.0
+    # one product for each hop 2..59 (the diameter), then one that reaches
+    # nothing new; a walk without the early stop takes 10**6 - 1
+    assert CountingAdjacency.products == 59
 
 
 @pytest.mark.parametrize("n", [0, 4])
