@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,9 +63,11 @@ class Graph:
 
     adjacency: (n, n) symmetric binary matrix with zero diagonal.
     attributes: (n, d) real matrix, one row per node.
+    stacks: SubgraphStacks by (hops, k_max), built by the model on first use.
+        The arrays are read-only, so an entry never goes stale; copies made by
+        `relabeled` or `dataclasses.replace` start empty; `stacks.clear()` frees.
 
-    Equality and hashing are by identity (the fields are arrays), so a graph
-    can key a dict of per-graph data such as model.graph_stacks' memo.
+    Equality and hashing are by identity (the fields are arrays).
     """
 
     num_nodes: int
@@ -73,6 +75,7 @@ class Graph:
     attributes: np.ndarray
     graph_label: int | None = None
     node_labels: np.ndarray | None = None
+    stacks: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=np.float64)
@@ -372,16 +375,15 @@ def save_tudataset(ds: Dataset, directory: str) -> None:
     node_label_lines, attr_lines = [], []
     offset = 0
     for gid, g in enumerate(ds.graphs, start=1):
-        for i in range(g.num_nodes):
-            indicator_lines.append(str(gid))
-            for j in range(g.num_nodes):
-                if g.adjacency[i, j] != 0:
-                    edge_lines.append(f"{offset + i + 1}, {offset + j + 1}")
-            if has_labels:
-                node_label_lines.append(str(int(g.node_labels[i])))
-            if continuous_width and not degree_only:
-                row = g.attributes[i, label_width:]
-                attr_lines.append(", ".join(repr(float(x)) for x in row))
+        # row-major: both directions of an edge, i then j ascending
+        edge_lines.extend(f"{offset + i + 1}, {offset + j + 1}"
+                          for i, j in np.argwhere(g.adjacency).tolist())
+        indicator_lines.extend([str(gid)] * g.num_nodes)
+        if has_labels:
+            node_label_lines.extend(str(x) for x in g.node_labels.tolist())
+        if continuous_width and not degree_only:
+            attr_lines.extend(", ".join(repr(float(x)) for x in row)
+                              for row in g.attributes[:, label_width:])
         graph_label_lines.append(str(g.graph_label))
         offset += g.num_nodes
 
@@ -589,9 +591,6 @@ def write_graph_file(g: Graph, path: str) -> None:
     lines = [f"{g.num_nodes} {g.attr_dim}"]
     for row in g.attributes:
         lines.append(" ".join(repr(float(x)) for x in row))
-    for i in range(g.num_nodes):
-        for j in range(i + 1, g.num_nodes):
-            if g.adjacency[i, j] != 0:
-                lines.append(f"{i} {j}")
+    lines.extend(f"{i} {j}" for i, j in np.argwhere(np.triu(g.adjacency, 1)).tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

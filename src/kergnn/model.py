@@ -41,7 +41,6 @@ __all__ = [
     "model_forward",
     "forward_graph",
     "backward_graph",
-    "graph_stacks",
     "export_filters",
     "save_checkpoint",
     "load_checkpoint",
@@ -249,22 +248,12 @@ def named_parameters(params: ModelParams) -> list:
 # ---------------------------------------------------------------------------
 
 
-def graph_stacks(g: Graph, params: ModelParams, memo: dict | None = None) -> list:
-    """One SubgraphStack per layer, built once per distinct (graph, hops, k_max).
-
-    `memo` carries stacks across calls (epochs, folds); its keys hold the
-    graph object itself, so an entry is never served to another graph that
-    happens to reuse a freed graph's address. Without a memo, layers that
-    share (hops, k_max) still share one stack.
-    """
-    memo = {} if memo is None else memo
-    stacks = []
-    for layer in params.layers:
-        key = (g, layer.hops, layer.k_max)
-        if key not in memo:
-            memo[key] = stack_subgraphs(g, layer.hops, layer.k_max)
-        stacks.append(memo[key])
-    return stacks
+def _stack(g: Graph, layer: KerGNNLayer) -> SubgraphStack:
+    """g's subgraph stack at the layer's (hops, k_max), kept on g after the first build."""
+    key = (layer.hops, layer.k_max)
+    if key not in g.stacks:
+        g.stacks[key] = stack_subgraphs(g, *key)
+    return g.stacks[key]
 
 
 def _layer_apply(layer: KerGNNLayer, stack: SubgraphStack, feats: np.ndarray, post_relu: bool):
@@ -285,7 +274,8 @@ def _layer_apply(layer: KerGNNLayer, stack: SubgraphStack, feats: np.ndarray, po
 
 def layer_forward(g: Graph, feats: np.ndarray, layer: KerGNNLayer,
                   post_relu: bool = False) -> np.ndarray:
-    """Per-node kernel values (num_nodes, d_l) against every filter."""
+    """Per-node kernel values (num_nodes, d_l) against every filter; builds
+    its own stack on every call and leaves g.stacks alone."""
     stack = stack_subgraphs(g, layer.hops, layer.k_max)
     values, _ = _layer_apply(layer, stack, np.asarray(feats, dtype=np.float64), post_relu)
     return values
@@ -301,18 +291,15 @@ class GraphForward:
     mlp_inputs: list
     dropout_masks: list
     logits: np.ndarray
-    raw_attributes: np.ndarray
-    stacks: list
+    graph: Graph  # raw attributes and subgraph stacks
 
 
 def forward_graph(g: Graph, params: ModelParams, train: bool = False,
-                  rng: np.random.Generator | None = None,
-                  memo: dict | None = None) -> GraphForward:
-    """One graph's forward pass; `memo` is passed on to graph_stacks."""
+                  rng: np.random.Generator | None = None) -> GraphForward:
+    """One graph's forward pass; the subgraph stacks it uses stay on g."""
     cfg = params.config
     if g.attr_dim != cfg.attr_dim:
         raise ValueError(f"graph attribute width {g.attr_dim} != model width {cfg.attr_dim}")
-    stacks = graph_stacks(g, params, memo)
 
     feats0 = g.attributes
     if params.input_map is not None:
@@ -320,8 +307,8 @@ def forward_graph(g: Graph, params: ModelParams, train: bool = False,
         feats0 = feats0 @ w + b
     feats = [feats0]
     layer_caches = []
-    for layer, stack in zip(params.layers, stacks):
-        values, cache = _layer_apply(layer, stack, feats[-1], cfg.post_relu)
+    for layer in params.layers:
+        values, cache = _layer_apply(layer, _stack(g, layer), feats[-1], cfg.post_relu)
         layer_caches.append(cache)
         feats.append(values)
 
@@ -346,8 +333,7 @@ def forward_graph(g: Graph, params: ModelParams, train: bool = False,
         else:
             h = a
     return GraphForward(feats=feats, layer_caches=layer_caches, readout=readout,
-                        mlp_inputs=mlp_inputs, dropout_masks=masks, logits=h,
-                        raw_attributes=g.attributes, stacks=stacks)
+                        mlp_inputs=mlp_inputs, dropout_masks=masks, logits=h, graph=g)
 
 
 def model_forward(g: Graph, params: ModelParams, mode: str = "eval",
@@ -395,11 +381,11 @@ def backward_graph(fwd: GraphForward, dlogits: np.ndarray, params: ModelParams) 
         grads[f"layers.{l}.attributes"] = d_xh
         if d_w is not None:
             grads[f"layers.{l}.deep_weights"] = d_w
-        carry = fwd.stacks[l].scatter(d_xsub)
+        carry = _stack(fwd.graph, params.layers[l]).scatter(d_xsub)
 
     dfeats0 = carry + np.broadcast_to(dblocks[0], fwd.feats[0].shape)
     if params.input_map is not None:
-        grads["input_map.weight"] = fwd.raw_attributes.T @ dfeats0
+        grads["input_map.weight"] = fwd.graph.attributes.T @ dfeats0
         grads["input_map.bias"] = dfeats0.sum(axis=0)
     return grads
 

@@ -129,6 +129,7 @@ class TrainConfig:
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("lr_half_every", self.lr_half_every >= 1, ">= 1"),
             ("num_layers", self.num_layers >= 0, ">= 0"),
+            ("seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {want}, got {getattr(self, name)!r}")
@@ -229,7 +230,11 @@ class Adam:
 
 
 def _graphs_of(data) -> list:
-    return list(data.graphs) if isinstance(data, Dataset) else list(data)
+    graphs = list(data.graphs) if isinstance(data, Dataset) else list(data)
+    for i, g in enumerate(graphs):
+        if g.graph_label is None:
+            raise ValueError(f"graph {i} has no graph_label")
+    return graphs
 
 
 def _clone_tensors(params: ModelParams) -> dict:
@@ -241,20 +246,20 @@ def _restore_tensors(params: ModelParams, snapshot: dict):
         arr[:] = snapshot[name]
 
 
-def evaluate(params: ModelParams, graphs, memo: dict | None = None) -> float:
-    """Eval-mode accuracy over a list of labeled graphs (memo: see graph_stacks)."""
+def evaluate(params: ModelParams, graphs) -> float:
+    """Eval-mode accuracy over labeled graphs; their stacks stay on them (Graph.stacks)."""
     graphs = _graphs_of(graphs)
     if not graphs:
         raise ValueError("cannot evaluate on an empty split")
     correct = 0
     for g in graphs:
-        fwd = forward_graph(g, params, train=False, memo=memo)
+        fwd = forward_graph(g, params, train=False)
         if int(np.argmax(fwd.logits)) == g.graph_label:
             correct += 1
     return correct / len(graphs)
 
 
-def _batch_step(graphs, params, memo, rng):
+def _batch_step(graphs, params, rng):
     # one dropout seed per graph is drawn even without dropout, so the rng
     # stream (every later shuffle and init) does not depend on the dropout rate
     seeds = rng.integers(0, 2**63 - 1, size=len(graphs))
@@ -263,7 +268,7 @@ def _batch_step(graphs, params, memo, rng):
     loss = 0.0
     for g, seed in zip(graphs, seeds):
         drop_rng = np.random.default_rng(seed) if params.config.dropout > 0 else None
-        fwd = forward_graph(g, params, train=True, rng=drop_rng, memo=memo)
+        fwd = forward_graph(g, params, train=True, rng=drop_rng)
         li, dlogits = softmax_cross_entropy(fwd.logits, g.graph_label)
         loss += li
         for name, grad in backward_graph(fwd, dlogits, params).items():
@@ -285,13 +290,13 @@ def _clip_grads(grads: dict, max_norm: float):
             g *= factor
 
 
-def train_fold(train_set, val_set, cfg: TrainConfig, rng, memo: dict | None = None):
+def train_fold(train_set, val_set, cfg: TrainConfig, rng):
     """Train on train_set; return the parameters of the best-validation epoch.
 
     Ties in validation accuracy go to the earliest epoch. The history records
     per-epoch train loss, train/validation accuracy, learning rate, and wall
-    time. Subgraph stacks are built once per graph into `memo` (see
-    graph_stacks), a fresh one unless the caller shares its own.
+    time. Subgraph stacks are built once per graph and kept on it (see
+    Graph.stacks), so later epochs, candidates and folds reuse them.
     """
     cfg.validate()
     train_graphs = _graphs_of(train_set)
@@ -300,8 +305,6 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng, memo: dict | None = No
         raise ValueError("train and validation splits must be nonempty")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    if memo is None:
-        memo = {}
 
     sample = train_graphs[0]
     num_classes = max(g.graph_label for g in train_graphs + val_graphs) + 1
@@ -323,7 +326,7 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng, memo: dict | None = No
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_graphs[i] for i in order[start: start + cfg.batch_size]]
-            loss, grads = _batch_step(batch, params, memo, rng)
+            loss, grads = _batch_step(batch, params, rng)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
@@ -332,8 +335,8 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng, memo: dict | None = No
                 _clip_grads(grads, cfg.grad_clip)
             opt.step(grads, lr)
             losses.append(loss)
-        train_acc = evaluate(params, train_graphs, memo)
-        val_acc = evaluate(params, val_graphs, memo)
+        train_acc = evaluate(params, train_graphs)
+        val_acc = evaluate(params, val_graphs)
         history["train_loss"].append(float(np.mean(losses)))
         history["train_acc"].append(train_acc)
         history["val_acc"].append(val_acc)
@@ -356,7 +359,7 @@ def _grid_candidates(grid) -> list:
     return list(grid)
 
 
-def _grid_search_full(train_set, val_set, grid, rng, memo=None):
+def _grid_search_full(train_set, val_set, grid, rng):
     candidates = _grid_candidates(grid)
     if not candidates:
         raise ValueError("grid must contain at least one configuration")
@@ -367,7 +370,7 @@ def _grid_search_full(train_set, val_set, grid, rng, memo=None):
             cfg.validate()
         except ConfigError:
             continue
-        params, history = train_fold(train_set, val_set, cfg, int(seed), memo)
+        params, history = train_fold(train_set, val_set, cfg, int(seed))
         score = history["best_val_acc"]
         if best is None or score > best[2]:
             best = (cfg, params, score, history)
@@ -444,6 +447,8 @@ def cross_validate(ds: Dataset, grid, seed: int, n_folds: int = 10,
     (list of (train_indices, test_indices) pairs) override fold generation;
     their indices must lie in [0, len(ds)) and train and test must not overlap.
     """
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     labels = ds.labels()
     counts = np.bincount(labels, minlength=ds.num_classes)
     if splits is not None:
@@ -475,7 +480,6 @@ def cross_validate(ds: Dataset, grid, seed: int, n_folds: int = 10,
                 (np.setdiff1d(all_idx, fold), fold) for fold in folds
             ]
 
-    memo = {}  # subgraph stacks, shared by every fold and candidate of this call
     accuracies, selected, epoch_seconds, histories = [], [], [], []
     per_fold_ss = ss.spawn(len(splits))
     for k, (train_idx, test_idx) in enumerate(splits):
@@ -487,10 +491,10 @@ def cross_validate(ds: Dataset, grid, seed: int, n_folds: int = 10,
         inner_val = ds.subset(train_idx[va])
 
         cfg, params, _, history = _grid_search_full(
-            inner_train, inner_val, grid, np.random.default_rng(cand_ss), memo
+            inner_train, inner_val, grid, np.random.default_rng(cand_ss)
         )
         test_graphs = ds.subset(test_idx)
-        acc = evaluate(params, test_graphs, memo)
+        acc = evaluate(params, test_graphs)
         accuracies.append(float(acc))
         selected.append(cfg.to_dict())
         epoch_seconds.append(float(np.mean(history["epoch_seconds"])))

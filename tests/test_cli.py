@@ -245,6 +245,17 @@ def test_train_inexact_config_is_data_error(tmp_path, capsys, over):
     assert not (tmp_path / "o").exists()
 
 
+def test_train_negative_seed_is_data_error(tmp_path, capsys):
+    ddir = make_dataset_dir(tmp_path)
+    for over, flags in [({"seed": -1}, []), ({}, ["--seed", "-1"])]:
+        config = write_config(tmp_path, **over)
+        code = main(["train", "--dataset-dir", ddir, "--dataset-name", "SYN",
+                     "--config", config, "--out", str(tmp_path / "o"), *flags])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 def test_export_filters_roundtrip(tmp_path, capsys):
     cfg = TrainConfig(num_filters=3, filter_nodes=3, k_max=5)
     params = init_params(cfg.model_config(2, 2), np.random.default_rng(0))

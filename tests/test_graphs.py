@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import kergnn.graphs
 from kergnn.errors import DatasetError
 from kergnn.graphs import (
+    Dataset,
     Graph,
     dataset_stats,
     extract_subgraph,
@@ -167,6 +168,36 @@ def test_roundtrip_labels_and_attributes(tmp_path):
         assert np.array_equal(g1.adjacency, g2.adjacency)
         assert np.array_equal(g1.attributes, g2.attributes)
         assert np.array_equal(g1.node_labels, g2.node_labels)
+
+
+def test_saved_files_are_pinned_byte_for_byte(tmp_path):
+    # edges are written in row-major order of the adjacency: a TUDataset lists
+    # both directions, a graph file lists i < j once
+    path = np.zeros((3, 3))
+    path[[0, 1, 1, 2], [1, 0, 2, 1]] = 1.0
+    tri = np.ones((3, 3)) - np.eye(3)
+    one_hot = np.eye(2)[[0, 1, 0, 1, 1, 0]]
+    attrs = np.hstack([one_hot, [[0.5], [-1.25], [3.0], [0.1], [2.0], [1e-3]]])
+    ds = Dataset("pin", [Graph(3, path, attrs[:3], 0, [0, 1, 0]),
+                         Graph(3, tri, attrs[3:], 1, [1, 1, 0])], 2, 3)
+    save_tudataset(ds, str(tmp_path))
+    expected = {
+        "A": "1, 2\n2, 1\n2, 3\n3, 2\n4, 5\n4, 6\n5, 4\n5, 6\n6, 4\n6, 5\n",
+        "graph_indicator": "1\n1\n1\n2\n2\n2\n",
+        "graph_labels": "0\n1\n",
+        "node_labels": "0\n1\n0\n1\n1\n0\n",
+        "node_attributes": "0.5\n-1.25\n3.0\n0.1\n2.0\n0.001\n",
+    }
+    for suffix, text in expected.items():
+        assert (tmp_path / f"pin_{suffix}.txt").read_text() == text
+
+    adj = np.zeros((4, 4))
+    for i, j in [(0, 2), (0, 3), (1, 2)]:
+        adj[i, j] = adj[j, i] = 1.0
+    g = Graph(4, adj, [[0.5, 1.0], [-2.0, 0.0], [1e-3, 3.0], [7.0, -0.25]])
+    write_graph_file(g, str(tmp_path / "g.graph"))
+    assert (tmp_path / "g.graph").read_text() == (
+        "4 2\n0.5 1.0\n-2.0 0.0\n0.001 3.0\n7.0 -0.25\n0 2\n0 3\n1 2\n")
 
 
 # ---------------------------------------------------------------------------

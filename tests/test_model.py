@@ -131,17 +131,18 @@ def test_model_forward_deterministic():
     assert np.array_equal(l1, l2)
 
 
-def test_memo_never_serves_a_freed_graphs_stacks():
-    # a memo keyed on id(g) alone served a freed graph's stacks to the next
-    # graph allocated at its address: same shapes, silently wrong logits
+def test_new_graph_never_gets_a_freed_graphs_stacks():
+    # a cache keyed on id(g) alone served a freed graph's stacks to the next
+    # graph allocated at its address: same shapes, silently wrong logits.
+    # Stacks live on the graph, so a new graph matches a fresh copy of it
     params = init_params(small_config(), np.random.default_rng(3))
-    memo = {}
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        forward_graph(random_graph(rng, 8, 0.2, d=2), params, memo=memo)  # dropped at once
+        forward_graph(random_graph(rng, 8, 0.2, d=2), params)  # dropped at once
         dense = random_graph(rng, 8, 0.9, d=2)
-        logits = forward_graph(dense, params, memo=memo).logits
-        assert np.array_equal(logits, forward_graph(dense, params).logits)
+        fresh = Graph(dense.num_nodes, dense.adjacency, dense.attributes)
+        assert np.array_equal(forward_graph(dense, params).logits,
+                              forward_graph(fresh, params).logits)
 
 
 def test_same_seed_same_parameters():

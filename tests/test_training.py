@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from kergnn.errors import ConfigError, TrainingError
-from kergnn.graphs import Dataset, Graph
-from kergnn.model import ModelConfig, init_params, named_parameters
+from kergnn.graphs import Dataset, Graph, stack_subgraphs
+from kergnn.model import ModelConfig, forward_graph, init_params, layer_forward, named_parameters
 from kergnn.training import (
     Adam,
     TrainConfig,
@@ -285,14 +287,68 @@ def test_cross_validate_builds_each_stack_once(stack_builds):
     assert {key[0] for key in keys} == {id(g) for g in ds.graphs}
 
 
-def test_evaluate_without_memo_builds_stacks_every_call(stack_builds):
+def test_second_evaluate_builds_no_stacks(stack_builds):
     ds = two_class_dataset()
     params = init_params(tiny_cfg().model_config(ds.attr_dim, ds.num_classes),
                          np.random.default_rng(0))
-    evaluate(params, ds)
+    first = evaluate(params, ds)
     assert len(stack_builds) == len(ds)
-    evaluate(params, ds)
-    assert len(stack_builds) == 2 * len(ds)
+    assert evaluate(params, ds) == first
+    assert len(stack_builds) == len(ds)
+
+
+def test_second_cross_validate_builds_no_stacks(stack_builds):
+    ds = two_class_dataset()
+    first = cross_validate(ds, tiny_cfg(epochs=2), seed=5, n_folds=3)
+    assert len(stack_builds) == len(ds)
+    second = cross_validate(ds, tiny_cfg(epochs=2), seed=5, n_folds=3)
+    assert len(stack_builds) == len(ds)
+    # reused stacks change no number
+    assert second.fold_accuracies == first.fold_accuracies
+    assert second.histories == first.histories
+
+
+def test_relabeled_graph_builds_its_own_stacks(stack_builds):
+    rng = np.random.default_rng(2)
+    g = random_graph(rng, 6, 0.5, d=1, label=0)
+    params = init_params(tiny_cfg().model_config(1, 2), np.random.default_rng(0))
+    forward_graph(g, params)
+    assert list(g.stacks) == [(1, 5)]
+    moved = g.relabeled(rng.permutation(6))
+    copied = dataclasses.replace(g, graph_label=1)
+    assert not moved.stacks and not copied.stacks
+    forward_graph(moved, params)
+    assert [b[0] for b in stack_builds] == [g, moved]
+    own = stack_subgraphs(moved, 1, 5)
+    assert np.array_equal(moved.stacks[(1, 5)].gather_idx, own.gather_idx)
+    assert np.array_equal(moved.stacks[(1, 5)].adjacency, own.adjacency)
+
+
+def test_layer_forward_builds_a_stack_every_call(stack_builds):
+    # layer_forward is the stateless probe the complexity test times: it
+    # neither reads nor fills the graph's stacks
+    rng = np.random.default_rng(4)
+    g = random_graph(rng, 6, 0.5, d=1)
+    layer = init_params(tiny_cfg().model_config(1, 2), rng).layers[0]
+    first = layer_forward(g, g.attributes, layer)
+    assert np.array_equal(layer_forward(g, g.attributes, layer), first)
+    assert len(stack_builds) == 2
+    assert not g.stacks
+
+
+def test_unlabeled_graphs_are_rejected():
+    # evaluate counted an unlabeled graph as misclassified and train_fold
+    # failed with a TypeError from max()
+    ds = two_class_dataset()
+    unlabeled = Graph(3, np.zeros((3, 3)), np.ones((3, 1)))
+    graphs = [ds.graphs[0], unlabeled, ds.graphs[1]]
+    params = init_params(tiny_cfg().model_config(1, 2), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="graph 1 has no graph_label"):
+        evaluate(params, graphs)
+    with pytest.raises(ValueError, match="graph 1 has no graph_label"):
+        train_fold(graphs, list(ds.graphs), tiny_cfg(epochs=1), 0)
+    with pytest.raises(ValueError, match="graph 0 has no graph_label"):
+        train_fold(list(ds.graphs), [unlabeled], tiny_cfg(epochs=1), 0)
 
 
 def test_cross_validate_constant_labels_is_perfect():
@@ -482,10 +538,17 @@ def test_config_validation():
     for field, bad in [("lr", nan), ("lr", inf), ("grad_clip", 0.0), ("grad_clip", -1.0),
                        ("grad_clip", nan), ("beta1", 1.0), ("beta1", -0.1), ("beta1", nan),
                        ("beta2", 1.0), ("beta2", 1.5), ("eps", 0.0), ("eps", -1e-8),
-                       ("eps", nan), ("eps", inf)]:
+                       ("eps", nan), ("eps", inf), ("seed", -1)]:
         with pytest.raises(ConfigError, match=field):
             tiny_cfg(**{field: bad}).validate()
     tiny_cfg(beta1=0.0, beta2=0.0, grad_clip=inf).validate()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", True])
+def test_cross_validate_rejects_a_bad_seed(seed):
+    # a negative seed ended in numpy's "expected non-negative integer"
+    with pytest.raises(ConfigError, match="seed"):
+        cross_validate(two_class_dataset(), tiny_cfg(epochs=1), seed=seed, n_folds=3)
 
 
 @pytest.mark.parametrize("field,value", [
