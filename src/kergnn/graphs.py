@@ -3,12 +3,17 @@
 Graphs are stored dense (float64 adjacency, float64 attribute matrix).
 Datasets in the TUDataset text format are read from a directory of files:
 
-    <name>_A.txt               comma-separated 1-indexed "i, j" edge pairs,
-                               each undirected edge present in both directions
+    <name>_A.txt               1-indexed "i, j" edge pairs, each undirected
+                               edge present in both directions
     <name>_graph_indicator.txt one 1-indexed graph id per node line
     <name>_graph_labels.txt    one integer per graph line
     <name>_node_labels.txt     optional, one integer per node line
-    <name>_node_attributes.txt optional, comma-separated reals per node line
+    <name>_node_attributes.txt optional, finite reals per node line
+
+These and the standalone graph files go through one line parser: blank lines
+are skipped, and '#' comment lines too in graph files only; fields are split
+at whitespace, and at commas as well in _A.txt and _node_attributes.txt; an
+error names the file and the line it is on.
 
 Node attributes fed to models are built as: one-hot node labels when labels
 are present, raw continuous attributes when present (concatenated after the
@@ -174,18 +179,68 @@ class DatasetStats:
 # ---------------------------------------------------------------------------
 
 
-def _read_lines(path: str) -> list[str]:
+def _parse_lines(path: str, parse, *, commas: bool = False, comments: bool = False) -> tuple:
+    """parse(fields) of every data line of a text file, and those lines' numbers.
+
+    A line's fields are split at whitespace, and at commas too when `commas`.
+    Blank lines, and lines starting with '#' when `comments`, are skipped. A
+    ValueError from parse becomes a DatasetError naming path:line.
+    """
+    if not os.path.isfile(path):
+        raise DatasetError(f"missing file: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
+            lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    values, numbers = [], []
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or comments and text[0] == "#":
+            continue
+        try:
+            values.append(parse((text.replace(",", " ") if commas else text).split()))
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from None
+        numbers.append(lineno)
+    return values, numbers
 
 
-def _require(path: str) -> str:
-    if not os.path.isfile(path):
-        raise DatasetError(f"missing required dataset file: {path}")
-    return path
+def _integer(fields: list) -> int:
+    if len(fields) != 1:
+        raise ValueError("expected one integer")
+    return int(fields[0])
+
+
+def _reals(fields: list, width: int | None = None) -> list:
+    """Finite floats, exactly `width` of them unless width is None."""
+    if width is not None and len(fields) != width:
+        raise ValueError(f"expected {width} attribute values")
+    row = [float(x) for x in fields]
+    if not all(map(math.isfinite, row)):
+        raise ValueError("attribute values must be finite")
+    return row
+
+
+def _edge(fields: list, first: int, last: int) -> tuple:
+    """0-based (i, j) of an edge row whose node ids run first..last."""
+    if len(fields) != 2:
+        raise ValueError("expected an edge 'i j'")
+    i, j = int(fields[0]), int(fields[1])
+    if not (first <= i <= last and first <= j <= last) or i == j:
+        raise ValueError(f"invalid edge ({i}, {j}): node ids must differ and lie in {first}..{last}")
+    return i - first, j - first
+
+
+def _expect(path: str, values: list, count: int, what: str) -> None:
+    if len(values) != count:
+        raise DatasetError(f"{path}: expected {count} {what}, found {len(values)}")
+
+
+def _codes(raw: list) -> tuple:
+    """Codes 0..k-1 of integer labels (Python ints, any size) by ascending value, and k."""
+    index = {v: k for k, v in enumerate(sorted(set(raw)))}
+    return np.fromiter(map(index.__getitem__, raw), np.int64, len(raw)), len(index)
 
 
 def load_tudataset(directory: str, name: str) -> Dataset:
@@ -195,160 +250,73 @@ def load_tudataset(directory: str, name: str) -> Dataset:
     when present, are remapped the same way before one-hot encoding.
     """
     prefix = os.path.join(directory, name)
-    edges_path = _require(prefix + "_A.txt")
-    indicator_path = _require(prefix + "_graph_indicator.txt")
-    labels_path = _require(prefix + "_graph_labels.txt")
+    edges_path = prefix + "_A.txt"
+    indicator_path = prefix + "_graph_indicator.txt"
+    labels_path = prefix + "_graph_labels.txt"
 
-    indicator = []
-    for lineno, line in enumerate(_read_lines(indicator_path), start=1):
-        if not line.strip():
-            continue
-        try:
-            indicator.append(int(line.strip()))
-        except ValueError:
-            raise DatasetError(f"{indicator_path}:{lineno}: expected an integer graph id") from None
-    num_nodes_total = len(indicator)
+    indicator, _ = _parse_lines(indicator_path, _integer)
+    num_nodes = len(indicator)
     graph_ids = set(indicator)
     num_graphs = len(graph_ids)
     # distinct integers cover 1..n exactly when the smallest is 1 and the largest n
     if graph_ids and (min(graph_ids) != 1 or max(graph_ids) != num_graphs):
         raise DatasetError(f"{indicator_path}: graph ids must cover 1..{max(graph_ids)}")
+    graph_of = np.array(indicator, dtype=np.int64) - 1
 
-    raw_graph_labels = []
-    for lineno, line in enumerate(_read_lines(labels_path), start=1):
-        if not line.strip():
-            continue
-        try:
-            raw_graph_labels.append(int(line.strip()))
-        except ValueError:
-            raise DatasetError(f"{labels_path}:{lineno}: expected an integer label") from None
-    if len(raw_graph_labels) != num_graphs:
-        raise DatasetError(
-            f"{labels_path}: expected {num_graphs} labels, found {len(raw_graph_labels)}"
-        )
+    raw_graph_labels, _ = _parse_lines(labels_path, _integer)
+    _expect(labels_path, raw_graph_labels, num_graphs, "labels")
+    graph_labels, num_classes = _codes(raw_graph_labels)
 
-    directed_edges = set()
-    edge_lines = []
-    for lineno, line in enumerate(_read_lines(edges_path), start=1):
-        if not line.strip():
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            raise DatasetError(f"{edges_path}:{lineno}: expected 'i, j'")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DatasetError(f"{edges_path}:{lineno}: expected integer node ids") from None
-        if not (1 <= i <= num_nodes_total and 1 <= j <= num_nodes_total):
-            raise DatasetError(
-                f"{edges_path}:{lineno}: node id out of range 1..{num_nodes_total}"
-            )
-        if i == j:
-            raise DatasetError(f"{edges_path}:{lineno}: self-loops are not supported")
-        directed_edges.add((i, j))
-        edge_lines.append((lineno, i, j))
-    for lineno, i, j in edge_lines:
-        if (j, i) not in directed_edges:
-            raise DatasetError(
-                f"{edges_path}:{lineno}: edge ({i}, {j}) has no reverse entry ({j}, {i})"
-            )
+    pairs, edge_lines = _parse_lines(edges_path, lambda f: _edge(f, 1, num_nodes), commas=True)
+    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    crossing = np.flatnonzero(graph_of[src] != graph_of[dst])
+    if crossing.size:
+        raise DatasetError(f"{edges_path}:{edge_lines[crossing[0]]}: edge crosses graph boundaries")
 
     node_labels_path = prefix + "_node_labels.txt"
-    raw_node_labels = None
+    node_labels, blocks = None, []
     if os.path.isfile(node_labels_path):
-        raw_node_labels = []
-        for lineno, line in enumerate(_read_lines(node_labels_path), start=1):
-            if not line.strip():
-                continue
-            try:
-                raw_node_labels.append(int(line.strip()))
-            except ValueError:
-                raise DatasetError(f"{node_labels_path}:{lineno}: expected an integer label") from None
-        if len(raw_node_labels) != num_nodes_total:
-            raise DatasetError(
-                f"{node_labels_path}: expected {num_nodes_total} labels, found {len(raw_node_labels)}"
-            )
+        raw_node_labels, _ = _parse_lines(node_labels_path, _integer)
+        _expect(node_labels_path, raw_node_labels, num_nodes, "labels")
+        node_labels, num_values = _codes(raw_node_labels)
+        blocks.append(np.eye(num_values)[node_labels])
 
     attributes_path = prefix + "_node_attributes.txt"
-    raw_attributes = None
     if os.path.isfile(attributes_path):
-        raw_attributes = []
-        width = None
-        for lineno, line in enumerate(_read_lines(attributes_path), start=1):
-            if not line.strip():
-                continue
-            try:
-                row = [float(x) for x in line.replace(",", " ").split()]
-            except ValueError:
-                raise DatasetError(f"{attributes_path}:{lineno}: expected comma-separated reals") from None
-            if not all(math.isfinite(x) for x in row):
-                raise DatasetError(f"{attributes_path}:{lineno}: attribute values must be finite")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DatasetError(f"{attributes_path}:{lineno}: inconsistent attribute width")
-            raw_attributes.append(row)
-        if len(raw_attributes) != num_nodes_total:
-            raise DatasetError(
-                f"{attributes_path}: expected {num_nodes_total} rows, found {len(raw_attributes)}"
-            )
-        raw_attributes = np.array(raw_attributes, dtype=np.float64)
+        rows, lines = _parse_lines(attributes_path, _reals, commas=True)
+        _expect(attributes_path, rows, num_nodes, "rows")
+        width = len(rows[0]) if rows else 0
+        ragged = next((k for k, row in enumerate(rows) if len(row) != width), None)
+        if ragged is not None:
+            raise DatasetError(f"{attributes_path}:{lines[ragged]}: inconsistent attribute width")
+        blocks.append(np.array(rows, dtype=np.float64).reshape(num_nodes, width))
+    # one row per node over all graphs; without node files, each graph's degrees
+    features = np.hstack(blocks) if blocks else None
 
-    # Contiguous remappings, sorted so reloading a saved dataset is stable.
-    label_values = sorted(set(raw_graph_labels))
-    graph_label_map = {v: k for k, v in enumerate(label_values)}
-    node_label_map = None
-    if raw_node_labels is not None:
-        node_values = sorted(set(raw_node_labels))
-        node_label_map = {v: k for k, v in enumerate(node_values)}
-
-    node_ids_per_graph = [[] for _ in range(num_graphs)]
-    local_index = np.zeros(num_nodes_total, dtype=np.int64)
-    for node, gid in enumerate(indicator):
-        local_index[node] = len(node_ids_per_graph[gid - 1])
-        node_ids_per_graph[gid - 1].append(node)
-
-    edges_per_graph = [[] for _ in range(num_graphs)]
-    for lineno, i, j in edge_lines:
-        a, b = i - 1, j - 1
-        gid = indicator[a] - 1
-        if indicator[b] - 1 != gid:
-            raise DatasetError(f"{edges_path}:{lineno}: edge crosses graph boundaries")
-        edges_per_graph[gid].append((local_index[a], local_index[b]))
+    # nodes and edges grouped by graph, both in file order inside a graph;
+    # bounds[g] is where graph g's run starts, local ids count inside a run
+    node_order = np.argsort(graph_of, kind="stable")
+    node_bounds = np.searchsorted(graph_of[node_order], np.arange(num_graphs + 1))
+    local = np.argsort(node_order) - node_bounds[graph_of]
+    edge_order = np.argsort(graph_of[src], kind="stable")
+    edge_bounds = np.searchsorted(graph_of[src[edge_order]], np.arange(num_graphs + 1))
 
     graphs = []
-    for gid in range(num_graphs):
-        nodes = node_ids_per_graph[gid]
-        n = len(nodes)
-        adj = np.zeros((n, n))
-        for a, b in edges_per_graph[gid]:
-            adj[a, b] = 1.0
+    for gid, label in enumerate(graph_labels.tolist()):
+        nodes = node_order[node_bounds[gid]:node_bounds[gid + 1]]
+        edges = edge_order[edge_bounds[gid]:edge_bounds[gid + 1]]
+        i, j = local[src[edges]], local[dst[edges]]
+        adj = np.zeros((len(nodes), len(nodes)))
+        adj[i, j] = 1.0
+        lonely = edges[adj[j, i] == 0]
+        if lonely.size:
+            k = lonely[0]
+            raise DatasetError(f"{edges_path}:{edge_lines[k]}: no reverse of edge {src[k] + 1}, {dst[k] + 1}")
+        attributes = adj.sum(axis=1, keepdims=True) if features is None else features[nodes]
+        labels = None if node_labels is None else node_labels[nodes]
+        graphs.append(Graph(len(nodes), adj, attributes, label, labels))
 
-        node_labels = None
-        blocks = []
-        if raw_node_labels is not None:
-            node_labels = np.array([node_label_map[raw_node_labels[v]] for v in nodes])
-            onehot = np.zeros((n, len(node_label_map)))
-            onehot[np.arange(n), node_labels] = 1.0
-            blocks.append(onehot)
-        if raw_attributes is not None:
-            blocks.append(raw_attributes[nodes])
-        if not blocks:
-            blocks.append(adj.sum(axis=1, keepdims=True))
-        attributes = np.hstack(blocks)
-
-        graphs.append(
-            Graph(
-                num_nodes=n,
-                adjacency=adj,
-                attributes=attributes,
-                graph_label=graph_label_map[raw_graph_labels[gid]],
-                node_labels=node_labels,
-            )
-        )
-
-    attr_dim = graphs[0].attr_dim if graphs else 0
-    return Dataset(name=name, graphs=graphs, num_classes=len(label_values), attr_dim=attr_dim)
+    return Dataset(name, graphs, num_classes, attr_dim=graphs[0].attr_dim if graphs else 0)
 
 
 def save_tudataset(ds: Dataset, directory: str) -> None:
@@ -367,8 +335,9 @@ def save_tudataset(ds: Dataset, directory: str) -> None:
         label_width = 1 + max(int(g.node_labels.max()) for g in ds.graphs if g.num_nodes)
     # attribute columns beyond the one-hot block are continuous payload
     continuous_width = ds.attr_dim - label_width if has_labels else ds.attr_dim
+    # bytes, not values: a -0.0 attribute must be written, the loader's degrees are +0.0
     degree_only = not has_labels and ds.attr_dim == 1 and all(
-        np.array_equal(g.attributes[:, 0], g.degrees()) for g in ds.graphs
+        g.attributes[:, 0].tobytes() == g.degrees().tobytes() for g in ds.graphs
     )
 
     edge_lines, indicator_lines, graph_label_lines = [], [], []
@@ -536,55 +505,33 @@ def stack_subgraphs(g: Graph, hops: int, k_max: int) -> SubgraphStack:
 
 
 def read_graph_file(path: str) -> Graph:
-    """Read the simple text format: "n d" header, n attribute rows, edge rows.
+    """Read the graph text format: an "n d" header, n rows of d attribute values,
+    then 0-indexed "i j" edge rows, one per undirected edge."""
+    shape, rows, edges = [], [], []
 
-    Edges are 0-indexed "i j" pairs, one per undirected edge.
-    """
-    if not os.path.isfile(path):
-        raise DatasetError(f"missing graph file: {path}")
-    lines = [ln for ln in _read_lines(path) if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
+    def parse(fields):
+        if not shape:
+            if len(fields) != 2:
+                raise ValueError("header must be 'n d'")
+            shape.extend(int(x) for x in fields)
+            if min(shape) < 0:
+                raise ValueError(f"header 'n d' must not be negative, got '{shape[0]} {shape[1]}'")
+            np.empty((0, shape[1]))  # a width no array can have raises ValueError here
+        elif len(rows) < shape[0]:
+            rows.append(_reals(fields, shape[1]))
+        else:
+            edges.append(_edge(fields, 0, shape[0] - 1))
+
+    _parse_lines(path, parse, comments=True)
+    if not shape:
         raise DatasetError(f"{path}: empty graph file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise DatasetError(f"{path}:1: header must be 'n d'")
-    try:
-        n, d = int(header[0]), int(header[1])
-    except ValueError:
-        raise DatasetError(f"{path}:1: header must be two integers") from None
-    if n < 0 or d < 0:
-        raise DatasetError(f"{path}:1: header 'n d' must not be negative, got '{n} {d}'")
-    if len(lines) < 1 + n:
+    n, d = shape
+    if len(rows) < n:
         raise DatasetError(f"{path}: expected {n} attribute lines after the header")
-    # rows are checked before any array is sized from the header
-    rows = []
-    for k in range(n):
-        row = lines[1 + k].split()
-        if len(row) != d:
-            raise DatasetError(f"{path}:{k + 2}: expected {d} attribute values")
-        try:
-            rows.append([float(x) for x in row])
-        except ValueError:
-            raise DatasetError(f"{path}:{k + 2}: expected real attribute values") from None
-        if not all(math.isfinite(x) for x in rows[-1]):
-            raise DatasetError(f"{path}:{k + 2}: attribute values must be finite")
-    try:
-        attrs = np.array(rows, dtype=np.float64).reshape(n, d)
-    except ValueError:  # only an empty graph with a huge width gets here
-        raise DatasetError(f"{path}:1: attribute width {d} is too large") from None
     adj = np.zeros((n, n))
-    for k, line in enumerate(lines[1 + n:]):
-        parts = line.split()
-        if len(parts) != 2:
-            raise DatasetError(f"{path}:{k + n + 2}: expected edge 'i j'")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DatasetError(f"{path}:{k + n + 2}: expected integer node ids") from None
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise DatasetError(f"{path}:{k + n + 2}: invalid edge ({i}, {j})")
-        adj[i, j] = adj[j, i] = 1.0
-    return Graph(num_nodes=n, adjacency=adj, attributes=attrs)
+    i, j = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    adj[i, j] = adj[j, i] = 1.0
+    return Graph(n, adj, np.array(rows, dtype=np.float64).reshape(n, d))
 
 
 def write_graph_file(g: Graph, path: str) -> None:

@@ -166,10 +166,6 @@ class ModelParams:
     mlp: list  # [(weight, bias), ...], last maps to logits
     input_map: tuple | None = None  # (weight, bias)
 
-    @property
-    def dropout(self) -> float:
-        return self.config.dropout
-
 
 def _build_params(config: ModelConfig) -> ModelParams:
     """Zero-initialized parameter containers with the configured shapes."""
@@ -274,10 +270,8 @@ def _layer_apply(layer: KerGNNLayer, stack: SubgraphStack, feats: np.ndarray, po
 
 def layer_forward(g: Graph, feats: np.ndarray, layer: KerGNNLayer,
                   post_relu: bool = False) -> np.ndarray:
-    """Per-node kernel values (num_nodes, d_l) against every filter; builds
-    its own stack on every call and leaves g.stacks alone."""
-    stack = stack_subgraphs(g, layer.hops, layer.k_max)
-    values, _ = _layer_apply(layer, stack, np.asarray(feats, dtype=np.float64), post_relu)
+    """Per-node kernel values (num_nodes, d_l) against every filter."""
+    values, _ = _layer_apply(layer, _stack(g, layer), np.asarray(feats, dtype=np.float64), post_relu)
     return values
 
 

@@ -324,16 +324,15 @@ def test_relabeled_graph_builds_its_own_stacks(stack_builds):
     assert np.array_equal(moved.stacks[(1, 5)].adjacency, own.adjacency)
 
 
-def test_layer_forward_builds_a_stack_every_call(stack_builds):
-    # layer_forward is the stateless probe the complexity test times: it
-    # neither reads nor fills the graph's stacks
+def test_layer_forward_second_call_builds_nothing(stack_builds):
+    # layer_forward takes its stack from g.stacks like forward_graph does
     rng = np.random.default_rng(4)
     g = random_graph(rng, 6, 0.5, d=1)
     layer = init_params(tiny_cfg().model_config(1, 2), rng).layers[0]
     first = layer_forward(g, g.attributes, layer)
     assert np.array_equal(layer_forward(g, g.attributes, layer), first)
-    assert len(stack_builds) == 2
-    assert not g.stacks
+    assert stack_builds == [(g, layer.hops, layer.k_max)]
+    assert list(g.stacks) == [(layer.hops, layer.k_max)]
 
 
 def test_unlabeled_graphs_are_rejected():
