@@ -446,6 +446,17 @@ class SubgraphStack:
         np.add.at(out, self.gather_idx.ravel(), (grad * self.mask[:, :, None]).reshape(-1, d))
         return out
 
+    @classmethod
+    def concatenate(cls, stacks: list) -> "SubgraphStack":
+        """One stack over the disjoint union of the stacks' graphs, in order:
+        each gather_idx is offset by the node counts of the stacks before it."""
+        if len(stacks) == 1:
+            return stacks[0]
+        offsets = np.cumsum([0] + [s.gather_idx.shape[0] for s in stacks[:-1]])
+        return cls(gather_idx=np.concatenate([s.gather_idx + o for s, o in zip(stacks, offsets)]),
+                   mask=np.concatenate([s.mask for s in stacks]),
+                   adjacency=np.concatenate([s.adjacency for s in stacks]))
+
 
 # Rows of the hop-limited reachability built at a time: the (chunk, n) key
 # and frontier blocks of a DD-sized graph (~5.7k nodes) stay ~12 MB each.
@@ -505,8 +516,8 @@ def stack_subgraphs(g: Graph, hops: int, k_max: int) -> SubgraphStack:
 
 
 def read_graph_file(path: str) -> Graph:
-    """Read the graph text format: an "n d" header, n rows of d attribute values,
-    then 0-indexed "i j" edge rows, one per undirected edge."""
+    """Read the graph text format: an "n d" header, n rows of d attribute values
+    (no rows when d is 0), then 0-indexed "i j" edge rows, one per undirected edge."""
     shape, rows, edges = [], [], []
 
     def parse(fields):
@@ -517,7 +528,7 @@ def read_graph_file(path: str) -> Graph:
             if min(shape) < 0:
                 raise ValueError(f"header 'n d' must not be negative, got '{shape[0]} {shape[1]}'")
             np.empty((0, shape[1]))  # a width no array can have raises ValueError here
-        elif len(rows) < shape[0]:
+        elif shape[1] and len(rows) < shape[0]:  # zero-width rows have no line of their own
             rows.append(_reals(fields, shape[1]))
         else:
             edges.append(_edge(fields, 0, shape[0] - 1))
@@ -526,9 +537,12 @@ def read_graph_file(path: str) -> Graph:
     if not shape:
         raise DatasetError(f"{path}: empty graph file")
     n, d = shape
-    if len(rows) < n:
+    if d and len(rows) < n:
         raise DatasetError(f"{path}: expected {n} attribute lines after the header")
-    adj = np.zeros((n, n))
+    try:  # with d = 0 no line bounds n
+        adj = np.zeros((n, n))
+    except (MemoryError, ValueError):
+        raise DatasetError(f"{path}: a graph of {n} nodes does not fit in memory") from None
     i, j = np.array(edges, dtype=np.int64).reshape(-1, 2).T
     adj[i, j] = adj[j, i] = 1.0
     return Graph(n, adj, np.array(rows, dtype=np.float64).reshape(n, d))
@@ -536,8 +550,8 @@ def read_graph_file(path: str) -> Graph:
 
 def write_graph_file(g: Graph, path: str) -> None:
     lines = [f"{g.num_nodes} {g.attr_dim}"]
-    for row in g.attributes:
-        lines.append(" ".join(repr(float(x)) for x in row))
+    if g.attr_dim:  # a zero-width row would be a blank line, which the reader skips
+        lines.extend(" ".join(repr(float(x)) for x in row) for row in g.attributes)
     lines.extend(f"{i} {j}" for i, j in np.argwhere(np.triu(g.adjacency, 1)).tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

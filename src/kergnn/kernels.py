@@ -55,6 +55,7 @@ __all__ = [
     "stacked_kernel_forward",
     "stacked_kernel_backward",
     "StackedKernelCache",
+    "uses_gram_form",
 ]
 
 
@@ -277,6 +278,12 @@ def _horner(adj, zs) -> np.ndarray:
     return acc
 
 
+def uses_gram_form(cfg: RWKernelConfig, f: int, n: int, d: int, k: int) -> bool:
+    """Whether f filters of n nodes take the Gram form on d-wide subgraphs of
+    k slots: plain variant, and (P+1) d^2 Gram entries <= f n k Hadamard ones."""
+    return not cfg.is_deep and (cfg.P + 1) * d * d <= f * n * k
+
+
 def stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg: RWKernelConfig, weights=None):
     """Kernel values (N, f) of all subgraphs against all filters.
 
@@ -291,14 +298,11 @@ def stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg: RWKernelConfig, wei
         u.append(adj_h @ u[-1])
         v.append(adj_g @ v[-1])
     cache = StackedKernelCache(cfg=cfg, attr_h=attr_h, adj_h=adj_h, x_sub=x_sub, adj_g=adj_g, u=u, v=v)
-    if cfg.is_deep:
-        if weights is None:
-            raise ValueError("deep variant requires pair weights")
-        return _hadamard_forward(cache, weights), cache
-    f, n, d = attr_h.shape
-    if (cfg.P + 1) * d * d <= f * n * x_sub.shape[1]:  # Gram maps are the smaller
+    if cfg.is_deep and weights is None:
+        raise ValueError("deep variant requires pair weights")
+    if uses_gram_form(cfg, *attr_h.shape, x_sub.shape[1]):
         return _gram_forward(cache), cache
-    return _hadamard_forward(cache, None), cache
+    return _hadamard_forward(cache, weights if cfg.is_deep else None), cache
 
 
 def stacked_kernel_backward(cache: StackedKernelCache, gout):
@@ -328,7 +332,8 @@ def _gram_forward(cache: StackedKernelCache) -> np.ndarray:
     xs_t = cache.x_sub.transpose(0, 2, 1)
     cache.phi_h = np.stack([(xh_t @ u_p).reshape(f, d * d) for u_p in cache.u], axis=1)
     cache.phi_g = np.stack([(xs_t @ v_p).reshape(big_n, d * d) for v_p in cache.v], axis=1) * lam
-    return cache.phi_g.reshape(big_n, -1) @ cache.phi_h.reshape(f, -1).T
+    width = len(cache.v) * d * d  # explicit: a -1 cannot be inferred when N = 0
+    return cache.phi_g.reshape(big_n, width) @ cache.phi_h.reshape(f, width).T
 
 
 def _gram_backward(cache: StackedKernelCache, gout):
@@ -342,9 +347,11 @@ def _gram_backward(cache: StackedKernelCache, gout):
     """
     f, _, d = cache.attr_h.shape
     big_n = cache.x_sub.shape[0]
+    steps = len(cache.v)
     lam = np.asarray(cache.cfg.lambdas)[:, None]
-    gam = (gout.T @ cache.phi_g.reshape(big_n, -1)).reshape(f, -1, d, d)
-    dlt = ((gout @ cache.phi_h.reshape(f, -1)).reshape(big_n, -1, d * d) * lam).reshape(big_n, -1, d, d)
+    gam = (gout.T @ cache.phi_g.reshape(big_n, steps * d * d)).reshape(f, steps, d, d)
+    dlt = ((gout @ cache.phi_h.reshape(f, steps * d * d)).reshape(big_n, steps, d * d)
+           * lam).reshape(big_n, steps, d, d)
     gam_sym = gam + gam.transpose(0, 1, 3, 2)
     dlt_sym = dlt + dlt.transpose(0, 1, 3, 2)
     d_xh = sum(u_p @ gam_sym[:, p] for p, u_p in enumerate(cache.u))

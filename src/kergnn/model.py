@@ -7,9 +7,16 @@ attributes) and each filter, and uses the d_l kernel values as the node's new
 feature map. The graph readout concatenates per-layer node-feature sums,
 including layer 0, and an MLP maps the readout to class logits.
 
-All forward/backward code is plain dense numpy; `backward_graph` implements
-reverse-mode differentiation through the MLP, the readout, and every kernel
-layer back to the filter parameters and the optional input linear map.
+All forward/backward code is plain dense numpy and works on packed batches:
+`forward_batch` concatenates the graphs' nodes and subgraph stacks (gather
+indices offset by each graph's first node), runs every layer's kernel once
+over all of them, reads out by a segment sum per graph and applies the MLP to
+(B, width) arrays. `backward_batch` implements reverse-mode differentiation
+through the MLP, the readout, and every kernel layer back to the filter
+parameters and the optional input linear map; the kernel's matmuls sum the
+batch's gradients. `packed_chunks` cuts a batch into consecutive chunks whose
+kernel caches stay under `_CHUNK_ENTRIES` float64 entries. `model_forward`
+and `layer_forward` are batches of one.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .kernels import (
     RWKernelConfig,
     stacked_kernel_backward,
     stacked_kernel_forward,
+    uses_gram_form,
 )
 
 __all__ = [
@@ -39,8 +47,11 @@ __all__ = [
     "named_parameters",
     "layer_forward",
     "model_forward",
-    "forward_graph",
-    "backward_graph",
+    "forward_batch",
+    "backward_batch",
+    "BatchForward",
+    "packed_chunks",
+    "predict_logits",
     "export_filters",
     "save_checkpoint",
     "load_checkpoint",
@@ -243,6 +254,12 @@ def named_parameters(params: ModelParams) -> list:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
+# Float64 entries that one packed chunk's layer intermediates may hold. Every
+# layer's kernel cache lives until backward, so a packed node costs the sum
+# over layers (see _entries_per_node); a batch is cut into consecutive chunks
+# of graphs under this bound, and a graph larger than it is a chunk alone.
+_CHUNK_ENTRIES = 2**17
+
 
 def _stack(g: Graph, layer: KerGNNLayer) -> SubgraphStack:
     """g's subgraph stack at the layer's (hops, k_max), kept on g after the first build."""
@@ -275,113 +292,170 @@ def layer_forward(g: Graph, feats: np.ndarray, layer: KerGNNLayer,
     return values
 
 
+def _entries_per_node(params: ModelParams) -> int:
+    """Float64 entries a packed node adds to the kernel caches of all layers:
+    2 f n k for the Hadamard tensors, (P+1)(d^2 + k d) + k^2 for the Gram maps,
+    walks and subgraph adjacency."""
+    total = 0
+    for layer in params.layers:
+        f, n, d = layer.attributes.shape
+        k, steps = layer.k_max, layer.kernel_cfg.P + 1
+        if uses_gram_form(layer.kernel_cfg, f, n, d, k):
+            total += steps * (d * d + k * d) + k * k
+        else:
+            total += 2 * f * n * k
+    return total
+
+
+def packed_chunks(graphs: list, params: ModelParams):
+    """(start, stop) of consecutive runs of graphs whose packed intermediates
+    stay under _CHUNK_ENTRIES; every run holds at least one graph."""
+    per_node = _entries_per_node(params)
+    start, nodes = 0, 0
+    for i, g in enumerate(graphs):
+        if i > start and (nodes + g.num_nodes) * per_node >= _CHUNK_ENTRIES:
+            yield start, i
+            start, nodes = i, 0
+        nodes += g.num_nodes
+    if start < len(graphs):
+        yield start, len(graphs)
+
+
+def _segment_sum(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(B, d) sums of the rows offsets[b]:offsets[b+1] of x; 0 for an empty run.
+    reduceat would give an empty run its neighbour's first row instead."""
+    out = np.zeros((len(offsets) - 1, x.shape[1]))
+    nonempty = offsets[1:] > offsets[:-1]
+    if nonempty.any():
+        out[nonempty] = np.add.reduceat(x, offsets[:-1][nonempty], axis=0)
+    return out
+
+
 @dataclass
-class GraphForward:
-    """Everything backward_graph needs from one graph's forward pass."""
+class BatchForward:
+    """Everything backward_batch needs from one packed forward pass: the
+    graphs' nodes concatenated in order, graph b's rows at offsets[b]:offsets[b+1]."""
 
-    feats: list  # feats_0..feats_L, each (num_nodes, d_l)
+    offsets: np.ndarray  # (B+1,)
+    attributes: np.ndarray  # raw packed attributes, (nodes, attr_dim)
+    stacks: list  # packed SubgraphStack of each layer
+    feats: list  # packed feats_0..feats_L, each (nodes, d_l)
     layer_caches: list  # hold the layer tensors themselves: backward before they change
-    readout: np.ndarray
-    mlp_inputs: list
-    dropout_masks: list
-    logits: np.ndarray
-    graph: Graph  # raw attributes and subgraph stacks
+    mlp_inputs: list  # (B, width) each
+    gates: list  # (B, width) ReLU gate times dropout mask of each hidden layer
+    logits: np.ndarray  # (B, C)
 
 
-def forward_graph(g: Graph, params: ModelParams, train: bool = False,
-                  rng: np.random.Generator | None = None) -> GraphForward:
-    """One graph's forward pass; the subgraph stacks it uses stay on g."""
+def forward_batch(graphs: list, params: ModelParams, dropout_rngs: list | None = None) -> BatchForward:
+    """One packed forward pass over graphs: each layer's kernel runs once on the
+    concatenated subgraph stacks. dropout_rngs, one per graph, switch on the
+    configured dropout; graph b's masks are drawn from dropout_rngs[b] alone."""
     cfg = params.config
-    if g.attr_dim != cfg.attr_dim:
-        raise ValueError(f"graph attribute width {g.attr_dim} != model width {cfg.attr_dim}")
+    for g in graphs:
+        if g.attr_dim != cfg.attr_dim:
+            raise ValueError(f"graph attribute width {g.attr_dim} != model width {cfg.attr_dim}")
+    offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
+    attributes = np.concatenate([g.attributes for g in graphs])
 
-    feats0 = g.attributes
+    feats0 = attributes
     if params.input_map is not None:
         w, b = params.input_map
         feats0 = feats0 @ w + b
-    feats = [feats0]
-    layer_caches = []
+    feats, stacks, layer_caches, packed = [feats0], [], [], {}
     for layer in params.layers:
-        values, cache = _layer_apply(layer, _stack(g, layer), feats[-1], cfg.post_relu)
+        key = (layer.hops, layer.k_max)
+        if key not in packed:
+            packed[key] = SubgraphStack.concatenate([_stack(g, layer) for g in graphs])
+        values, cache = _layer_apply(layer, packed[key], feats[-1], cfg.post_relu)
+        stacks.append(packed[key])
         layer_caches.append(cache)
         feats.append(values)
 
-    readout = np.concatenate([f.sum(axis=0) for f in feats])
-
-    h = readout
-    mlp_inputs, masks = [], []
-    p_drop = cfg.dropout if train else 0.0
+    h = _segment_sum(np.concatenate(feats, axis=1), offsets)
+    mlp_inputs, gates = [], []
     for j, (w, b) in enumerate(params.mlp):
         mlp_inputs.append(h)
         a = h @ w + b
-        if j < len(params.mlp) - 1:
-            z = np.maximum(a, 0.0)
-            if p_drop > 0.0:
-                if rng is None:
-                    raise ValueError("train-mode dropout requires an rng")
-                mask = (rng.random(z.shape) >= p_drop) / (1.0 - p_drop)
-            else:
-                mask = np.ones_like(z)
-            masks.append(mask)
-            h = z * mask
-        else:
+        if j == len(params.mlp) - 1:
             h = a
-    return GraphForward(feats=feats, layer_caches=layer_caches, readout=readout,
-                        mlp_inputs=mlp_inputs, dropout_masks=masks, logits=h, graph=g)
+            break
+        gate = (a > 0).astype(np.float64)
+        z = np.maximum(a, 0.0)
+        if dropout_rngs is not None and cfg.dropout > 0.0:
+            p = cfg.dropout
+            mask = np.stack([(r.random(a.shape[1]) >= p) / (1.0 - p) for r in dropout_rngs])
+            gate *= mask
+            z = z * mask
+        gates.append(gate)
+        h = z
+    return BatchForward(offsets=offsets, attributes=attributes, stacks=stacks, feats=feats,
+                        layer_caches=layer_caches, mlp_inputs=mlp_inputs, gates=gates, logits=h)
 
 
-def model_forward(g: Graph, params: ModelParams, mode: str = "eval",
-                  rng: np.random.Generator | None = None):
-    """Logits plus the per-layer node feature maps for introspection."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    fwd = forward_graph(g, params, train=(mode == "train"), rng=rng)
-    return fwd.logits, fwd.feats
-
-
-def backward_graph(fwd: GraphForward, dlogits: np.ndarray, params: ModelParams) -> dict:
-    """Gradients of <dlogits, logits> with respect to every trainable tensor."""
-    cfg = params.config
+def backward_batch(fwd: BatchForward, dlogits: np.ndarray, params: ModelParams) -> dict:
+    """Gradients of sum(dlogits * logits) with respect to every trainable tensor,
+    summed over the batch inside the matmuls."""
     grads: dict = {}
 
     # MLP head
     dh = dlogits
     for j in reversed(range(len(params.mlp))):
         w, _ = params.mlp[j]
-        h_in = fwd.mlp_inputs[j]
         if j < len(params.mlp) - 1:
-            dh = dh * fwd.dropout_masks[j]
-            a = h_in @ w + params.mlp[j][1]
-            dh = dh * (a > 0)
-        grads[f"mlp.{j}.weight"] = np.outer(h_in, dh)
-        grads[f"mlp.{j}.bias"] = dh.copy()
+            dh = dh * fwd.gates[j]
+        grads[f"mlp.{j}.weight"] = fwd.mlp_inputs[j].T @ dh
+        grads[f"mlp.{j}.bias"] = dh.sum(axis=0)
         dh = dh @ w.T
-    dreadout = dh
 
-    # split readout gradient back into per-layer blocks
-    widths = [f.shape[1] for f in fwd.feats]
-    offsets = np.cumsum([0] + widths)
-    dblocks = [dreadout[offsets[l]: offsets[l + 1]] for l in range(len(widths))]
+    # readout: every node of graph b gets row b of the readout gradient, split by layer
+    dreadout = np.repeat(dh, np.diff(fwd.offsets), axis=0)
+    widths = np.cumsum([0] + [f.shape[1] for f in fwd.feats])
+    dnodes = [dreadout[:, lo:hi] for lo, hi in zip(widths[:-1], widths[1:])]
 
     # kernel layers, last to first
-    carry = np.zeros_like(fwd.feats[-1])
     for l in reversed(range(len(params.layers))):
         cache, pre = fwd.layer_caches[l]
-        gout = carry + np.broadcast_to(dblocks[l + 1], fwd.feats[l + 1].shape)
-        if cfg.post_relu:
+        gout = dnodes[l + 1]
+        if params.config.post_relu:
             gout = gout * (pre > 0)
         d_xh, d_adj, d_w, d_xsub = stacked_kernel_backward(cache, gout)
         grads[f"layers.{l}.adjacency"] = d_adj
         grads[f"layers.{l}.attributes"] = d_xh
         if d_w is not None:
             grads[f"layers.{l}.deep_weights"] = d_w
-        carry = _stack(fwd.graph, params.layers[l]).scatter(d_xsub)
+        dnodes[l] = dnodes[l] + fwd.stacks[l].scatter(d_xsub)
 
-    dfeats0 = carry + np.broadcast_to(dblocks[0], fwd.feats[0].shape)
     if params.input_map is not None:
-        grads["input_map.weight"] = fwd.graph.attributes.T @ dfeats0
-        grads["input_map.bias"] = dfeats0.sum(axis=0)
+        grads["input_map.weight"] = fwd.attributes.T @ dnodes[0]
+        grads["input_map.bias"] = dnodes[0].sum(axis=0)
     return grads
+
+
+def predict_logits(graphs: list, params: ModelParams) -> np.ndarray:
+    """Eval-mode logits (B, C) of graphs, forwarded in packed chunks."""
+    logits = []
+    for start, stop in packed_chunks(graphs, params):
+        # fwd holds the last chunk's arrays until the next forward returns: freed
+        # at once, they let malloc trim the heap and fault it in again for every
+        # chunk (6-9x the page faults of an evaluate made of one-graph deep chunks)
+        fwd = forward_batch(graphs[start:stop], params)
+        logits.append(fwd.logits)
+    return np.concatenate(logits)
+
+
+def model_forward(g: Graph, params: ModelParams, mode: str = "eval",
+                  rng: np.random.Generator | None = None):
+    """Logits (C,) plus the per-layer node feature maps, for introspection: a
+    batch of one. mode="train" applies dropout with masks drawn from rng."""
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    rngs = None
+    if mode == "train" and params.config.dropout > 0.0:
+        if rng is None:
+            raise ValueError("train-mode dropout requires an rng")
+        rngs = [rng]
+    fwd = forward_batch([g], params, rngs)
+    return fwd.logits[0], fwd.feats
 
 
 # ---------------------------------------------------------------------------

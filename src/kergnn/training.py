@@ -26,10 +26,12 @@ from .model import (
     LayerSpec,
     ModelConfig,
     ModelParams,
-    backward_graph,
-    forward_graph,
+    backward_batch,
+    forward_batch,
     init_params,
     named_parameters,
+    packed_chunks,
+    predict_logits,
     save_checkpoint,
 )
 
@@ -193,15 +195,17 @@ def learning_rate_at(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr * 0.5 ** (epoch // cfg.lr_half_every)
 
 
-def softmax_cross_entropy(logits: np.ndarray, label: int):
-    """(loss, dloss/dlogits) for one graph."""
-    shifted = logits - logits.max()
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """(losses (B,), dlosses/dlogits (B, C)) of logits (B, C) and integer labels (B,);
+    row b of the gradient is that of losses[b] alone."""
+    rows = np.arange(len(labels))
+    shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum()
-    loss = -float(np.log(max(probs[label], 1e-300)))
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    losses = -np.log(np.maximum(probs[rows, labels], 1e-300))
     dlogits = probs.copy()
-    dlogits[label] -= 1.0
-    return loss, dlogits
+    dlogits[rows, labels] -= 1.0
+    return losses, dlogits
 
 
 class Adam:
@@ -251,31 +255,29 @@ def evaluate(params: ModelParams, graphs) -> float:
     graphs = _graphs_of(graphs)
     if not graphs:
         raise ValueError("cannot evaluate on an empty split")
-    correct = 0
-    for g in graphs:
-        fwd = forward_graph(g, params, train=False)
-        if int(np.argmax(fwd.logits)) == g.graph_label:
-            correct += 1
-    return correct / len(graphs)
+    predicted = np.argmax(predict_logits(graphs, params), axis=1)
+    correct = np.count_nonzero(predicted == [g.graph_label for g in graphs])
+    return int(correct) / len(graphs)
 
 
 def _batch_step(graphs, params, rng):
+    """(mean loss, mean gradients) of a minibatch, by one packed forward and
+    backward per chunk (model.packed_chunks); chunks add up in order."""
     # one dropout seed per graph is drawn even without dropout, so the rng
     # stream (every later shuffle and init) does not depend on the dropout rate
     seeds = rng.integers(0, 2**63 - 1, size=len(graphs))
-    # fixed graph-index reduction order keeps training bit-reproducible
+    labels = np.array([g.graph_label for g in graphs])
     total = {}
     loss = 0.0
-    for g, seed in zip(graphs, seeds):
-        drop_rng = np.random.default_rng(seed) if params.config.dropout > 0 else None
-        fwd = forward_graph(g, params, train=True, rng=drop_rng)
-        li, dlogits = softmax_cross_entropy(fwd.logits, g.graph_label)
-        loss += li
-        for name, grad in backward_graph(fwd, dlogits, params).items():
-            if name in total:
-                total[name] += grad
-            else:
-                total[name] = grad.copy()
+    for start, stop in packed_chunks(graphs, params):
+        rngs = None
+        if params.config.dropout > 0:
+            rngs = [np.random.default_rng(seed) for seed in seeds[start:stop]]
+        fwd = forward_batch(graphs[start:stop], params, rngs)
+        losses, dlogits = softmax_cross_entropy(fwd.logits, labels[start:stop])
+        loss += float(losses.sum())
+        for name, grad in backward_batch(fwd, dlogits, params).items():
+            total[name] = total[name] + grad if name in total else grad
     scale = 1.0 / len(graphs)
     for name in total:
         total[name] *= scale

@@ -474,12 +474,19 @@ def test_dataset_stats_empty_rejected():
 
 def test_graph_file_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
-    g = random_graph(rng, 6, 0.5, d=3)
     path = tmp_path / "g.graph"
-    write_graph_file(g, str(path))
-    g2 = read_graph_file(str(path))
-    assert np.array_equal(g.adjacency, g2.adjacency)
-    assert np.array_equal(g.attributes, g2.attributes)
+    edge = np.array([[0.0, 1.0], [1.0, 0.0]])
+    # zero-width attributes were written as blank lines, which reading skips
+    for g in (random_graph(rng, 6, 0.5, d=3), Graph(2, edge, np.zeros((2, 0))),
+              Graph(0, np.zeros((0, 0)), np.zeros((0, 2)))):
+        write_graph_file(g, str(path))
+        g2 = read_graph_file(str(path))
+        assert np.array_equal(g.adjacency, g2.adjacency)
+        assert np.array_equal(g.attributes, g2.attributes)
+        assert g2.attributes.shape == g.attributes.shape
+    assert path.read_text() == "0 2\n"
+    path.write_text("2 0\n0 1\n")
+    assert np.array_equal(read_graph_file(str(path)).adjacency, edge)
 
 
 def test_graph_file_errors(tmp_path):
@@ -492,6 +499,11 @@ def test_graph_file_errors(tmp_path):
     for header in ("-1 2", "2 -1", "0 99999999999999999999"):
         bad.write_text(header + "\n")
         with pytest.raises(DatasetError, match=r"bad\.graph:1: "):
+            read_graph_file(str(bad))
+    # zero-width rows take no lines, so no line count bounds n
+    for n in ("99999999999", "99999999999999999999"):
+        bad.write_text(f"{n} 0\n")
+        with pytest.raises(DatasetError, match="does not fit in memory"):
             read_graph_file(str(bad))
     bad.write_bytes(b"1 1\n\xff\n")
     with pytest.raises(DatasetError, match="not UTF-8"):

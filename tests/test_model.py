@@ -3,26 +3,30 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kergnn.errors import CheckpointError, ConfigError
 from kergnn.graphs import Graph, extract_subgraph
-from kergnn.kernels import RWKernelConfig, rw_kernel, rw_kernel_oracle
+from kergnn.kernels import RWKernelConfig, rw_kernel, rw_kernel_oracle, uses_gram_form
+import kergnn.model
 from kergnn.model import (
     GraphFilter,
     KerGNNLayer,
     LayerSpec,
     ModelConfig,
-    backward_graph,
+    backward_batch,
     export_filters,
-    forward_graph,
+    forward_batch,
     init_params,
     layer_forward,
     load_checkpoint,
     model_forward,
     named_parameters,
+    packed_chunks,
+    predict_logits,
     save_checkpoint,
 )
-from kergnn.training import TrainConfig, softmax_cross_entropy
+from kergnn.training import TrainConfig, _batch_step, softmax_cross_entropy
 
 from conftest import hexagon, random_filter, random_graph, two_triangles, with_attributes
 
@@ -138,11 +142,10 @@ def test_new_graph_never_gets_a_freed_graphs_stacks():
     params = init_params(small_config(), np.random.default_rng(3))
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        forward_graph(random_graph(rng, 8, 0.2, d=2), params)  # dropped at once
+        model_forward(random_graph(rng, 8, 0.2, d=2), params)  # dropped at once
         dense = random_graph(rng, 8, 0.9, d=2)
         fresh = Graph(dense.num_nodes, dense.adjacency, dense.attributes)
-        assert np.array_equal(forward_graph(dense, params).logits,
-                              forward_graph(fresh, params).logits)
+        assert np.array_equal(model_forward(dense, params)[0], model_forward(fresh, params)[0])
 
 
 def test_same_seed_same_parameters():
@@ -345,28 +348,14 @@ def test_end_to_end_gradients_match_finite_differences(variant):
                        layers=(LayerSpec(2, 3, 6, 1), LayerSpec(2, 2, 6, 1)))
     params = init_params(cfg, rng)
 
-    def loss_and_grads():
-        total = 0.0
-        grads = None
-        for g in graphs:
-            fwd = forward_graph(g, params)
-            loss, dlogits = softmax_cross_entropy(fwd.logits, g.graph_label)
-            gi = backward_graph(fwd, dlogits, params)
-            total += loss / len(graphs)
-            if grads is None:
-                grads = {k: v / len(graphs) for k, v in gi.items()}
-            else:
-                for k in gi:
-                    grads[k] += gi[k] / len(graphs)
-        return total, grads
+    labels = np.array([g.graph_label for g in graphs])
 
     def loss_only():
-        return sum(
-            softmax_cross_entropy(forward_graph(g, params).logits, g.graph_label)[0]
-            for g in graphs
-        ) / len(graphs)
+        return softmax_cross_entropy(forward_batch(graphs, params).logits, labels)[0].mean()
 
-    _, grads = loss_and_grads()
+    fwd = forward_batch(graphs, params)
+    dlogits = softmax_cross_entropy(fwd.logits, labels)[1] / len(graphs)
+    grads = backward_batch(fwd, dlogits, params)
     h = 1e-6
     worst = 0.0
     for name, arr in named_parameters(params):
@@ -396,6 +385,106 @@ def test_end_to_end_gradients_match_finite_differences(variant):
             fd = (up - down) / (2 * h)
             worst = max(worst, abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-6))
     assert worst <= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Packed batches
+# ---------------------------------------------------------------------------
+
+
+def empty_graph(d, label=None):
+    return Graph(0, np.zeros((0, 0)), np.zeros((0, d)), graph_label=label)
+
+
+def test_zero_node_graph_reads_out_zero():
+    # a 0-node graph used to fail in a numpy reshape; packed, np.add.reduceat
+    # would have given it its neighbour's first feature row
+    rng = np.random.default_rng(21)
+    cfg = small_config(input_map_dim=3, layers=(LayerSpec(3, 3, 6, 1), LayerSpec(2, 2, 6, 2)))
+    params = init_params(cfg, rng)
+    empty = empty_graph(2)
+    others = [random_graph(rng, n, 0.5, d=2) for n in (4, 6)]
+
+    alone, feats = model_forward(empty, params)
+    assert [f.shape for f in feats] == [(0, 3), (0, 3), (0, 2)]
+    assert layer_forward(empty, np.zeros((0, 3)), params.layers[0]).shape == (0, 3)
+
+    batch = [empty, others[0], empty, others[1], empty]
+    fwd = forward_batch(batch, params)
+    assert np.array_equal(fwd.mlp_inputs[0][[0, 2, 4]], np.zeros((3, cfg.readout_dim())))
+    for b in (0, 2, 4):
+        assert np.allclose(fwd.logits[b], alone, rtol=1e-12, atol=0)
+    assert np.allclose(fwd.logits[[1, 3]], predict_logits(others, params), rtol=1e-12, atol=0)
+
+
+def _rel(got, want, scale):
+    return float(np.max(np.abs(got - want), initial=0.0)) / max(scale, 1e-300)
+
+
+# the three ways a layer can run: plain Gram form, plain Hadamard form (one-hot
+# features wider than the filters), and the deep variant
+BATCH_CASES = {
+    "gram": dict(attr_dim=2, layers=(LayerSpec(3, 3, 5, 1), LayerSpec(3, 3, 5, 1))),
+    "hadamard": dict(attr_dim=8, layers=(LayerSpec(2, 2, 4, 1),)),
+    "deep": dict(attr_dim=2, layers=(LayerSpec(2, 3, 5, 2), LayerSpec(2, 2, 5, 1)),
+                 kernel_variant="deep", input_map_dim=3),
+}
+
+
+@st.composite
+def labeled_graph_lists(draw, d, one_hot):
+    """1-5 labeled graphs of 0-7 nodes; one-hot or small normal attributes."""
+    graphs = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(0, 7))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        upper = np.triu(rng.random((n, n)) < 0.5, k=1).astype(float)
+        attrs = np.eye(d)[rng.integers(0, d, n)] if one_hot else 0.5 * rng.normal(size=(n, d))
+        graphs.append(Graph(n, upper + upper.T, attrs, graph_label=int(rng.integers(0, 3))))
+    return graphs
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_packed_batch_equals_batches_of_one(case):
+    spec = BATCH_CASES[case]
+    for layer in init_params(small_config(**spec), np.random.default_rng(0)).layers:
+        f, n, d = layer.attributes.shape
+        assert uses_gram_form(layer.kernel_cfg, f, n, d, layer.k_max) == (case == "gram")
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(graphs=labeled_graph_lists(spec["attr_dim"], case == "hadamard"),
+           seed=st.integers(0, 2**32 - 1), post_relu=st.booleans())
+    def check(graphs, seed, post_relu):
+        cfg = small_config(num_classes=3, dropout=0.25, post_relu=post_relu, **spec)
+        params = init_params(cfg, np.random.default_rng(seed))
+        singles = np.array([model_forward(g, params)[0] for g in graphs])
+
+        # the dropout seeds _batch_step draws, one per graph, fix each graph's masks
+        drop_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=len(graphs))
+        single_grads = []
+        for g, s in zip(graphs, drop_seeds):
+            fwd = forward_batch([g], params, [np.random.default_rng(s)])
+            dlogits = softmax_cross_entropy(fwd.logits, np.array([g.graph_label]))[1]
+            single_grads.append(backward_batch(fwd, dlogits, params))
+
+        def packed():
+            _, grads = _batch_step(graphs, params, np.random.default_rng(seed))
+            return predict_logits(graphs, params), grads
+
+        with pytest.MonkeyPatch.context() as mp:
+            assert list(packed_chunks(graphs, params)) == [(0, len(graphs))]
+            results = [packed()]
+            mp.setattr(kergnn.model, "_CHUNK_ENTRIES", 0)  # every graph a chunk of its own
+            assert list(packed_chunks(graphs, params)) == [(i, i + 1) for i in range(len(graphs))]
+            results.append(packed())
+
+        for logits, grads in results:
+            assert _rel(logits, singles, np.max(np.abs(singles))) <= 1e-12
+            for name, _ in named_parameters(params):
+                terms = np.array([gi[name] for gi in single_grads])
+                assert _rel(grads[name], terms.mean(axis=0), np.max(np.abs(terms))) <= 1e-12, name
+
+    check()
 
 
 # ---------------------------------------------------------------------------

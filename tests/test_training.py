@@ -5,7 +5,7 @@ import pytest
 
 from kergnn.errors import ConfigError, TrainingError
 from kergnn.graphs import Dataset, Graph, stack_subgraphs
-from kergnn.model import ModelConfig, forward_graph, init_params, layer_forward, named_parameters
+from kergnn.model import ModelConfig, init_params, layer_forward, model_forward, named_parameters
 from kergnn.training import (
     Adam,
     TrainConfig,
@@ -94,12 +94,19 @@ def test_learning_rate_halves_every_50_epochs():
 
 
 def test_softmax_cross_entropy_gradient():
-    logits = np.array([2.0, -1.0, 0.5])
-    loss, dlogits = softmax_cross_entropy(logits, 0)
-    probs = np.exp(logits - logits.max())
-    probs /= probs.sum()
-    assert loss == pytest.approx(-np.log(probs[0]))
-    assert dlogits == pytest.approx(probs - np.eye(3)[0])
+    logits = np.array([[2.0, -1.0, 0.5], [0.0, 3.0, -2.0], [1000.0, 0.0, -1000.0]])
+    labels = np.array([0, 2, 1])
+    losses, dlogits = softmax_cross_entropy(logits, labels)
+    assert losses.shape == (3,) and dlogits.shape == (3, 3)
+    for b in range(3):
+        probs = np.exp(logits[b] - logits[b].max())
+        probs /= probs.sum()
+        assert losses[b] == pytest.approx(-np.log(max(probs[labels[b]], 1e-300)))
+        assert dlogits[b] == pytest.approx(probs - np.eye(3)[labels[b]])
+    # a lone class is always right: zero loss and zero gradient
+    losses, dlogits = softmax_cross_entropy(np.array([[-4.0], [7.5]]), np.array([0, 0]))
+    assert np.array_equal(losses, [0.0, 0.0])
+    assert np.array_equal(dlogits, np.zeros((2, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +226,6 @@ def test_grid_search_skips_candidate_with_wrong_lambda_count():
 def test_cone_pair_is_degenerate_at_walk_length_one():
     # structural half of the grid-search story: any P=1 model gives the two
     # cone graphs identical outputs, so no training can tell them apart
-    from kergnn.model import model_forward
-
     ga, gb = cone_pair()
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -312,12 +317,12 @@ def test_relabeled_graph_builds_its_own_stacks(stack_builds):
     rng = np.random.default_rng(2)
     g = random_graph(rng, 6, 0.5, d=1, label=0)
     params = init_params(tiny_cfg().model_config(1, 2), np.random.default_rng(0))
-    forward_graph(g, params)
+    model_forward(g, params)
     assert list(g.stacks) == [(1, 5)]
     moved = g.relabeled(rng.permutation(6))
     copied = dataclasses.replace(g, graph_label=1)
     assert not moved.stacks and not copied.stacks
-    forward_graph(moved, params)
+    model_forward(moved, params)
     assert [b[0] for b in stack_builds] == [g, moved]
     own = stack_subgraphs(moved, 1, 5)
     assert np.array_equal(moved.stacks[(1, 5)].gather_idx, own.gather_idx)
@@ -325,7 +330,7 @@ def test_relabeled_graph_builds_its_own_stacks(stack_builds):
 
 
 def test_layer_forward_second_call_builds_nothing(stack_builds):
-    # layer_forward takes its stack from g.stacks like forward_graph does
+    # layer_forward takes its stack from g.stacks like the packed forward does
     rng = np.random.default_rng(4)
     g = random_graph(rng, 6, 0.5, d=1)
     layer = init_params(tiny_cfg().model_config(1, 2), rng).layers[0]
