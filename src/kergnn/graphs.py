@@ -69,8 +69,11 @@ class Graph:
     adjacency: (n, n) symmetric binary matrix with zero diagonal.
     attributes: (n, d) real matrix, one row per node.
     stacks: SubgraphStacks by (hops, k_max), built by the model on first use.
-        The arrays are read-only, so an entry never goes stale; copies made by
-        `relabeled` or `dataclasses.replace` start empty; `stacks.clear()` frees.
+    gram_maps: the model's first-layer Gram maps of the attributes, (n, P+1,
+        d^2) arrays by (hops, k_max); see kergnn.model.
+        The arrays are read-only, so no entry of either cache goes stale;
+        copies made by `relabeled` or `dataclasses.replace` start with both
+        empty; `stacks.clear()` and `gram_maps.clear()` free them.
 
     Equality and hashing are by identity (the fields are arrays).
     """
@@ -81,6 +84,7 @@ class Graph:
     graph_label: int | None = None
     node_labels: np.ndarray | None = None
     stacks: dict = field(default_factory=dict, init=False, repr=False)
+    gram_maps: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=np.float64)
@@ -440,16 +444,22 @@ class SubgraphStack:
 
     def scatter(self, grad: np.ndarray) -> np.ndarray:
         """(num_nodes, d) per-node sums of a (num_nodes, k_max, d) tensor over
-        the real slots that hold each node: the adjoint of gather."""
-        d = grad.shape[2]
-        out = np.zeros((self.gather_idx.shape[0], d))
-        np.add.at(out, self.gather_idx.ravel(), (grad * self.mask[:, :, None]).reshape(-1, d))
-        return out
+        the real slots that hold each node: the adjoint of gather. One bincount
+        over the flat entries node * d + column adds in slot order, as
+        np.add.at would, so the sums are the same bit for bit."""
+        n, d = self.gather_idx.shape[0], grad.shape[2]
+        flat = (self.gather_idx[:, :, None] * d + np.arange(d)).ravel()
+        out = np.bincount(flat, weights=(grad * self.mask[:, :, None]).ravel(), minlength=n * d)
+        return out.reshape(n, d)
 
     @classmethod
-    def concatenate(cls, stacks: list) -> "SubgraphStack":
+    def concatenate(cls, stacks: list, k_max: int) -> "SubgraphStack":
         """One stack over the disjoint union of the stacks' graphs, in order:
-        each gather_idx is offset by the node counts of the stacks before it."""
+        each gather_idx is offset by the node counts of the stacks before it.
+        No stacks give an empty stack of k_max slots."""
+        if not stacks:
+            return cls(gather_idx=np.zeros((0, k_max), dtype=np.int64), mask=np.zeros((0, k_max)),
+                       adjacency=np.zeros((0, k_max, k_max)))
         if len(stacks) == 1:
             return stacks[0]
         offsets = np.cumsum([0] + [s.gather_idx.shape[0] for s in stacks[:-1]])

@@ -34,6 +34,15 @@ The plain variant takes whichever form has fewer entries per subgraph:
 dominated by passes over these intermediates, so the smaller is also the
 faster away from the boundary; wide features (one-hot node labels, a later
 layer's num_filters) make the d^2 maps the larger.
+
+One helper forms every unweighted map X^T A^p X, the filters' and the
+subgraphs'; `gram_maps` returns the subgraphs'. These do not depend on any
+parameter when the features are raw attributes, so a caller may keep them
+(the model keeps layer 1's on each graph) and start from them with
+`gram_maps_forward`: lambda_p is applied at use, and steps 0..P of a longer
+walk's maps equal the maps of walk length P byte for byte.
+`stacked_kernel_backward(..., need_x=False)` skips the subgraph-feature
+gradient, which a layer reading raw attributes has no use for.
 """
 
 from __future__ import annotations
@@ -54,6 +63,8 @@ __all__ = [
     "walk_kernel",
     "stacked_kernel_forward",
     "stacked_kernel_backward",
+    "gram_maps",
+    "gram_maps_forward",
     "StackedKernelCache",
     "uses_gram_form",
 ]
@@ -254,15 +265,17 @@ class StackedKernelCache:
 
     The Gram form keeps the per-step feature maps phi_h/phi_g; the Hadamard
     form keeps the (f, n, N, k) tensors s4/msum4 and the deep variant's weights.
+    A forward from given maps (gram_maps_forward) has no subgraph tensors:
+    x_sub, adj_g and v are None, and only need_x=False backward is possible.
     """
 
     cfg: RWKernelConfig
     attr_h: np.ndarray  # (f, n, d)
     adj_h: np.ndarray  # (f, n, n)
-    x_sub: np.ndarray  # (N, k, d)
-    adj_g: np.ndarray  # (N, k, k)
+    x_sub: np.ndarray | None  # (N, k, d)
+    adj_g: np.ndarray | None  # (N, k, k)
     u: list  # U_p = A_H U_{p-1}, U_0 = X_H, (f, n, d)
-    v: list  # V_p = A_G V_{p-1}, V_0 = X_G, (N, k, d)
+    v: list | None  # V_p = A_G V_{p-1}, V_0 = X_G, (N, k, d)
     phi_h: np.ndarray | None = None  # (f, P+1, d*d), X_H^T U_p flattened
     phi_g: np.ndarray | None = None  # (N, P+1, d*d), lambda_p X_G^T V_p flattened
     s4: np.ndarray | None = None  # (f, n, N, k), S
@@ -284,60 +297,97 @@ def uses_gram_form(cfg: RWKernelConfig, f: int, n: int, d: int, k: int) -> bool:
     return not cfg.is_deep and (cfg.P + 1) * d * d <= f * n * k
 
 
-def stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg: RWKernelConfig, weights=None):
+def _walks(x, adj, P: int) -> list:
+    """[X, A X, ..., A^P X] by repeated products with the adjacency."""
+    walks = [x]
+    for _ in range(P):
+        walks.append(adj @ walks[-1])
+    return walks
+
+
+def _maps(x, walks) -> np.ndarray:
+    """(B, len(walks), d*d) maps X^T W_p of (B, k, d) features and their walks."""
+    b, _, d = x.shape
+    x_t = x.transpose(0, 2, 1)
+    return np.stack([(x_t @ w).reshape(b, d * d) for w in walks], axis=1)
+
+
+def gram_maps(x_sub, adj_g, P: int) -> np.ndarray:
+    """Unweighted Gram maps (N, P+1, d*d): row v, step p is X_G^T A_G^p X_G of
+    subgraph v, flattened. x_sub (N, k, d) and adj_g (N, k, k) as in
+    stacked_kernel_forward; each subgraph's maps depend on it alone."""
+    return _maps(x_sub, _walks(x_sub, adj_g, P))
+
+
+def stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg: RWKernelConfig, weights=None,
+                           gram: bool | None = None):
     """Kernel values (N, f) of all subgraphs against all filters.
 
     Same argument order as walk_kernel, stacked: attr_h (f, n, d) and adj_h
     (f, n, n) are the filters, x_sub (N, k, d) and adj_g (N, k, k) the padded
     subgraphs, weights (f, n, k) the pair weights the deep variant requires.
     The walks U_p = A_H^p X_H and V_p = A_G^p X_G are built by repeated
-    products with the adjacencies; no matrix power is formed.
+    products with the adjacencies; no matrix power is formed. gram picks the
+    form; None applies uses_gram_form.
     """
-    u, v = [attr_h], [x_sub]
-    for _ in range(cfg.P):
-        u.append(adj_h @ u[-1])
-        v.append(adj_g @ v[-1])
-    cache = StackedKernelCache(cfg=cfg, attr_h=attr_h, adj_h=adj_h, x_sub=x_sub, adj_g=adj_g, u=u, v=v)
     if cfg.is_deep and weights is None:
         raise ValueError("deep variant requires pair weights")
-    if uses_gram_form(cfg, *attr_h.shape, x_sub.shape[1]):
-        return _gram_forward(cache), cache
+    if gram is None:
+        gram = uses_gram_form(cfg, *attr_h.shape, x_sub.shape[1])
+    cache = StackedKernelCache(cfg=cfg, attr_h=attr_h, adj_h=adj_h, x_sub=x_sub, adj_g=adj_g,
+                               u=_walks(attr_h, adj_h, cfg.P), v=_walks(x_sub, adj_g, cfg.P))
+    if gram:
+        return _gram_forward(cache, _maps(x_sub, cache.v)), cache
     return _hadamard_forward(cache, weights if cfg.is_deep else None), cache
 
 
-def stacked_kernel_backward(cache: StackedKernelCache, gout):
+def gram_maps_forward(attr_h, adj_h, maps, cfg: RWKernelConfig):
+    """Gram-form kernel values (N, f) from the subgraphs' unweighted maps
+    (N, >= P+1, d*d), as gram_maps gives them; steps past P are ignored.
+    Equal byte for byte to stacked_kernel_forward on the subgraphs themselves.
+    The cache serves stacked_kernel_backward with need_x=False only."""
+    if cfg.is_deep:
+        raise ValueError("the deep variant has no Gram form")
+    cache = StackedKernelCache(cfg=cfg, attr_h=attr_h, adj_h=adj_h, x_sub=None, adj_g=None,
+                               u=_walks(attr_h, adj_h, cfg.P), v=None)
+    return _gram_forward(cache, maps[:, :cfg.P + 1]), cache
+
+
+def stacked_kernel_backward(cache: StackedKernelCache, gout, need_x: bool = True):
     """Gradients of sum_{v,i} gout[v,i] * K[v,i].
 
     Returns (d_attr_h, d_adj_h, d_weights, d_x_sub); d_adj_h is symmetrized
-    with a zero diagonal, d_weights is None for the plain variant.
+    with a zero diagonal, d_weights is None for the plain variant. need_x=False
+    skips the subgraph-feature gradient and returns None for d_x_sub; the
+    filter gradients are the same bit for bit.
     """
+    if need_x and cache.v is None:
+        raise ValueError("a forward from given Gram maps has no subgraph-feature gradient")
     if cache.phi_g is None:
-        d_xh, d_xsub, d_weights, zu = _hadamard_backward(cache, gout)
+        d_xh, d_xsub, d_weights, zu = _hadamard_backward(cache, gout, need_x)
     else:
-        d_xh, d_xsub, zu = _gram_backward(cache, gout)
+        d_xh, d_xsub, zu = _gram_backward(cache, gout, need_x)
         d_weights = None
     return d_xh, _adjacency_grad(cache, zu), d_weights, d_xsub
 
 
-def _gram_forward(cache: StackedKernelCache) -> np.ndarray:
+def _gram_forward(cache: StackedKernelCache, maps) -> np.ndarray:
     """Plain variant: K = sum_p lambda_p <X_G^T V_p, X_H^T U_p>_F, one matmul.
 
     sum_ij [S (.) U_p V_p^T]_ij = tr(X_G X_H^T U_p V_p^T), which is the
-    Frobenius product of the d x d maps X_H^T U_p and X_G^T V_p.
+    Frobenius product of the d x d maps X_H^T U_p and X_G^T V_p; maps holds
+    the unweighted subgraph maps (N, P+1, d*d).
     """
     f, _, d = cache.attr_h.shape
-    big_n = cache.x_sub.shape[0]
-    lam = np.asarray(cache.cfg.lambdas)[:, None]
-    xh_t = cache.attr_h.transpose(0, 2, 1)
-    xs_t = cache.x_sub.transpose(0, 2, 1)
-    cache.phi_h = np.stack([(xh_t @ u_p).reshape(f, d * d) for u_p in cache.u], axis=1)
-    cache.phi_g = np.stack([(xs_t @ v_p).reshape(big_n, d * d) for v_p in cache.v], axis=1) * lam
-    width = len(cache.v) * d * d  # explicit: a -1 cannot be inferred when N = 0
+    big_n = maps.shape[0]
+    cache.phi_h = _maps(cache.attr_h, cache.u)
+    cache.phi_g = maps * np.asarray(cache.cfg.lambdas)[:, None]
+    width = len(cache.u) * d * d  # explicit: a -1 cannot be inferred when N = 0
     return cache.phi_g.reshape(big_n, width) @ cache.phi_h.reshape(f, width).T
 
 
-def _gram_backward(cache: StackedKernelCache, gout):
-    """(d_attr_h, d_x_sub, [dK/dU_1..dK/dU_P]) of the Gram form.
+def _gram_backward(cache: StackedKernelCache, gout, need_x: bool):
+    """(d_attr_h, d_x_sub or None, [dK/dU_1..dK/dU_P]) of the Gram form.
 
     The gradients of sum gout * K with respect to the maps are
     G_p[f] = lambda_p sum_v gout[v,f] X_G^T V_p (phi_g carries lambda_p) and
@@ -346,17 +396,19 @@ def _gram_backward(cache: StackedKernelCache, gout):
     dK/dU_p = X_H G_p feeds the adjacency split sum.
     """
     f, _, d = cache.attr_h.shape
-    big_n = cache.x_sub.shape[0]
-    steps = len(cache.v)
-    lam = np.asarray(cache.cfg.lambdas)[:, None]
+    big_n = cache.phi_g.shape[0]
+    steps = len(cache.u)
     gam = (gout.T @ cache.phi_g.reshape(big_n, steps * d * d)).reshape(f, steps, d, d)
-    dlt = ((gout @ cache.phi_h.reshape(f, steps * d * d)).reshape(big_n, steps, d * d)
-           * lam).reshape(big_n, steps, d, d)
     gam_sym = gam + gam.transpose(0, 1, 3, 2)
-    dlt_sym = dlt + dlt.transpose(0, 1, 3, 2)
     d_xh = sum(u_p @ gam_sym[:, p] for p, u_p in enumerate(cache.u))
-    d_xsub = sum(v_p @ dlt_sym[:, p] for p, v_p in enumerate(cache.v))
     zu = [cache.attr_h @ gam[:, p] for p in range(1, cache.cfg.P + 1)]
+    d_xsub = None
+    if need_x:
+        lam = np.asarray(cache.cfg.lambdas)[:, None]
+        dlt = ((gout @ cache.phi_h.reshape(f, steps * d * d)).reshape(big_n, steps, d * d)
+               * lam).reshape(big_n, steps, d, d)
+        dlt_sym = dlt + dlt.transpose(0, 1, 3, 2)
+        d_xsub = sum(v_p @ dlt_sym[:, p] for p, v_p in enumerate(cache.v))
     return d_xh, d_xsub, zu
 
 
@@ -377,9 +429,9 @@ def _hadamard_forward(cache: StackedKernelCache, weights) -> np.ndarray:
     return np.einsum("fnvk,fnvk->vf", t4, cache.msum4)
 
 
-def _hadamard_backward(cache: StackedKernelCache, gout):
-    """(d_attr_h, d_x_sub, d_weights, [dK/dU_1..dK/dU_P]) of the Hadamard form;
-    d_weights is None for plain."""
+def _hadamard_backward(cache: StackedKernelCache, gout, need_x: bool):
+    """(d_attr_h, d_x_sub or None, d_weights, [dK/dU_1..dK/dU_P]) of the
+    Hadamard form; d_weights is None for plain."""
     cfg = cache.cfg
     f, n, big_n, k = cache.s4.shape
     d = cache.attr_h.shape[2]
@@ -395,10 +447,12 @@ def _hadamard_backward(cache: StackedKernelCache, gout):
 
     zu = [cfg.lambdas[p] * (tg2 @ v_p.reshape(big_n * k, d)).reshape(f, n, d)
           for p, v_p in enumerate(cache.v)]
-    zv = [cfg.lambdas[p] * (tg2.T @ u_p.reshape(f * n, d)).reshape(big_n, k, d)
-          for p, u_p in enumerate(cache.u)]
     d_xh = (gsg2 @ cache.x_sub.reshape(big_n * k, d)).reshape(f, n, d) + _horner(cache.adj_h, zu)
-    d_xsub = (gsg2.T @ cache.attr_h.reshape(f * n, d)).reshape(big_n, k, d) + _horner(cache.adj_g, zv)
+    d_xsub = None
+    if need_x:
+        zv = [cfg.lambdas[p] * (tg2.T @ u_p.reshape(f * n, d)).reshape(big_n, k, d)
+              for p, u_p in enumerate(cache.u)]
+        d_xsub = (gsg2.T @ cache.attr_h.reshape(f * n, d)).reshape(big_n, k, d) + _horner(cache.adj_g, zv)
     return d_xh, d_xsub, d_weights, zu[1:]
 
 

@@ -17,6 +17,16 @@ parameters and the optional input linear map; the kernel's matmuls sum the
 batch's gradients. `packed_chunks` cuts a batch into consecutive chunks whose
 kernel caches stay under `_CHUNK_ENTRIES` float64 entries. `model_forward`
 and `layer_forward` are batches of one.
+
+`_layer_forms` decides once per layer how it runs: "hadamard" or "gram" on
+the packed subgraph stack, or "maps" for a first layer in the Gram form
+without an input map. Such a layer reads the raw attributes, so its subgraph
+side X_G^T A_G^p X_G is a constant of the graph: it is built once per graph
+(`Graph.gram_maps`, by (hops, k_max)) and concatenated instead of a stack.
+The stack it came from is dropped unless another layer shares its
+(hops, k_max); a longer walk later rebuilds it and extends the maps. The
+first layer's backward skips the subgraph-feature gradient unless an input
+map needs it. `layer_forward` always takes the stack path.
 """
 
 from __future__ import annotations
@@ -32,6 +42,8 @@ from .errors import CheckpointError, ConfigError
 from .graphs import Graph, SubgraphStack, stack_subgraphs
 from .kernels import (
     RWKernelConfig,
+    gram_maps,
+    gram_maps_forward,
     stacked_kernel_backward,
     stacked_kernel_forward,
     uses_gram_form,
@@ -269,16 +281,53 @@ def _stack(g: Graph, layer: KerGNNLayer) -> SubgraphStack:
     return g.stacks[key]
 
 
-def _layer_apply(layer: KerGNNLayer, stack: SubgraphStack, feats: np.ndarray, post_relu: bool):
-    expected = (stack.gather_idx.shape[0], layer.in_dim)
-    if feats.shape != expected:
-        raise ValueError(
-            f"feature shape {feats.shape} does not match {expected}: one row per graph node, "
-            f"one column per layer input"
-        )
-    weights = layer.deep_weights if layer.kernel_cfg.is_deep else None
-    values, cache = stacked_kernel_forward(layer.attributes, layer.adjacency, stack.gather(feats),
-                                           stack.adjacency, layer.kernel_cfg, weights)
+def _cached_maps(g: Graph, layer: KerGNNLayer, keep_stack: bool) -> np.ndarray:
+    """g's unweighted Gram maps (n, >= P+1, d^2) of its raw attributes at the
+    layer's (hops, k_max), kept on g. Built, or rebuilt for a longer walk, from
+    the stack, which is then dropped from g unless keep_stack."""
+    key = (layer.hops, layer.k_max)
+    maps = g.gram_maps.get(key)
+    if maps is None or maps.shape[1] <= layer.kernel_cfg.P:
+        stack = _stack(g, layer)
+        maps = g.gram_maps[key] = gram_maps(stack.gather(g.attributes), stack.adjacency,
+                                            layer.kernel_cfg.P)
+        if not keep_stack:
+            del g.stacks[key]
+    return maps
+
+
+def _stack_form(layer: KerGNNLayer) -> str:
+    """"gram" or "hadamard", the layer's kernel form by kernels.uses_gram_form."""
+    f, n, d = layer.attributes.shape
+    return "gram" if uses_gram_form(layer.kernel_cfg, f, n, d, layer.k_max) else "hadamard"
+
+
+def _layer_forms(params: ModelParams) -> list:
+    """Each layer's form, the one decision forward, backward and chunking read:
+    "maps" for a first layer in the Gram form without an input map, else its
+    _stack_form."""
+    forms = [_stack_form(layer) for layer in params.layers]
+    if forms and forms[0] == "gram" and params.input_map is None:
+        forms[0] = "maps"
+    return forms
+
+
+def _layer_apply(layer: KerGNNLayer, form: str, source, feats: np.ndarray, post_relu: bool):
+    """Kernel values of one layer and its backward cache. source is the packed
+    SubgraphStack, or for form "maps" the packed maps (feats is then unused)."""
+    if form == "maps":
+        values, cache = gram_maps_forward(layer.attributes, layer.adjacency, source, layer.kernel_cfg)
+    else:
+        expected = (source.gather_idx.shape[0], layer.in_dim)
+        if feats.shape != expected:
+            raise ValueError(
+                f"feature shape {feats.shape} does not match {expected}: one row per graph node, "
+                f"one column per layer input"
+            )
+        weights = layer.deep_weights if layer.kernel_cfg.is_deep else None
+        values, cache = stacked_kernel_forward(layer.attributes, layer.adjacency, source.gather(feats),
+                                               source.adjacency, layer.kernel_cfg, weights,
+                                               gram=form == "gram")
     pre = values
     if post_relu:
         values = np.maximum(values, 0.0)
@@ -288,22 +337,23 @@ def _layer_apply(layer: KerGNNLayer, stack: SubgraphStack, feats: np.ndarray, po
 def layer_forward(g: Graph, feats: np.ndarray, layer: KerGNNLayer,
                   post_relu: bool = False) -> np.ndarray:
     """Per-node kernel values (num_nodes, d_l) against every filter."""
-    values, _ = _layer_apply(layer, _stack(g, layer), np.asarray(feats, dtype=np.float64), post_relu)
+    values, _ = _layer_apply(layer, _stack_form(layer), _stack(g, layer),
+                             np.asarray(feats, dtype=np.float64), post_relu)
     return values
 
 
 def _entries_per_node(params: ModelParams) -> int:
     """Float64 entries a packed node adds to the kernel caches of all layers:
     2 f n k for the Hadamard tensors, (P+1)(d^2 + k d) + k^2 for the Gram maps,
-    walks and subgraph adjacency."""
+    walks and subgraph adjacency (counted so for "maps" layers too)."""
     total = 0
-    for layer in params.layers:
+    for layer, form in zip(params.layers, _layer_forms(params)):
         f, n, d = layer.attributes.shape
         k, steps = layer.k_max, layer.kernel_cfg.P + 1
-        if uses_gram_form(layer.kernel_cfg, f, n, d, k):
-            total += steps * (d * d + k * d) + k * k
-        else:
+        if form == "hadamard":
             total += 2 * f * n * k
+        else:
+            total += steps * (d * d + k * d) + k * k
     return total
 
 
@@ -319,6 +369,11 @@ def packed_chunks(graphs: list, params: ModelParams):
         nodes += g.num_nodes
     if start < len(graphs):
         yield start, len(graphs)
+
+
+def _concat(arrays: list, empty_shape: tuple) -> np.ndarray:
+    """np.concatenate of arrays, or zeros of empty_shape when there are none."""
+    return np.concatenate(arrays) if arrays else np.zeros(empty_shape)
 
 
 def _segment_sum(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -338,7 +393,7 @@ class BatchForward:
 
     offsets: np.ndarray  # (B+1,)
     attributes: np.ndarray  # raw packed attributes, (nodes, attr_dim)
-    stacks: list  # packed SubgraphStack of each layer
+    stacks: list  # packed SubgraphStack of each layer, None for a "maps" layer
     feats: list  # packed feats_0..feats_L, each (nodes, d_l)
     layer_caches: list  # hold the layer tensors themselves: backward before they change
     mlp_inputs: list  # (B, width) each
@@ -355,19 +410,26 @@ def forward_batch(graphs: list, params: ModelParams, dropout_rngs: list | None =
         if g.attr_dim != cfg.attr_dim:
             raise ValueError(f"graph attribute width {g.attr_dim} != model width {cfg.attr_dim}")
     offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
-    attributes = np.concatenate([g.attributes for g in graphs])
+    attributes = _concat([g.attributes for g in graphs], (0, cfg.attr_dim))
 
     feats0 = attributes
     if params.input_map is not None:
         w, b = params.input_map
         feats0 = feats0 @ w + b
     feats, stacks, layer_caches, packed = [feats0], [], [], {}
-    for layer in params.layers:
-        key = (layer.hops, layer.k_max)
-        if key not in packed:
-            packed[key] = SubgraphStack.concatenate([_stack(g, layer) for g in graphs])
-        values, cache = _layer_apply(layer, packed[key], feats[-1], cfg.post_relu)
-        stacks.append(packed[key])
+    keys = [(layer.hops, layer.k_max) for layer in params.layers]
+    for layer, form, key in zip(params.layers, _layer_forms(params), keys):
+        if form == "maps":
+            steps, d = layer.kernel_cfg.P + 1, layer.in_dim
+            source = _concat([_cached_maps(g, layer, key in keys[1:])[:, :steps] for g in graphs],
+                             (0, steps, d * d))
+            stacks.append(None)
+        else:
+            if key not in packed:
+                packed[key] = SubgraphStack.concatenate([_stack(g, layer) for g in graphs], layer.k_max)
+            source = packed[key]
+            stacks.append(source)
+        values, cache = _layer_apply(layer, form, source, feats[-1], cfg.post_relu)
         layer_caches.append(cache)
         feats.append(values)
 
@@ -412,18 +474,21 @@ def backward_batch(fwd: BatchForward, dlogits: np.ndarray, params: ModelParams) 
     widths = np.cumsum([0] + [f.shape[1] for f in fwd.feats])
     dnodes = [dreadout[:, lo:hi] for lo, hi in zip(widths[:-1], widths[1:])]
 
-    # kernel layers, last to first
+    # kernel layers, last to first; the raw attributes' gradient dnodes[0]
+    # is read only by an input map
     for l in reversed(range(len(params.layers))):
         cache, pre = fwd.layer_caches[l]
         gout = dnodes[l + 1]
         if params.config.post_relu:
             gout = gout * (pre > 0)
-        d_xh, d_adj, d_w, d_xsub = stacked_kernel_backward(cache, gout)
+        need_x = l > 0 or params.input_map is not None
+        d_xh, d_adj, d_w, d_xsub = stacked_kernel_backward(cache, gout, need_x)
         grads[f"layers.{l}.adjacency"] = d_adj
         grads[f"layers.{l}.attributes"] = d_xh
         if d_w is not None:
             grads[f"layers.{l}.deep_weights"] = d_w
-        dnodes[l] = dnodes[l] + fwd.stacks[l].scatter(d_xsub)
+        if need_x:
+            dnodes[l] = dnodes[l] + fwd.stacks[l].scatter(d_xsub)
 
     if params.input_map is not None:
         grads["input_map.weight"] = fwd.attributes.T @ dnodes[0]
@@ -440,7 +505,7 @@ def predict_logits(graphs: list, params: ModelParams) -> np.ndarray:
         # chunk (6-9x the page faults of an evaluate made of one-graph deep chunks)
         fwd = forward_batch(graphs[start:stop], params)
         logits.append(fwd.logits)
-    return np.concatenate(logits)
+    return _concat(logits, (0, params.config.num_classes))
 
 
 def model_forward(g: Graph, params: ModelParams, mode: str = "eval",

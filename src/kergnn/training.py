@@ -251,7 +251,8 @@ def _restore_tensors(params: ModelParams, snapshot: dict):
 
 
 def evaluate(params: ModelParams, graphs) -> float:
-    """Eval-mode accuracy over labeled graphs; their stacks stay on them (Graph.stacks)."""
+    """Eval-mode accuracy over labeled graphs; their stacks and layer-1 Gram
+    maps stay on them (Graph.stacks, Graph.gram_maps)."""
     graphs = _graphs_of(graphs)
     if not graphs:
         raise ValueError("cannot evaluate on an empty split")
@@ -297,8 +298,9 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng):
 
     Ties in validation accuracy go to the earliest epoch. The history records
     per-epoch train loss, train/validation accuracy, learning rate, and wall
-    time. Subgraph stacks are built once per graph and kept on it (see
-    Graph.stacks), so later epochs, candidates and folds reuse them.
+    time. Subgraph stacks and layer-1 Gram maps are built once per graph and
+    kept on it (see Graph.stacks, Graph.gram_maps), so later epochs,
+    candidates and folds reuse them.
     """
     cfg.validate()
     train_graphs = _graphs_of(train_set)

@@ -244,3 +244,61 @@ def test_plain_stacked_kernel_keeps_the_smaller_intermediate(d, gram):
     adj_h, adj_g = np.zeros((f, n, n)), np.zeros((big_n, k, k))
     _, cache = stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, RWKernelConfig(2))
     assert (cache.phi_g is not None, cache.s4 is not None) == (gram, not gram)
+
+
+@pytest.mark.parametrize("variant,d,p_steps", STACKED_CASES)
+def test_skipping_the_x_sub_gradient_keeps_every_filter_gradient(variant, d, p_steps):
+    # need_x=False drops the Gram form's dlt sum and the Hadamard form's zv
+    # Horner sum; the filter-side gradients must stay the same bit for bit
+    from kergnn.kernels import stacked_kernel_backward, stacked_kernel_forward
+
+    rng = np.random.default_rng(5)
+    f, n, big_n, k = 3, 4, 6, 7
+    cfg = RWKernelConfig(p_steps, variant=variant)
+    attr_h, x_sub = rng.normal(size=(f, n, d)), rng.normal(size=(big_n, k, d))
+    adj_h = rng.random((f, n, n))
+    adj_h = adj_h + adj_h.transpose(0, 2, 1)
+    adj_g = (rng.random((big_n, k, k)) < 0.4).astype(float)
+    adj_g = np.triu(adj_g, 1) + np.triu(adj_g, 1).transpose(0, 2, 1)
+    weights = rng.random((f, n, k)) if cfg.is_deep else None
+    values, cache = stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg, weights)
+    gout = rng.normal(size=values.shape)
+    full = stacked_kernel_backward(cache, gout)
+    skipped = stacked_kernel_backward(cache, gout, need_x=False)
+    assert skipped[3] is None and full[3].shape == x_sub.shape
+    for want, got in zip(full[:3], skipped[:3]):
+        assert (want is None and got is None) or want.tobytes() == got.tobytes()
+
+
+def test_gram_maps_forward_equals_the_stacked_forward():
+    # one map array of walk length 3 serves every P <= 3 and any lambdas,
+    # with values and filter gradients equal to the stacked forward's bit for bit
+    from kergnn.graphs import stack_subgraphs
+    from kergnn.kernels import gram_maps, gram_maps_forward, stacked_kernel_backward, stacked_kernel_forward
+
+    from conftest import random_graph
+
+    rng = np.random.default_rng(8)
+    g = random_graph(rng, 9, 0.4, d=3)
+    stack = stack_subgraphs(g, 1, 5)
+    x_sub = stack.gather(g.attributes)
+    maps = gram_maps(x_sub, stack.adjacency, 3)
+    assert maps.shape == (9, 4, 9)
+    attr_h, adj_h = rng.normal(size=(4, 3, 3)), rng.random((4, 3, 3))
+    adj_h = adj_h + adj_h.transpose(0, 2, 1)
+    for p_steps in range(4):
+        assert maps[:, :p_steps + 1].tobytes() == gram_maps(x_sub, stack.adjacency, p_steps).tobytes()
+        for lambdas in (None, rng.random(p_steps + 1)):
+            cfg = RWKernelConfig(p_steps, lambdas)
+            want, want_cache = stacked_kernel_forward(attr_h, adj_h, x_sub, stack.adjacency, cfg,
+                                                      gram=True)
+            got, got_cache = gram_maps_forward(attr_h, adj_h, maps, cfg)
+            assert got.tobytes() == want.tobytes()
+            gout = rng.normal(size=got.shape)
+            for a, b in zip(stacked_kernel_backward(want_cache, gout, need_x=False)[:2],
+                            stacked_kernel_backward(got_cache, gout, need_x=False)[:2]):
+                assert a.tobytes() == b.tobytes()
+            with pytest.raises(ValueError, match="no subgraph-feature gradient"):
+                stacked_kernel_backward(got_cache, gout)
+    with pytest.raises(ValueError, match="no Gram form"):
+        gram_maps_forward(attr_h, adj_h, maps, RWKernelConfig(1, variant="deep"))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -415,6 +416,56 @@ def test_zero_node_graph_reads_out_zero():
     for b in (0, 2, 4):
         assert np.allclose(fwd.logits[b], alone, rtol=1e-12, atol=0)
     assert np.allclose(fwd.logits[[1, 3]], predict_logits(others, params), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("case", ["gram", "hadamard", "deep"])
+def test_empty_batch_gives_no_logits(case):
+    # both raised numpy's "need at least one array to concatenate"
+    cfg = small_config(num_classes=3, **BATCH_CASES[case])
+    params = init_params(cfg, np.random.default_rng(0))
+    assert predict_logits([], params).shape == (0, 3)
+    fwd = forward_batch([], params)
+    assert fwd.logits.shape == (0, 3)
+    grads = backward_batch(fwd, np.zeros((0, 3)), params)
+    for name, arr in named_parameters(params):
+        assert np.array_equal(grads[name], np.zeros_like(arr)), name
+
+
+def _stack_path_forms(params):
+    """_layer_forms without the "maps" form: every layer on its subgraph stack."""
+    return [kergnn.model._stack_form(layer) for layer in params.layers]
+
+
+def test_cached_maps_equal_the_stack_path(monkeypatch):
+    # layer 1's cached Gram maps against the stack path on copies of the same
+    # graphs, bit for bit: 0-node graphs in the batch, P slices of the maps of
+    # a longer walk, and lambdas that differ from those of the first forward
+    rng = np.random.default_rng(12)
+    graphs = [random_graph(rng, n, 0.5, d=2, label=int(rng.integers(2))) for n in (5, 0, 7, 3, 0)]
+    graphs.insert(0, empty_graph(2, label=0))
+    cfgs = [small_config(walk_length=3),
+            small_config(walk_length=1),
+            small_config(walk_length=2, lambdas=(0.5, 0.25, 2.0)),
+            small_config(walk_length=3, lambdas=(1.0, 0.1, 0.01, 0.001)),
+            small_config(walk_length=2, layers=(LayerSpec(3, 3, 6, 1), LayerSpec(2, 3, 6, 1)))]
+    labels = np.array([g.graph_label for g in graphs])
+    for cfg in cfgs:
+        params = init_params(cfg, np.random.default_rng(cfg.walk_length))
+        assert kergnn.model._layer_forms(params)[0] == "maps"
+        copies = [dataclasses.replace(g) for g in graphs]
+        results = []
+        for batch in (graphs, copies):
+            fwd = forward_batch(batch, params)
+            dlogits = softmax_cross_entropy(fwd.logits, labels)[1]
+            results.append((fwd.logits, backward_batch(fwd, dlogits, params)))
+            monkeypatch.setattr(kergnn.model, "_layer_forms", _stack_path_forms)
+        monkeypatch.undo()
+        (got, got_grads), (want, want_grads) = results
+        assert got.tobytes() == want.tobytes()
+        for name, _ in named_parameters(params):
+            assert got_grads[name].tobytes() == want_grads[name].tobytes(), name
+        assert all(g.gram_maps[(1, 6)].shape[1] == 4 for g in graphs)  # the first, P = 3
+        assert not any(c.gram_maps for c in copies)
 
 
 def _rel(got, want, scale):

@@ -1,10 +1,12 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from kergnn.errors import ConfigError, TrainingError
 from kergnn.graphs import Dataset, Graph, stack_subgraphs
+from kergnn.kernels import gram_maps
 from kergnn.model import ModelConfig, init_params, layer_forward, model_forward, named_parameters
 from kergnn.training import (
     Adam,
@@ -284,12 +286,14 @@ def stack_builds(monkeypatch):
 
 def test_cross_validate_builds_each_stack_once(stack_builds):
     ds = two_class_dataset()
-    # the second candidate's two layers share one (hops, k_max)
+    # the second candidate's two layers share one (hops, k_max). Layer 1's
+    # stack is dropped once its Gram maps exist, so the longer walk of the
+    # second candidate builds it once more; later folds build none
     grid = [tiny_cfg(epochs=2, walk_length=1), tiny_cfg(epochs=2, walk_length=2, num_layers=2)]
     cross_validate(ds, grid, seed=5, n_folds=3)
-    keys = [(id(g), hops, k_max) for g, hops, k_max in stack_builds]
-    assert len(keys) == len(set(keys))
-    assert {key[0] for key in keys} == {id(g) for g in ds.graphs}
+    builds = Counter((id(g), hops, k_max) for g, hops, k_max in stack_builds)
+    assert max(builds.values()) <= len({cfg.walk_length for cfg in grid})
+    assert {key[0] for key in builds} == {id(g) for g in ds.graphs}
 
 
 def test_second_evaluate_builds_no_stacks(stack_builds):
@@ -318,15 +322,50 @@ def test_relabeled_graph_builds_its_own_stacks(stack_builds):
     g = random_graph(rng, 6, 0.5, d=1, label=0)
     params = init_params(tiny_cfg().model_config(1, 2), np.random.default_rng(0))
     model_forward(g, params)
-    assert list(g.stacks) == [(1, 5)]
+    assert list(g.gram_maps) == [(1, 5)]
     moved = g.relabeled(rng.permutation(6))
     copied = dataclasses.replace(g, graph_label=1)
+    assert not moved.gram_maps and not copied.gram_maps
     assert not moved.stacks and not copied.stacks
     model_forward(moved, params)
     assert [b[0] for b in stack_builds] == [g, moved]
     own = stack_subgraphs(moved, 1, 5)
-    assert np.array_equal(moved.stacks[(1, 5)].gather_idx, own.gather_idx)
-    assert np.array_equal(moved.stacks[(1, 5)].adjacency, own.adjacency)
+    assert moved.gram_maps[(1, 5)].tobytes() == gram_maps(own.gather(moved.attributes),
+                                                          own.adjacency, 2).tobytes()
+
+
+def test_longer_walk_extends_the_maps(stack_builds):
+    # maps are built from the stack, which is then dropped; a longer walk
+    # builds the stack again and extends the maps, a shorter one reads a slice
+    rng = np.random.default_rng(6)
+    g = random_graph(rng, 7, 0.5, d=2, label=0)
+    forward = {p: init_params(tiny_cfg(walk_length=p).model_config(2, 2), np.random.default_rng(p))
+               for p in (1, 2)}
+    model_forward(g, forward[1])
+    short = g.gram_maps[(1, 5)]
+    assert short.shape == (7, 2, 4) and not g.stacks
+    model_forward(g, forward[2])
+    assert g.gram_maps[(1, 5)].shape == (7, 3, 4) and not g.stacks
+    assert g.gram_maps[(1, 5)][:, :2].tobytes() == short.tobytes()
+    assert stack_builds == [(g, 1, 5)] * 2
+    longer = g.gram_maps[(1, 5)]
+    model_forward(g, forward[1])
+    assert g.gram_maps[(1, 5)] is longer and len(stack_builds) == 2
+
+
+def test_stack_kept_while_another_layer_shares_its_key(stack_builds):
+    rng = np.random.default_rng(7)
+    g = random_graph(rng, 7, 0.5, d=1, label=0)
+    params = init_params(tiny_cfg(num_layers=2).model_config(1, 2), np.random.default_rng(0))
+    for _ in range(2):
+        model_forward(g, params)
+    assert list(g.stacks) == list(g.gram_maps) == [(1, 5)]
+    assert stack_builds == [(g, 1, 5)]
+    # a model with an input map runs layer 1 on the stack and keeps no maps
+    moved = g.relabeled(np.arange(7))
+    mapped = init_params(tiny_cfg(input_map_dim=2).model_config(1, 2), np.random.default_rng(0))
+    model_forward(moved, mapped)
+    assert list(moved.stacks) == [(1, 5)] and not moved.gram_maps
 
 
 def test_layer_forward_second_call_builds_nothing(stack_builds):
