@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DatasetError
+from .kernels import SlotLayout
 
 __all__ = [
     "Graph",
@@ -432,11 +433,18 @@ class SubgraphStack:
 
     gather_idx/mask fix the padding layout: `gather` turns a per-node feature
     matrix into the stacked padded attribute tensor, `scatter` is its adjoint.
+    layout lists the real slots of mask (kernels.SlotLayout), which the
+    Hadamard form runs over; it is derived from mask once, when not given.
     """
 
     gather_idx: np.ndarray  # (num_nodes, k_max), 0 where padded
     mask: np.ndarray  # (num_nodes, k_max), 1.0 real slot / 0.0 pad
     adjacency: np.ndarray  # (num_nodes, k_max, k_max)
+    layout: SlotLayout | None = None
+
+    def __post_init__(self):
+        if self.layout is None:
+            self.layout = SlotLayout.from_mask(self.mask)
 
     def gather(self, feats: np.ndarray) -> np.ndarray:
         """(num_nodes, k_max, d) padded attribute tensor from per-node feats."""
@@ -455,8 +463,9 @@ class SubgraphStack:
     @classmethod
     def concatenate(cls, stacks: list, k_max: int) -> "SubgraphStack":
         """One stack over the disjoint union of the stacks' graphs, in order:
-        each gather_idx is offset by the node counts of the stacks before it.
-        No stacks give an empty stack of k_max slots."""
+        each gather_idx is offset by the node counts of the stacks before it,
+        and the layouts by the subgraph and real-slot counts. No stacks give an
+        empty stack of k_max slots."""
         if not stacks:
             return cls(gather_idx=np.zeros((0, k_max), dtype=np.int64), mask=np.zeros((0, k_max)),
                        adjacency=np.zeros((0, k_max, k_max)))
@@ -465,7 +474,8 @@ class SubgraphStack:
         offsets = np.cumsum([0] + [s.gather_idx.shape[0] for s in stacks[:-1]])
         return cls(gather_idx=np.concatenate([s.gather_idx + o for s, o in zip(stacks, offsets)]),
                    mask=np.concatenate([s.mask for s in stacks]),
-                   adjacency=np.concatenate([s.adjacency for s in stacks]))
+                   adjacency=np.concatenate([s.adjacency for s in stacks]),
+                   layout=SlotLayout.concatenate([s.layout for s in stacks], k_max))
 
 
 # Rows of the hop-limited reachability built at a time: the (chunk, n) key

@@ -26,14 +26,21 @@ Tests pin them to the scalar functions. Two forms serve them:
 
   a Frobenius product of explicit d x d feature maps per walk step, so all
   subgraph/filter pairs are one (N, (P+1)d^2) @ ((P+1)d^2, f) matmul.
-* Hadamard form over (f, n, N, k) tensors. The deep variant always takes it,
-  since its per-pair weights do not factor.
+* Hadamard form over the real subgraph slots only. A SlotLayout lists the R
+  real slots of the N padded subgraphs; S and the walk sum are (R, f n)
+  arrays, one row per real slot, each a single matmul (the walk sum of the
+  side-by-side walks [V_0 .. V_P] with [lambda_0 U_0 .. lambda_P U_P]), and a
+  kernel value is a segment sum over its subgraph's rows. The deep variant
+  always takes this form, since its per-pair weights do not factor; they are
+  read, and their gradient summed, by slot id.
 
 The plain variant takes whichever form has fewer entries per subgraph:
 (P+1) d^2 for the Gram maps, f n k for the Hadamard tensors. Both paths are
 dominated by passes over these intermediates, so the smaller is also the
 faster away from the boundary; wide features (one-hot node labels, a later
-layer's num_filters) make the d^2 maps the larger.
+layer's num_filters) make the d^2 maps the larger. The rule counts all k
+slots, though the Hadamard form runs over the real ones, so the form stays
+a function of the shapes alone.
 
 One helper forms every unweighted map X^T A^p X, the filters' and the
 subgraphs'; `gram_maps` returns the subgraphs'. These do not depend on any
@@ -66,6 +73,7 @@ __all__ = [
     "gram_maps",
     "gram_maps_forward",
     "StackedKernelCache",
+    "SlotLayout",
     "uses_gram_form",
 ]
 
@@ -259,14 +267,51 @@ def rw_kernel_grad(sub, filt, cfg: RWKernelConfig, deep_weights=None):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class SlotLayout:
+    """The real slots of N padded subgraphs of k slots, in row-major order.
+
+    real holds the flat index v * k + j of each of the R real slots, slots its
+    slot id j, and starts[v] the position in real of subgraph v's first one.
+    Every subgraph holds a real slot (a node's subgraph holds its centre), so
+    each run real[starts[v]:starts[v+1]] is nonempty and a segment sum over
+    the runs by np.add.reduceat is exact.
+    """
+
+    real: np.ndarray  # (R,) int64
+    starts: np.ndarray  # (N,) int64
+    slots: np.ndarray  # (R,) int64
+
+    @classmethod
+    def from_mask(cls, mask) -> "SlotLayout":
+        """Layout of an (N, k) mask, nonzero at real slots."""
+        mask = np.asarray(mask) != 0
+        counts = mask.sum(axis=1)
+        if not counts.all():
+            raise ValueError("every subgraph must hold a real slot")
+        real = np.flatnonzero(mask)
+        return cls(real=real, starts=np.cumsum(counts) - counts, slots=real % mask.shape[1])
+
+    @classmethod
+    def concatenate(cls, layouts: list, k: int) -> "SlotLayout":
+        """Layout of the subgraphs of layouts stacked in order, each of k slots."""
+        rows = np.cumsum([0] + [len(l.starts) for l in layouts[:-1]])
+        reals = np.cumsum([0] + [len(l.real) for l in layouts[:-1]])
+        return cls(real=np.concatenate([l.real + r * k for l, r in zip(layouts, rows)]),
+                   starts=np.concatenate([l.starts + r for l, r in zip(layouts, reals)]),
+                   slots=np.concatenate([l.slots for l in layouts]))
+
+
 @dataclass
 class StackedKernelCache:
     """Intermediates saved by stacked_kernel_forward for the backward pass.
 
-    The Gram form keeps the per-step feature maps phi_h/phi_g; the Hadamard
-    form keeps the (f, n, N, k) tensors s4/msum4 and the deep variant's weights.
-    A forward from given maps (gram_maps_forward) has no subgraph tensors:
-    x_sub, adj_g and v are None, and only need_x=False backward is possible.
+    The Gram form keeps the padded subgraph walks v and the per-step feature
+    maps phi_h/phi_g. The Hadamard form keeps (R, f n) tensors, one row per
+    real slot of its layout, the walks of both sides side by side (the
+    subgraphs' at the real slots only), and the deep variant's weights. A
+    forward from given maps (gram_maps_forward) has no subgraph tensors: x_sub
+    and adj_g are None, and only need_x=False backward is possible.
     """
 
     cfg: RWKernelConfig
@@ -275,11 +320,14 @@ class StackedKernelCache:
     x_sub: np.ndarray | None  # (N, k, d)
     adj_g: np.ndarray | None  # (N, k, k)
     u: list  # U_p = A_H U_{p-1}, U_0 = X_H, (f, n, d)
-    v: list | None  # V_p = A_G V_{p-1}, V_0 = X_G, (N, k, d)
-    phi_h: np.ndarray | None = None  # (f, P+1, d*d), X_H^T U_p flattened
-    phi_g: np.ndarray | None = None  # (N, P+1, d*d), lambda_p X_G^T V_p flattened
-    s4: np.ndarray | None = None  # (f, n, N, k), S
-    msum4: np.ndarray | None = None  # (f, n, N, k), lambda-weighted sum of M_p
+    v: list | None = None  # Gram: V_p = A_G V_{p-1}, V_0 = X_G, (N, k, d)
+    phi_h: np.ndarray | None = None  # Gram: (f, P+1, d*d), X_H^T U_p flattened
+    phi_g: np.ndarray | None = None  # Gram: (N, P+1, d*d), lambda_p X_G^T V_p flattened
+    layout: SlotLayout | None = None  # Hadamard: the real slots of x_sub
+    u_cat: np.ndarray | None = None  # Hadamard: (f n, (P+1) d), [lambda_0 U_0 | .. | lambda_P U_P]
+    v_cat: np.ndarray | None = None  # Hadamard: (R, (P+1) d), [V_0 | .. | V_P] at real slots
+    s: np.ndarray | None = None  # Hadamard: (R, f n), S^T = X_G X_H^T at real slots
+    msum: np.ndarray | None = None  # Hadamard: (R, f n), sum_p lambda_p V_p U_p^T at real slots
     weights: np.ndarray | None = None  # (f, n, k), None for plain
 
 
@@ -320,25 +368,31 @@ def gram_maps(x_sub, adj_g, P: int) -> np.ndarray:
 
 
 def stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg: RWKernelConfig, weights=None,
-                           gram: bool | None = None):
+                           gram: bool | None = None, *, layout: SlotLayout | None = None):
     """Kernel values (N, f) of all subgraphs against all filters.
 
     Same argument order as walk_kernel, stacked: attr_h (f, n, d) and adj_h
     (f, n, n) are the filters, x_sub (N, k, d) and adj_g (N, k, k) the padded
     subgraphs, weights (f, n, k) the pair weights the deep variant requires.
-    The walks U_p = A_H^p X_H and V_p = A_G^p X_G are built by repeated
-    products with the adjacencies; no matrix power is formed. gram picks the
-    form; None applies uses_gram_form.
+    Padded slots are zero in x_sub and adj_g. layout lists the real slots the
+    Hadamard form runs over; None takes every slot as real. The walks
+    U_p = A_H^p X_H and V_p = A_G^p X_G are built by repeated products with
+    the adjacencies; no matrix power is formed. gram picks the form; None
+    applies uses_gram_form.
     """
     if cfg.is_deep and weights is None:
         raise ValueError("deep variant requires pair weights")
     if gram is None:
         gram = uses_gram_form(cfg, *attr_h.shape, x_sub.shape[1])
     cache = StackedKernelCache(cfg=cfg, attr_h=attr_h, adj_h=adj_h, x_sub=x_sub, adj_g=adj_g,
-                               u=_walks(attr_h, adj_h, cfg.P), v=_walks(x_sub, adj_g, cfg.P))
+                               u=_walks(attr_h, adj_h, cfg.P))
+    walks = _walks(x_sub, adj_g, cfg.P)
     if gram:
-        return _gram_forward(cache, _maps(x_sub, cache.v)), cache
-    return _hadamard_forward(cache, weights if cfg.is_deep else None), cache
+        cache.v = walks
+        return _gram_forward(cache, _maps(x_sub, walks)), cache
+    if layout is None:
+        layout = SlotLayout.from_mask(np.ones(x_sub.shape[:2]))
+    return _hadamard_forward(cache, walks, layout, weights if cfg.is_deep else None), cache
 
 
 def gram_maps_forward(attr_h, adj_h, maps, cfg: RWKernelConfig):
@@ -349,7 +403,7 @@ def gram_maps_forward(attr_h, adj_h, maps, cfg: RWKernelConfig):
     if cfg.is_deep:
         raise ValueError("the deep variant has no Gram form")
     cache = StackedKernelCache(cfg=cfg, attr_h=attr_h, adj_h=adj_h, x_sub=None, adj_g=None,
-                               u=_walks(attr_h, adj_h, cfg.P), v=None)
+                               u=_walks(attr_h, adj_h, cfg.P))
     return _gram_forward(cache, maps[:, :cfg.P + 1]), cache
 
 
@@ -361,7 +415,7 @@ def stacked_kernel_backward(cache: StackedKernelCache, gout, need_x: bool = True
     skips the subgraph-feature gradient and returns None for d_x_sub; the
     filter gradients are the same bit for bit.
     """
-    if need_x and cache.v is None:
+    if need_x and cache.x_sub is None:
         raise ValueError("a forward from given Gram maps has no subgraph-feature gradient")
     if cache.phi_g is None:
         d_xh, d_xsub, d_weights, zu = _hadamard_backward(cache, gout, need_x)
@@ -412,47 +466,59 @@ def _gram_backward(cache: StackedKernelCache, gout, need_x: bool):
     return d_xh, d_xsub, zu
 
 
-def _hadamard_forward(cache: StackedKernelCache, weights) -> np.ndarray:
-    """sum_ij [(W (.) S) (.) sum_p lambda_p U_p V_p^T]_ij from (f, n, N, k)
-    tensors built by (f*n, N*k) matmuls; weights W is None for plain."""
-    cfg = cache.cfg
+def _hadamard_forward(cache: StackedKernelCache, walks, layout: SlotLayout, weights) -> np.ndarray:
+    """sum_ij [(W (.) S) (.) sum_p lambda_p U_p V_p^T]_ij over the real slots j
+    of each subgraph, from (R, f n) tensors, one row per real slot: S is one
+    matmul of the real rows of X_G with X_H, the walk sum one matmul of [V_p]
+    with [lambda_p U_p], and each value a segment sum over its subgraph's run
+    of rows. Weights W is None for plain and is read by slot id; with a row
+    per slot that read is a row gather, so its result stays C-ordered."""
     f, n, d = cache.attr_h.shape
     big_n, k, _ = cache.x_sub.shape
-    s2 = cache.attr_h.reshape(f * n, d) @ cache.x_sub.reshape(big_n * k, d).T
-    msum2 = cfg.lambdas[0] * s2  # M_0 == S
-    for p in range(1, cfg.P + 1):
-        msum2 = msum2 + cfg.lambdas[p] * (cache.u[p].reshape(f * n, d) @ cache.v[p].reshape(big_n * k, d).T)
-    cache.s4 = s2.reshape(f, n, big_n, k)
-    cache.msum4 = msum2.reshape(f, n, big_n, k)
-    cache.weights = weights
-    t4 = cache.s4 if weights is None else cache.s4 * weights[:, :, None, :]
-    return np.einsum("fnvk,fnvk->vf", t4, cache.msum4)
+    steps = len(walks)
+    lam = np.asarray(cache.cfg.lambdas)[:, None]
+    cache.layout, cache.weights = layout, weights
+    cache.u_cat = (np.stack(cache.u, axis=2) * lam).reshape(f * n, steps * d)
+    cache.v_cat = np.concatenate(walks, axis=2).reshape(big_n * k, steps * d)[layout.real]
+    cache.s = cache.v_cat[:, :d] @ cache.attr_h.reshape(f * n, d).T
+    cache.msum = cache.v_cat @ cache.u_cat.T
+    t = cache.s if weights is None else cache.s * weights.reshape(f * n, k).T[layout.slots]
+    per_slot = np.einsum("rfn,rfn->rf", t.reshape(-1, f, n), cache.msum.reshape(-1, f, n))
+    return np.add.reduceat(per_slot, layout.starts, axis=0)
 
 
 def _hadamard_backward(cache: StackedKernelCache, gout, need_x: bool):
     """(d_attr_h, d_x_sub or None, d_weights, [dK/dU_1..dK/dU_P]) of the
-    Hadamard form; d_weights is None for plain."""
-    cfg = cache.cfg
-    f, n, big_n, k = cache.s4.shape
-    d = cache.attr_h.shape[2]
-    gb = gout.T[:, None, :, None]  # broadcast over (f, n, N, k)
+    Hadamard form; d_weights is None for plain and 0 at slots no subgraph
+    fills. d_x_sub has x_sub's shape and is 0 at padded slots."""
+    layout = cache.layout
+    f, n, d = cache.attr_h.shape
+    big_n, k, _ = cache.x_sub.shape
+    steps = len(cache.u)
+    g = gout[layout.real // k][:, :, None]  # (R, f, 1): gout of each real slot's subgraph
+    s, msum = cache.s.reshape(-1, f, n), cache.msum.reshape(-1, f, n)
     if cache.weights is None:
-        gsg4, tg4, d_weights = cache.msum4 * gb, cache.s4 * gb, None
+        gsg, tg, d_weights = msum * g, s * g, None
     else:
-        wb = cache.weights[:, :, None, :]
-        gsg4, tg4 = cache.msum4 * wb * gb, cache.s4 * wb * gb
-        d_weights = np.einsum("vf,fnvk->fnk", gout, cache.s4 * cache.msum4)
-    gsg2 = gsg4.reshape(f * n, big_n * k)
-    tg2 = tg4.reshape(f * n, big_n * k)
+        wg = cache.weights.reshape(f * n, k).T[layout.slots].reshape(-1, f, n) * g
+        gsg, tg = msum * wg, s * wg
+        by_slot = np.zeros((k, len(layout.slots)))
+        by_slot[layout.slots, np.arange(len(layout.slots))] = 1.0
+        d_weights = (by_slot @ (s * msum * g).reshape(-1, f * n)).T.reshape(f, n, k)
+    gsg2, tg2 = gsg.reshape(-1, f * n), tg.reshape(-1, f * n)
 
-    zu = [cfg.lambdas[p] * (tg2 @ v_p.reshape(big_n * k, d)).reshape(f, n, d)
-          for p, v_p in enumerate(cache.v)]
-    d_xh = (gsg2 @ cache.x_sub.reshape(big_n * k, d)).reshape(f, n, d) + _horner(cache.adj_h, zu)
+    lam = np.asarray(cache.cfg.lambdas)[:, None]
+    zu = (tg2.T @ cache.v_cat).reshape(f, n, steps, d) * lam
+    zu = [zu[:, :, p] for p in range(steps)]
+    d_xh = (gsg2.T @ cache.v_cat[:, :d]).reshape(f, n, d) + _horner(cache.adj_h, zu)
     d_xsub = None
     if need_x:
-        zv = [cfg.lambdas[p] * (tg2.T @ u_p.reshape(f * n, d)).reshape(big_n, k, d)
-              for p, u_p in enumerate(cache.u)]
-        d_xsub = (gsg2.T @ cache.attr_h.reshape(f * n, d)).reshape(big_n, k, d) + _horner(cache.adj_g, zv)
+        zv_real = tg2 @ cache.u_cat  # [lambda_0 tg U_0 | .. | lambda_P tg U_P]
+        zv_real[:, :d] += gsg2 @ cache.attr_h.reshape(f * n, d)
+        zv = np.zeros((big_n * k, steps * d))
+        zv[layout.real] = zv_real
+        zv = zv.reshape(big_n, k, steps, d)
+        d_xsub = _horner(cache.adj_g, [zv[:, :, p] for p in range(steps)])
     return d_xh, d_xsub, d_weights, zu[1:]
 
 

@@ -15,8 +15,9 @@ over all of them, reads out by a segment sum per graph and applies the MLP to
 through the MLP, the readout, and every kernel layer back to the filter
 parameters and the optional input linear map; the kernel's matmuls sum the
 batch's gradients. `packed_chunks` cuts a batch into consecutive chunks whose
-kernel caches stay under `_CHUNK_ENTRIES` float64 entries. `model_forward`
-and `layer_forward` are batches of one.
+kernel caches stay under `_CHUNK_ENTRIES` float64 entries, counting only the
+real subgraph slots of a Hadamard-form layer, since its tensors hold no
+padded slot. `model_forward` and `layer_forward` are batches of one.
 
 `_layer_forms` decides once per layer how it runs: "hadamard" or "gram" on
 the packed subgraph stack, or "maps" for a first layer in the Gram form
@@ -327,7 +328,7 @@ def _layer_apply(layer: KerGNNLayer, form: str, source, feats: np.ndarray, post_
         weights = layer.deep_weights if layer.kernel_cfg.is_deep else None
         values, cache = stacked_kernel_forward(layer.attributes, layer.adjacency, source.gather(feats),
                                                source.adjacency, layer.kernel_cfg, weights,
-                                               gram=form == "gram")
+                                               gram=form == "gram", layout=source.layout)
     pre = values
     if post_relu:
         values = np.maximum(values, 0.0)
@@ -342,31 +343,36 @@ def layer_forward(g: Graph, feats: np.ndarray, layer: KerGNNLayer,
     return values
 
 
-def _entries_per_node(params: ModelParams) -> int:
-    """Float64 entries a packed node adds to the kernel caches of all layers:
-    2 f n k for the Hadamard tensors, (P+1)(d^2 + k d) + k^2 for the Gram maps,
-    walks and subgraph adjacency (counted so for "maps" layers too)."""
-    total = 0
+def _chunk_costs(params: ModelParams) -> tuple:
+    """(per_node, per_real) of the float64 entries a graph adds to the kernel
+    caches of all layers: per_node for each of its nodes, (P+1)(d^2 + k d) + k^2
+    per Gram-form layer for the maps, walks and subgraph adjacency (counted so
+    for "maps" layers too), and (layer, 2 f n) per real slot of the layer's
+    stack for each Hadamard-form layer."""
+    per_node, per_real = 0, []
     for layer, form in zip(params.layers, _layer_forms(params)):
         f, n, d = layer.attributes.shape
-        k, steps = layer.k_max, layer.kernel_cfg.P + 1
         if form == "hadamard":
-            total += 2 * f * n * k
+            per_real.append((layer, 2 * f * n))
         else:
-            total += steps * (d * d + k * d) + k * k
-    return total
+            k, steps = layer.k_max, layer.kernel_cfg.P + 1
+            per_node += steps * (d * d + k * d) + k * k
+    return per_node, per_real
 
 
 def packed_chunks(graphs: list, params: ModelParams):
     """(start, stop) of consecutive runs of graphs whose packed intermediates
     stay under _CHUNK_ENTRIES; every run holds at least one graph."""
-    per_node = _entries_per_node(params)
-    start, nodes = 0, 0
+    per_node, per_real = _chunk_costs(params)
+    start, entries = 0, 0
     for i, g in enumerate(graphs):
-        if i > start and (nodes + g.num_nodes) * per_node >= _CHUNK_ENTRIES:
+        added = g.num_nodes * per_node
+        for layer, cost in per_real:
+            added += cost * len(_stack(g, layer).layout.real)
+        if i > start and entries + added >= _CHUNK_ENTRIES:
             yield start, i
-            start, nodes = i, 0
-        nodes += g.num_nodes
+            start, entries = i, 0
+        entries += added
     if start < len(graphs):
         yield start, len(graphs)
 
@@ -502,7 +508,8 @@ def predict_logits(graphs: list, params: ModelParams) -> np.ndarray:
     for start, stop in packed_chunks(graphs, params):
         # fwd holds the last chunk's arrays until the next forward returns: freed
         # at once, they let malloc trim the heap and fault it in again for every
-        # chunk (6-9x the page faults of an evaluate made of one-graph deep chunks)
+        # chunk (4.7-6.2x the minor page faults, ~1.5x the time, of an evaluate
+        # of the mutag-deep benchmark graphs, 1.4 graphs per chunk)
         fwd = forward_batch(graphs[start:stop], params)
         logits.append(fwd.logits)
     return _concat(logits, (0, params.config.num_classes))

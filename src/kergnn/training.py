@@ -285,6 +285,28 @@ def _batch_step(graphs, params, rng):
     return loss * scale, total
 
 
+def _nonfinite_origin(graphs, params) -> str:
+    """Where the non-finite loss of a batch started, found by re-running its
+    forward chunk by chunk in eval mode (dropout acts on the MLP only): the
+    shallowest input-map or layers.{l} feature tensor holding a non-finite
+    value in any chunk, else the MLP logits."""
+    names = [f"layers.{l} features" for l in range(len(params.layers))]
+    if params.input_map is not None:
+        names.insert(0, "input_map features")
+    first = len(names)
+    for start, stop in packed_chunks(graphs, params):
+        feats = forward_batch(graphs[start:stop], params).feats
+        tensors = feats if params.input_map is not None else feats[1:]
+        for i, x in enumerate(tensors[:first]):
+            if not np.isfinite(x).all():
+                first = i
+                break
+        if first == 0:
+            break
+    where = names[first] if first < len(names) else "the MLP logits"
+    return f"{where} are the first non-finite tensor"
+
+
 def _clip_grads(grads: dict, max_norm: float):
     norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if norm > max_norm:
@@ -333,7 +355,8 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng):
             loss, grads = _batch_step(batch, params, rng)
             if not np.isfinite(loss):
                 raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
+                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}: "
+                    f"{_nonfinite_origin(batch, params)}"
                 )
             if cfg.grad_clip is not None:
                 _clip_grads(grads, cfg.grad_clip)

@@ -243,7 +243,7 @@ def test_plain_stacked_kernel_keeps_the_smaller_intermediate(d, gram):
     attr_h, x_sub = rng.random((f, n, d)), rng.random((big_n, k, d))
     adj_h, adj_g = np.zeros((f, n, n)), np.zeros((big_n, k, k))
     _, cache = stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, RWKernelConfig(2))
-    assert (cache.phi_g is not None, cache.s4 is not None) == (gram, not gram)
+    assert (cache.phi_g is not None, cache.msum is not None) == (gram, not gram)
 
 
 @pytest.mark.parametrize("variant,d,p_steps", STACKED_CASES)

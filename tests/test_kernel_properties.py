@@ -3,7 +3,9 @@
 The plain kernel is symmetric in its two graphs and positive semidefinite
 (it is an inner product of the per-step maps X^T A^p X), and the stacked
 training path equals the scalar `walk_kernel` for every (subgraph, filter)
-pair, in both plain forms and in the deep variant.
+pair, in both plain forms and in the deep variant. On packed subgraph stacks
+the Hadamard form, which runs over real slots only, also gives every gradient
+of the scalar `rw_kernel_grad`.
 """
 
 import numpy as np
@@ -11,7 +13,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kergnn.kernels import RWKernelConfig, stacked_kernel_forward, walk_kernel
+from kergnn.graphs import Graph, SubgraphStack, extract_subgraph, stack_subgraphs
+from kergnn.kernels import (
+    RWKernelConfig,
+    rw_kernel_grad,
+    stacked_kernel_backward,
+    stacked_kernel_forward,
+    walk_kernel,
+)
+from kergnn.model import GraphFilter
 
 # derandomized so the suite is deterministic; every run explores the same examples
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -110,3 +120,65 @@ def test_stacked_forward_equals_walk_kernel(form, data):
             want = walk_kernel(adj_h[i], attr_h[i], adj_g[v], x_sub[v], cfg, w)
             scale = _abs_kernel(adj_h[i], attr_h[i], adj_g[v], x_sub[v], cfg, w)
             assert abs(values[v, i] - want) <= 1e-9 * scale
+
+
+@st.composite
+def padded_batches(draw, d):
+    """(graphs, hops, k_max): 1-4 random graphs of 0-5 nodes with d-wide
+    attributes. Among the drawn batches are 0-node graphs, isolated nodes (one
+    real slot), rows with every slot real, and slots no subgraph fills."""
+    hops, k_max = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    batch = []
+    for _ in range(draw(st.integers(1, 4))):
+        adj, attr = draw(graphs(d, max_nodes=5)) if draw(st.booleans()) else (np.zeros((0, 0)), np.zeros((0, d)))
+        batch.append(Graph(len(adj), adj, attr))
+    return batch, hops, k_max
+
+
+@pytest.mark.parametrize("variant", ["plain", "deep"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_ragged_hadamard_form_equals_the_scalar_gradients(variant, data):
+    # the Hadamard form on a packed stack, with its real-slot layout: values and
+    # every gradient equal the gout-weighted per-(subgraph, filter) scalar ones
+    d, f, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+    cfg = data.draw(kernel_configs())
+    cfg = RWKernelConfig(cfg.P, cfg.lambdas, variant)
+    batch, hops, k_max = data.draw(padded_batches(d))
+    adj_h = _symmetric(data.draw(hnp.arrays(np.float64, (f, n, n), elements=UNIT)))
+    attr_h = data.draw(hnp.arrays(np.float64, (f, n, d), elements=REALS))
+    weights = data.draw(hnp.arrays(np.float64, (f, n, k_max), elements=UNIT)) if cfg.is_deep else None
+    stack = SubgraphStack.concatenate([stack_subgraphs(g, hops, k_max) for g in batch], k_max)
+    x_sub = stack.gather(np.concatenate([g.attributes for g in batch]))
+    values, cache = stacked_kernel_forward(attr_h, adj_h, x_sub, stack.adjacency, cfg, weights,
+                                           gram=False, layout=stack.layout)
+    gout = data.draw(hnp.arrays(np.float64, values.shape, elements=REALS))
+    d_xh, d_adj, d_w, d_xsub = stacked_kernel_backward(cache, gout)
+
+    subs = [extract_subgraph(g, v, hops, k_max) for g in batch for v in range(g.num_nodes)]
+    assert values.shape == (len(subs), f)
+    want = [np.zeros_like(attr_h), np.zeros_like(adj_h), np.zeros((f, n, k_max)), np.zeros_like(x_sub)]
+    for v, sub in enumerate(subs):
+        for i in range(f):
+            filt = GraphFilter(n, adj_h[i], attr_h[i])
+            w = None if weights is None else weights[i]
+            value, grads = rw_kernel_grad(sub, filt, cfg, w)
+            scale = _abs_kernel(adj_h[i], attr_h[i], sub.adjacency, sub.attributes, cfg, w)
+            assert abs(values[v, i] - value) <= 1e-9 * scale
+            # K is the same with the graphs' roles swapped and the weights
+            # transposed, so the swapped filter-side gradient is d/dx_sub
+            _, swapped = rw_kernel_grad(filt, sub, cfg, None if w is None else w.T)
+            want[0][i] += gout[v, i] * grads.d_attributes
+            want[1][i] += gout[v, i] * grads.d_adjacency
+            if cfg.is_deep:
+                want[2][i] += gout[v, i] * grads.d_deep_weights
+            want[3][v] += gout[v, i] * swapped.d_attributes
+    for got, ref in zip((d_xh, d_adj, d_w, d_xsub), want):
+        if got is None:
+            assert not cfg.is_deep
+            continue
+        assert got.shape == ref.shape
+        assert np.allclose(got, ref, rtol=1e-9, atol=1e-9 * max(np.abs(ref).max(initial=0.0), 1.0))
+    if cfg.is_deep:
+        unfilled = ~stack.mask.any(axis=0)
+        assert np.all(d_w[:, :, unfilled] == 0.0)

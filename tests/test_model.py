@@ -538,6 +538,44 @@ def test_packed_batch_equals_batches_of_one(case):
     check()
 
 
+@pytest.mark.parametrize("variant", ["plain", "deep"])
+def test_chunks_keep_real_slot_entries_under_the_bound(monkeypatch, variant):
+    # a chunk of several graphs holds under _CHUNK_ENTRIES float64 entries:
+    # the (R, f n) tensors its Hadamard layers keep, 2 f n per real slot, plus
+    # (P+1)(d^2 + k d) + k^2 per node of a Gram layer; one more graph would
+    # reach the bound, so padded slots are not counted
+    monkeypatch.setattr(kergnn.model, "_CHUNK_ENTRIES", 3000)
+    rng = np.random.default_rng(21)
+    graphs = [random_graph(rng, n, 0.3, d=2, label=0) for n in rng.integers(0, 9, size=40)]
+    cfg = small_config(kernel_variant=variant, layers=(LayerSpec(8, 2, 4, 1), LayerSpec(2, 2, 4, 2)))
+    params = init_params(cfg, rng)
+    forms = kergnn.model._layer_forms(params)
+    assert forms == (["maps", "hadamard"] if variant == "plain" else ["hadamard", "hadamard"])
+
+    def entries(batch):
+        fwd = forward_batch(batch, params)
+        total = 0
+        for layer, form, stack, (cache, _) in zip(params.layers, forms, fwd.stacks, fwd.layer_caches):
+            f, n, d = layer.attributes.shape
+            if form == "hadamard":
+                assert cache.s.shape == cache.msum.shape == (stack.mask.sum(), f * n)
+                total += cache.s.size + cache.msum.size
+            else:
+                k, steps = layer.k_max, layer.kernel_cfg.P + 1
+                total += fwd.offsets[-1] * (steps * (d * d + k * d) + k * k)
+        return total
+
+    chunks = list(packed_chunks(graphs, params))
+    assert [start for start, _ in chunks] == [0] + [stop for _, stop in chunks[:-1]]
+    assert chunks[-1][1] == len(graphs)
+    assert sum(stop - start > 1 for start, stop in chunks) > 1
+    for start, stop in chunks:
+        if stop - start > 1:
+            assert entries(graphs[start:stop]) < kergnn.model._CHUNK_ENTRIES
+        if stop < len(graphs):
+            assert entries(graphs[start:stop + 1]) >= kergnn.model._CHUNK_ENTRIES
+
+
 # ---------------------------------------------------------------------------
 # Filter export and checkpoints
 # ---------------------------------------------------------------------------

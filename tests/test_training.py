@@ -162,6 +162,18 @@ def test_train_fold_raises_on_divergence():
         train_fold(ds, ds, cfg, rng=0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_error_names_the_first_nonfinite_layer():
+    # attributes of 1e200 overflow the first kernel layer (S = X_H X_G^T alone
+    # reaches 1e200, its product with the walk sum inf); the second layer and
+    # the logits are non-finite too, but the error names where it started
+    ds = micro_pair()
+    huge = Dataset("huge", [dataclasses.replace(g, attributes=g.attributes * 1e200) for g in ds.graphs],
+                   ds.num_classes, ds.attr_dim)
+    with pytest.raises(TrainingError, match=r"epoch 0, batch 0: layers\.0 features are the first"):
+        train_fold(huge, huge, tiny_cfg(num_layers=2, epochs=1), rng=0)
+
+
 def test_dropout_training_still_runs():
     ds = micro_pair()
     cfg = tiny_cfg(epochs=3, dropout=0.5)
