@@ -26,7 +26,8 @@ and is the reference; `stack_subgraphs`, which the model uses, builds every
 node's at once with array code and equals it per node byte for byte: hop-
 limited reachability by 0/1 matmuls with the edge indicator, a row-wise
 argsort of the key dist * n + id, and one gather of the adjacency, in blocks
-of rows so no n x n int64 matrix is formed.
+of rows so no n x n int64 matrix is formed. Its SubgraphStack keeps the padded
+adjacencies, and for the real slots only their layout and the node each holds.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class Graph:
     """Immutable undirected attributed graph.
 
-    adjacency: (n, n) symmetric binary matrix with zero diagonal.
+    adjacency: (n, n) symmetric real matrix with zero diagonal, edge weights
+        of either sign (load_tudataset and read_graph_file write 0/1).
     attributes: (n, d) real matrix, one row per node.
     stacks: SubgraphStacks by (hops, k_max), built by the model on first use.
     gram_maps: the model's first-layer Gram maps of the attributes, (n, P+1,
@@ -429,53 +431,54 @@ def extract_subgraph(g: Graph, v: int, hops: int, k_max: int) -> Subgraph:
 
 @dataclass
 class SubgraphStack:
-    """All of a graph's padded subgraphs stacked for batched kernel math.
+    """A graph's padded subgraphs of k_max slots, one per node, in node order.
 
-    gather_idx/mask fix the padding layout: `gather` turns a per-node feature
-    matrix into the stacked padded attribute tensor, `scatter` is its adjoint.
-    layout lists the real slots of mask (kernels.SlotLayout), which the
-    Hadamard form runs over; it is derived from mask once, when not given.
+    layout (kernels.SlotLayout) lists the R real slots, a subgraph's first
+    ones, and is the only record of the padding. nodes holds the graph node of
+    each real slot in layout order. `gather` turns a per-node feature matrix
+    into the padded attribute tensor, `scatter` is its adjoint; both touch the
+    real slots only.
     """
 
-    gather_idx: np.ndarray  # (num_nodes, k_max), 0 where padded
-    mask: np.ndarray  # (num_nodes, k_max), 1.0 real slot / 0.0 pad
-    adjacency: np.ndarray  # (num_nodes, k_max, k_max)
-    layout: SlotLayout | None = None
-
-    def __post_init__(self):
-        if self.layout is None:
-            self.layout = SlotLayout.from_mask(self.mask)
+    nodes: np.ndarray  # (R,) int64
+    adjacency: np.ndarray  # (num_nodes, k_max, k_max), 0 outside the real slots
+    layout: SlotLayout
 
     def gather(self, feats: np.ndarray) -> np.ndarray:
-        """(num_nodes, k_max, d) padded attribute tensor from per-node feats."""
-        return feats[self.gather_idx] * self.mask[:, :, None]
+        """(num_nodes, k_max, d) padded attribute tensor of per-node feats."""
+        n, k = self.adjacency.shape[:2]
+        out = np.zeros((n * k, feats.shape[1]))
+        out[self.layout.real] = feats[self.nodes]
+        return out.reshape(n, k, feats.shape[1])
 
     def scatter(self, grad: np.ndarray) -> np.ndarray:
         """(num_nodes, d) per-node sums of a (num_nodes, k_max, d) tensor over
         the real slots that hold each node: the adjoint of gather. One bincount
         over the flat entries node * d + column adds in slot order, as
         np.add.at would, so the sums are the same bit for bit."""
-        n, d = self.gather_idx.shape[0], grad.shape[2]
-        flat = (self.gather_idx[:, :, None] * d + np.arange(d)).ravel()
-        out = np.bincount(flat, weights=(grad * self.mask[:, :, None]).ravel(), minlength=n * d)
-        return out.reshape(n, d)
+        n, d = self.adjacency.shape[0], grad.shape[2]
+        flat = (self.nodes[:, None] * d + np.arange(d)).ravel()
+        real = grad.reshape(-1, d)[self.layout.real]
+        return np.bincount(flat, weights=real.ravel(), minlength=n * d).reshape(n, d)
 
     @classmethod
     def concatenate(cls, stacks: list, k_max: int) -> "SubgraphStack":
-        """One stack over the disjoint union of the stacks' graphs, in order:
-        each gather_idx is offset by the node counts of the stacks before it,
-        and the layouts by the subgraph and real-slot counts. No stacks give an
-        empty stack of k_max slots."""
+        """One stack over the disjoint union of the stacks' graphs, in order.
+        A stack holds one subgraph per node, so nodes and the layout's flat
+        slot indices are offset by the subgraphs before it, and its starts by
+        the real slots before it. No stacks give an empty stack of k_max slots."""
         if not stacks:
-            return cls(gather_idx=np.zeros((0, k_max), dtype=np.int64), mask=np.zeros((0, k_max)),
-                       adjacency=np.zeros((0, k_max, k_max)))
+            return cls(nodes=np.zeros(0, dtype=np.int64), adjacency=np.zeros((0, k_max, k_max)),
+                       layout=SlotLayout.from_mask(np.zeros((0, k_max))))
         if len(stacks) == 1:
             return stacks[0]
-        offsets = np.cumsum([0] + [s.gather_idx.shape[0] for s in stacks[:-1]])
-        return cls(gather_idx=np.concatenate([s.gather_idx + o for s, o in zip(stacks, offsets)]),
-                   mask=np.concatenate([s.mask for s in stacks]),
-                   adjacency=np.concatenate([s.adjacency for s in stacks]),
-                   layout=SlotLayout.concatenate([s.layout for s in stacks], k_max))
+        rows = np.cumsum([0] + [len(s.adjacency) for s in stacks[:-1]])
+        reals = np.cumsum([0] + [len(s.nodes) for s in stacks[:-1]])
+        layout = SlotLayout(real=np.concatenate([s.layout.real + r * k_max for s, r in zip(stacks, rows)]),
+                            starts=np.concatenate([s.layout.starts + r for s, r in zip(stacks, reals)]),
+                            slots=np.concatenate([s.layout.slots for s in stacks]))
+        return cls(nodes=np.concatenate([s.nodes + r for s, r in zip(stacks, rows)]),
+                   adjacency=np.concatenate([s.adjacency for s in stacks]), layout=layout)
 
 
 # Rows of the hop-limited reachability built at a time: the (chunk, n) key
@@ -488,9 +491,9 @@ _UNREACHED = np.iinfo(np.int64).max
 def stack_subgraphs(g: Graph, hops: int, k_max: int) -> SubgraphStack:
     """Every node's padded subgraph, equal per node to extract_subgraph.
 
-    Row v of gather_idx holds extract_subgraph(g, v, hops, k_max).node_ids
-    then zeros, mask marks those slots, and adjacency[v] is its padded
-    adjacency, byte for byte. Rows are built in blocks of _ROW_CHUNK nodes:
+    With sub = extract_subgraph(g, v, hops, k_max), subgraph v's real slots
+    are its first sub.size, its run of nodes is sub.node_ids, and adjacency[v]
+    is sub.adjacency, byte for byte. Rows are built in blocks of _ROW_CHUNK:
     hop-limited reachability by 0/1 matmuls with the edge indicator (A != 0),
     stopped once a step reaches no new node; then a row-wise argsort of the
     key dist * n + id, unreached nodes last, cut to k_max (center first, hop
@@ -501,8 +504,7 @@ def stack_subgraphs(g: Graph, hops: int, k_max: int) -> SubgraphStack:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     n = g.num_nodes
-    gather = np.zeros((n, k_max), dtype=np.int64)
-    mask = np.zeros((n, k_max))
+    nodes, sizes = [np.zeros(0, dtype=np.int64)], np.zeros(n, dtype=np.int64)
     adj = np.zeros((n, k_max, k_max))
     a = g.adjacency
     edges = (a != 0).astype(np.float64)  # weights could cancel in the frontier sums
@@ -521,13 +523,14 @@ def stack_subgraphs(g: Graph, hops: int, k_max: int) -> SubgraphStack:
             key[new] = dist * n + np.nonzero(new)[1]
         order = np.argsort(key, axis=1)[:, :k]
         real = key[local[:, None], order] != _UNREACHED
-        # copies into the zeroed outputs, so padding stays +0.0 whatever the weights
-        np.copyto(gather[block, :k], order, where=real)
-        np.copyto(mask[block, :k], real)
+        nodes.append(order[real])  # row-major: subgraph by subgraph, slot ascending
+        sizes[block] = real.sum(axis=1)
+        # a copy into the zeroed output, so padding stays +0.0 whatever the weights
         pairs = order[:, :, None] * n + order[:, None, :]
         both = real[:, :, None] & real[:, None, :]
         np.copyto(adj[block, :k, :k], a.ravel().take(pairs), where=both)
-    return SubgraphStack(gather_idx=gather, mask=mask, adjacency=adj)
+    layout = SlotLayout.from_mask(np.arange(k_max) < sizes[:, None])
+    return SubgraphStack(nodes=np.concatenate(nodes), adjacency=adj, layout=layout)
 
 
 # ---------------------------------------------------------------------------

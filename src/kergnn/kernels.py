@@ -275,7 +275,8 @@ class SlotLayout:
     slot id j, and starts[v] the position in real of subgraph v's first one.
     Every subgraph holds a real slot (a node's subgraph holds its centre), so
     each run real[starts[v]:starts[v+1]] is nonempty and a segment sum over
-    the runs by np.add.reduceat is exact.
+    the runs by np.add.reduceat is exact. A SubgraphStack's layout is its only
+    record of the padding.
     """
 
     real: np.ndarray  # (R,) int64
@@ -291,15 +292,6 @@ class SlotLayout:
             raise ValueError("every subgraph must hold a real slot")
         real = np.flatnonzero(mask)
         return cls(real=real, starts=np.cumsum(counts) - counts, slots=real % mask.shape[1])
-
-    @classmethod
-    def concatenate(cls, layouts: list, k: int) -> "SlotLayout":
-        """Layout of the subgraphs of layouts stacked in order, each of k slots."""
-        rows = np.cumsum([0] + [len(l.starts) for l in layouts[:-1]])
-        reals = np.cumsum([0] + [len(l.real) for l in layouts[:-1]])
-        return cls(real=np.concatenate([l.real + r * k for l, r in zip(layouts, rows)]),
-                   starts=np.concatenate([l.starts + r for l, r in zip(layouts, reals)]),
-                   slots=np.concatenate([l.slots for l in layouts]))
 
 
 @dataclass

@@ -8,9 +8,9 @@ feature map. The graph readout concatenates per-layer node-feature sums,
 including layer 0, and an MLP maps the readout to class logits.
 
 All forward/backward code is plain dense numpy and works on packed batches:
-`forward_batch` concatenates the graphs' nodes and subgraph stacks (gather
-indices offset by each graph's first node), runs every layer's kernel once
-over all of them, reads out by a segment sum per graph and applies the MLP to
+`forward_batch` concatenates the graphs' nodes and subgraph stacks (node ids
+offset by each graph's first node), runs every layer's kernel once over all
+of them, reads out by a segment sum per graph and applies the MLP to
 (B, width) arrays. `backward_batch` implements reverse-mode differentiation
 through the MLP, the readout, and every kernel layer back to the filter
 parameters and the optional input linear map; the kernel's matmuls sum the
@@ -319,7 +319,7 @@ def _layer_apply(layer: KerGNNLayer, form: str, source, feats: np.ndarray, post_
     if form == "maps":
         values, cache = gram_maps_forward(layer.attributes, layer.adjacency, source, layer.kernel_cfg)
     else:
-        expected = (source.gather_idx.shape[0], layer.in_dim)
+        expected = (source.adjacency.shape[0], layer.in_dim)
         if feats.shape != expected:
             raise ValueError(
                 f"feature shape {feats.shape} does not match {expected}: one row per graph node, "
@@ -368,7 +368,7 @@ def packed_chunks(graphs: list, params: ModelParams):
     for i, g in enumerate(graphs):
         added = g.num_nodes * per_node
         for layer, cost in per_real:
-            added += cost * len(_stack(g, layer).layout.real)
+            added += cost * len(_stack(g, layer).nodes)
         if i > start and entries + added >= _CHUNK_ENTRIES:
             yield start, i
             start, entries = i, 0

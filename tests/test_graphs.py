@@ -363,24 +363,34 @@ def test_subgraph_argument_errors():
 
 def assert_stack_matches_extract(g, hops, k_max):
     stack = stack_subgraphs(g, hops, k_max)
-    assert stack.gather_idx.shape == stack.mask.shape == (g.num_nodes, k_max)
-    assert stack.gather_idx.dtype == np.int64
+    layout = stack.layout
+    assert stack.nodes.dtype == np.int64
+    assert len(stack.nodes) == len(layout.real) == len(layout.slots)
+    assert len(layout.starts) == g.num_nodes
     assert stack.adjacency.shape == (g.num_nodes, k_max, k_max)
+    x_sub = stack.gather(g.attributes)
+    start = 0
     for v in range(g.num_nodes):
         sub = extract_subgraph(g, v, hops, k_max)
-        assert tuple(stack.gather_idx[v, :sub.size]) == sub.node_ids
-        assert not stack.gather_idx[v, sub.size:].any()
-        mask = np.zeros(k_max)
-        mask[:sub.size] = 1.0
+        run = slice(start, start + sub.size)
+        # subgraph v's run of real slots: its first sub.size slots, holding its nodes
+        assert layout.starts[v] == start
+        assert tuple(stack.nodes[run]) == sub.node_ids
+        assert list(layout.real[run]) == list(v * k_max + np.arange(sub.size))
+        assert list(layout.slots[run]) == list(range(sub.size))
         # byte equality: the same values, signs of zeros and padding
-        assert stack.mask[v].tobytes() == mask.tobytes()
+        assert x_sub[v].tobytes() == sub.attributes.tobytes()
         assert stack.adjacency[v].tobytes() == sub.adjacency.tobytes()
+        start += sub.size
+    assert start == len(stack.nodes)
 
 
 @st.composite
 def symmetric_graphs(draw, max_nodes=40):
     """Random symmetric graphs from empty to dense, binary or weighted
-    (weights of both signs, so reachability must not sum them)."""
+    (weights of both signs, so reachability must not sum them). Each node's
+    attribute is its own negative value, so a gather from the wrong node or a
+    -0.0 in the padding shows."""
     n = draw(st.integers(0, max_nodes))
     density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3, 0.7, 1.0]))
     weighted = draw(st.booleans())
@@ -388,7 +398,7 @@ def symmetric_graphs(draw, max_nodes=40):
     upper = np.triu(rng.random((n, n)) < density, k=1).astype(np.float64)
     if weighted:
         upper *= rng.choice([-1.0, 1.0, 0.5], p=[0.45, 0.45, 0.1], size=(n, n))
-    return Graph(n, upper + upper.T, np.ones((n, 1)))
+    return Graph(n, upper + upper.T, -1.0 - np.arange(n, dtype=np.float64)[:, None])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -404,7 +414,8 @@ def test_stack_subgraphs_weights_do_not_cancel():
     for i, j, w in [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, -1.0)]:
         adj[i, j] = adj[j, i] = w
     g = Graph(4, adj, np.ones((4, 1)))
-    assert list(stack_subgraphs(g, 2, 4).gather_idx[0]) == [0, 1, 2, 3]
+    stack = stack_subgraphs(g, 2, 4)
+    assert list(stack.nodes[:stack.layout.starts[1]]) == [0, 1, 2, 3]
     assert_stack_matches_extract(g, 2, 4)
 
 

@@ -5,7 +5,8 @@ The plain kernel is symmetric in its two graphs and positive semidefinite
 training path equals the scalar `walk_kernel` for every (subgraph, filter)
 pair, in both plain forms and in the deep variant. On packed subgraph stacks
 the Hadamard form, which runs over real slots only, also gives every gradient
-of the scalar `rw_kernel_grad`.
+of the scalar `rw_kernel_grad`, and the stack's scatter is the adjoint of its
+gather.
 """
 
 import numpy as np
@@ -135,6 +136,31 @@ def padded_batches(draw, d):
     return batch, hops, k_max
 
 
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_gather_and_scatter_are_adjoint_over_the_real_slots(data):
+    # on a packed stack scatter is the adjoint of gather, gather writes +0.0 to
+    # every padded slot, and scatter never reads one
+    d = data.draw(st.integers(1, 3))
+    batch, hops, k_max = data.draw(padded_batches(d))
+    stack = SubgraphStack.concatenate([stack_subgraphs(g, hops, k_max) for g in batch], k_max)
+    nodes = sum(g.num_nodes for g in batch)
+    x = data.draw(hnp.arrays(np.float64, (nodes, d), elements=REALS))
+    y = data.draw(hnp.arrays(np.float64, (nodes, k_max, d), elements=REALS))
+    padded = np.ones(nodes * k_max, dtype=bool)
+    padded[stack.layout.real] = False
+    padded = padded.reshape(nodes, k_max)
+
+    gx, sy = stack.gather(x), stack.scatter(y)
+    assert gx.shape == y.shape and sy.shape == x.shape
+    # the sum of the entrywise absolute products bounds both rounding errors
+    assert abs(np.vdot(gx, y) - np.vdot(x, sy)) <= 1e-12 * np.vdot(np.abs(gx), np.abs(y))
+    assert gx[padded].tobytes() == np.zeros_like(gx[padded]).tobytes()
+    planted = y.copy()
+    planted[padded] = np.nan
+    assert stack.scatter(planted).tobytes() == sy.tobytes()
+
+
 @pytest.mark.parametrize("variant", ["plain", "deep"])
 @PROPERTY_SETTINGS
 @given(data=st.data())
@@ -180,5 +206,5 @@ def test_ragged_hadamard_form_equals_the_scalar_gradients(variant, data):
         assert got.shape == ref.shape
         assert np.allclose(got, ref, rtol=1e-9, atol=1e-9 * max(np.abs(ref).max(initial=0.0), 1.0))
     if cfg.is_deep:
-        unfilled = ~stack.mask.any(axis=0)
+        unfilled = np.bincount(stack.layout.slots, minlength=k_max) == 0
         assert np.all(d_w[:, :, unfilled] == 0.0)
