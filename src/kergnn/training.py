@@ -262,14 +262,17 @@ def evaluate(params: ModelParams, graphs) -> float:
 
 
 def _batch_step(graphs, params, rng):
-    """(mean loss, mean gradients) of a minibatch, by one packed forward and
-    backward per chunk (model.packed_chunks); chunks add up in order."""
+    """(mean loss, mean gradients, correct predictions) of a minibatch, by one
+    packed forward and backward per chunk (model.packed_chunks); chunks add up
+    in order. A graph counts as correct when the argmax of the logits its loss
+    is taken of is its label."""
     # one dropout seed per graph is drawn even without dropout, so the rng
     # stream (every later shuffle and init) does not depend on the dropout rate
     seeds = rng.integers(0, 2**63 - 1, size=len(graphs))
     labels = np.array([g.graph_label for g in graphs])
     total = {}
     loss = 0.0
+    correct = 0
     for start, stop in packed_chunks(graphs, params):
         rngs = None
         if params.config.dropout > 0:
@@ -277,12 +280,13 @@ def _batch_step(graphs, params, rng):
         fwd = forward_batch(graphs[start:stop], params, rngs)
         losses, dlogits = softmax_cross_entropy(fwd.logits, labels[start:stop])
         loss += float(losses.sum())
+        correct += int(np.count_nonzero(np.argmax(fwd.logits, axis=1) == labels[start:stop]))
         for name, grad in backward_batch(fwd, dlogits, params).items():
             total[name] = total[name] + grad if name in total else grad
     scale = 1.0 / len(graphs)
     for name in total:
         total[name] *= scale
-    return loss * scale, total
+    return loss * scale, total, correct
 
 
 def _nonfinite_origin(graphs, params) -> str:
@@ -318,9 +322,15 @@ def _clip_grads(grads: dict, max_norm: float):
 def train_fold(train_set, val_set, cfg: TrainConfig, rng):
     """Train on train_set; return the parameters of the best-validation epoch.
 
-    Ties in validation accuracy go to the earliest epoch. The history records
-    per-epoch train loss, train/validation accuracy, learning rate, and wall
-    time. Subgraph stacks and layer-1 Gram maps are built once per graph and
+    Ties in validation accuracy go to the earliest epoch. The history holds one
+    entry per epoch in each of:
+      train_loss     mean of the minibatch mean losses of the epoch;
+      train_acc      share of training graphs classified right by the epoch's
+                     minibatch forwards (train mode: dropout if configured,
+                     parameters updated batch by batch);
+      val_acc        eval-mode accuracy on val_set after the epoch;
+      lr, epoch_seconds  learning rate and wall time of the epoch.
+    Subgraph stacks and layer-1 Gram maps are built once per graph and
     kept on it (see Graph.stacks, Graph.gram_maps), so later epochs,
     candidates and folds reuse them.
     """
@@ -350,9 +360,10 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng):
         lr = learning_rate_at(cfg, epoch)
         rng.shuffle(order)
         losses = []
+        correct = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_graphs[i] for i in order[start: start + cfg.batch_size]]
-            loss, grads = _batch_step(batch, params, rng)
+            loss, grads, batch_correct = _batch_step(batch, params, rng)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}: "
@@ -362,10 +373,10 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng):
                 _clip_grads(grads, cfg.grad_clip)
             opt.step(grads, lr)
             losses.append(loss)
-        train_acc = evaluate(params, train_graphs)
+            correct += batch_correct
         val_acc = evaluate(params, val_graphs)
         history["train_loss"].append(float(np.mean(losses)))
-        history["train_acc"].append(train_acc)
+        history["train_acc"].append(correct / len(train_graphs))
         history["val_acc"].append(val_acc)
         history["lr"].append(lr)
         history["epoch_seconds"].append(time.perf_counter() - t0)
@@ -465,6 +476,23 @@ def stratified_split(labels: np.ndarray, holdout_frac: float, rng: np.random.Gen
     return np.array(sorted(train), dtype=np.int64), np.array(sorted(hold), dtype=np.int64)
 
 
+def _checked_split(k: int, split) -> tuple:
+    """(train, test) of a given split as arrays, each nonempty, 1-D and of an
+    integer dtype (bool would mask, float would not index)."""
+    try:
+        train_idx, test_idx = split
+        arrays = (np.asarray(train_idx), np.asarray(test_idx))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"split {k}: expected a (train, test) pair of index arrays") from exc
+    for name, idx in zip(("train", "test"), arrays):
+        if idx.ndim != 1 or idx.size == 0:
+            raise ConfigError(f"split {k}: {name} indices must be a nonempty 1-D array, "
+                              f"got shape {idx.shape}")
+        if idx.dtype.kind not in "iu":
+            raise ConfigError(f"split {k}: {name} indices must be integers, got dtype {idx.dtype}")
+    return arrays
+
+
 def cross_validate(ds: Dataset, grid, seed: int, n_folds: int = 10,
                    out_dir: str | None = None, splits: list | None = None) -> CVResult:
     """Stratified n-fold assessment with inner 90/10 holdout model selection.
@@ -472,19 +500,34 @@ def cross_validate(ds: Dataset, grid, seed: int, n_folds: int = 10,
     `grid` is a TrainConfig or a list of them. With n_folds=1 a single
     stratified 90/10 train/test holdout is evaluated. Pre-computed splits
     (list of (train_indices, test_indices) pairs) override fold generation;
-    their indices must lie in [0, len(ds)) and train and test must not overlap.
+    each side must be a nonempty 1-D integer array with indices in
+    [0, len(ds)), train and test must not overlap, and some class must have
+    two training graphs, so that the inner split leaves one to train on.
+    Every split is checked before any fold trains, and a bad one raises
+    ConfigError.
     """
     if not _is_int(seed) or seed < 0:
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     labels = ds.labels()
     counts = np.bincount(labels, minlength=ds.num_classes)
     if splits is not None:
+        try:
+            splits = list(splits)
+        except TypeError as exc:
+            raise ConfigError(f"splits must be a list of (train, test) pairs, got {splits!r}") from exc
+        if not splits:
+            raise ConfigError("splits must hold at least one (train, test) pair")
+        splits = [_checked_split(k, split) for k, split in enumerate(splits)]
         for k, (train_idx, test_idx) in enumerate(splits):
             both = np.concatenate([train_idx, test_idx])
             if np.any((both < 0) | (both >= len(ds))):
                 raise ConfigError(f"split {k}: indices must lie in [0, {len(ds)})")
             if np.intersect1d(train_idx, test_idx).size:
                 raise ConfigError(f"split {k}: train/test overlap")
+            # the inner split holds out at least one graph of each class
+            if np.all(np.bincount(labels[train_idx]) < 2):
+                raise ConfigError(f"split {k}: the inner validation split would take every "
+                                  f"training graph; some class needs 2 training graphs")
     else:
         if n_folds < 1:
             raise ValueError("n_folds must be >= 1")

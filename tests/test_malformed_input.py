@@ -1,18 +1,25 @@
-"""Property tests: mutated graph files and TUDataset directories raise only DatasetError.
+"""Malformed input raises only the package's own errors.
 
-Each example starts from a valid file (or dataset directory), applies a few
-byte-level edits, and loads the result: it must either load or raise the
-package's own DatasetError, never a numpy, Unicode or memory error.
+Property tests: mutated graph files and TUDataset directories raise only
+DatasetError. Each example starts from a valid file (or dataset directory),
+applies a few byte-level edits, and loads the result: it must either load or
+raise the package's own DatasetError, never a numpy, Unicode or memory error.
+
+Given cross-validation splits of the wrong kind raise ConfigError before any
+fold trains.
 """
 
 import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from kergnn.errors import DatasetError
-from kergnn.graphs import load_tudataset, read_graph_file, write_graph_file
+import kergnn.training
+from kergnn.errors import ConfigError, DatasetError
+from kergnn.graphs import Dataset, load_tudataset, read_graph_file, write_graph_file
+from kergnn.training import TrainConfig, cross_validate
 
 from conftest import random_graph, write_tudataset
 
@@ -122,3 +129,42 @@ def test_mutated_tudataset_raises_only_dataset_error(edits, removed):
             load_tudataset(tmp, "D")
         except DatasetError:
             pass
+
+
+VALID_SPLIT = (np.arange(8), np.arange(8, 12))
+
+
+def twelve_graphs() -> Dataset:
+    rng = np.random.default_rng(2)
+    return Dataset("twelve", [random_graph(rng, 4, 0.5, label=i % 2) for i in range(12)], 2, 1)
+
+
+@pytest.mark.parametrize("split", [
+    (np.arange(8.0), np.arange(8, 12)),  # float indices
+    (np.arange(8), np.array([8.0, 9.0])),
+    (np.arange(12) < 8, np.arange(8, 12)),  # a boolean mask
+    (np.arange(8), np.array([], dtype=np.int64)),  # empty test split
+    (np.array([], dtype=np.int64), np.arange(8, 12)),
+    ([], [8, 9]),
+    (np.arange(8).reshape(2, 4), np.arange(8, 12)),  # not 1-D
+    (np.arange(8), np.int64(9)),
+    (np.arange(8), ["8", "9"]),
+    ([[0, 1], [2]], [8, 9]),  # ragged
+    (np.arange(8),),  # not a pair
+    None,
+    ([0, 1], [8, 9]),  # one graph per class: the inner split would take both
+], ids=["float-train", "float-test", "bool", "empty-test", "empty-train", "empty-lists",
+        "2d", "scalar", "strings", "ragged", "one-array", "none", "inner-train-empty"])
+def test_bad_split_raises_config_error_before_training(monkeypatch, split):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a fold trained before the splits were checked")
+
+    monkeypatch.setattr(kergnn.training, "train_fold", no_training)
+    with pytest.raises(ConfigError, match="split 1"):
+        cross_validate(twelve_graphs(), TrainConfig(epochs=1), seed=0, splits=[VALID_SPLIT, split])
+
+
+@pytest.mark.parametrize("splits,message", [([], "at least one"), (5, "list of")])
+def test_no_split_list_raises_config_error(splits, message):
+    with pytest.raises(ConfigError, match=message):
+        cross_validate(twelve_graphs(), TrainConfig(epochs=1), seed=0, splits=splits)

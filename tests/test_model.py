@@ -513,13 +513,16 @@ def test_packed_batch_equals_batches_of_one(case):
         # the dropout seeds _batch_step draws, one per graph, fix each graph's masks
         drop_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=len(graphs))
         single_grads = []
+        single_correct = 0
         for g, s in zip(graphs, drop_seeds):
             fwd = forward_batch([g], params, [np.random.default_rng(s)])
             dlogits = softmax_cross_entropy(fwd.logits, np.array([g.graph_label]))[1]
             single_grads.append(backward_batch(fwd, dlogits, params))
+            single_correct += int(np.argmax(fwd.logits[0]) == g.graph_label)
 
         def packed():
-            _, grads = _batch_step(graphs, params, np.random.default_rng(seed))
+            _, grads, correct = _batch_step(graphs, params, np.random.default_rng(seed))
+            assert correct == single_correct
             return predict_logits(graphs, params), grads
 
         with pytest.MonkeyPatch.context() as mp:

@@ -7,7 +7,8 @@ import pytest
 from kergnn.errors import ConfigError, TrainingError
 from kergnn.graphs import Dataset, Graph, stack_subgraphs
 from kergnn.kernels import gram_maps
-from kergnn.model import ModelConfig, init_params, layer_forward, model_forward, named_parameters
+from kergnn.model import (ModelConfig, init_params, layer_forward, model_forward, named_parameters,
+                          predict_logits)
 from kergnn.training import (
     Adam,
     TrainConfig,
@@ -172,6 +173,49 @@ def test_divergence_error_names_the_first_nonfinite_layer():
                    ds.num_classes, ds.attr_dim)
     with pytest.raises(TrainingError, match=r"epoch 0, batch 0: layers\.0 features are the first"):
         train_fold(huge, huge, tiny_cfg(num_layers=2, epochs=1), rng=0)
+
+
+def mixed_prediction_dataset():
+    # 3-wide normal attributes on graphs of 2-8 nodes: the model train_fold
+    # initialises from rng=2 predicts both classes on it (19 vs 5 graphs)
+    rng = np.random.default_rng(0)
+    graphs = [random_graph(rng, int(rng.integers(2, 9)), 0.5, d=3, label=i % 2) for i in range(24)]
+    return Dataset("mixed", graphs, 2, 3)
+
+
+@pytest.mark.parametrize("variant", ["plain", "deep"])
+def test_train_acc_counts_the_epochs_own_forwards(monkeypatch, variant):
+    # with the parameters frozen and no dropout, the minibatch forwards of an
+    # epoch see the same model as an eval pass over the training set after it
+    monkeypatch.setattr(Adam, "step", lambda self, grads, lr: None)
+    ds = mixed_prediction_dataset()
+    cfg = tiny_cfg(epochs=3, kernel_variant=variant)
+    params, history = train_fold(ds, ds.subset(range(6)), cfg, rng=2)
+    predicted = np.argmax(predict_logits(list(ds.graphs), params), axis=1)
+    assert len(np.unique(predicted)) == 2
+    assert history["train_acc"] == [evaluate(params, ds)] * cfg.epochs
+
+
+def test_train_fold_forwards_each_graph_once_per_epoch(monkeypatch):
+    # one training forward per training graph and one eval forward per
+    # validation graph each epoch; no separate pass over the training set
+    import kergnn.model
+    import kergnn.training
+
+    forwarded = []
+    forward = kergnn.model.forward_batch
+
+    def counting(graphs, *args, **kwargs):
+        forwarded.append(len(graphs))
+        return forward(graphs, *args, **kwargs)
+
+    monkeypatch.setattr(kergnn.model, "forward_batch", counting)
+    monkeypatch.setattr(kergnn.training, "forward_batch", counting)
+    ds = mixed_prediction_dataset()
+    train, val = ds.subset(range(18)), ds.subset(range(18, 24))
+    cfg = tiny_cfg(epochs=3)
+    train_fold(train, val, cfg, rng=0)
+    assert sum(forwarded) == cfg.epochs * (len(train) + len(val))
 
 
 def test_dropout_training_still_runs():
