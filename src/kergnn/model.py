@@ -33,6 +33,7 @@ map needs it. `layer_forward` always takes the stack path.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass, asdict, astuple
@@ -86,7 +87,8 @@ class GraphFilter:
 class KerGNNLayer:
     """f graph filters of n nodes, stored only as the stacked tensors the kernel
     reads: adjacency (f, n, n), attributes (f, n, d) and, for the deep variant,
-    deep_weights (f, n, k_max). The constructor copies the filters into them.
+    deep_weights (f, n, k_max). The constructor copies the filters into them;
+    in a ModelParams they are views of ModelParams.flat.
     """
 
     def __init__(self, filters, kernel_cfg: RWKernelConfig, hops: int, k_max: int,
@@ -185,35 +187,54 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
+    """Every trainable tensor is a view of one float64 vector, `flat`, laid out as
+    named_parameters lists them. Write into the tensors in place: a rebound tensor
+    drops out of `flat`, and so out of the optimizer and the best-epoch snapshot."""
+
     config: ModelConfig
     layers: list
     mlp: list  # [(weight, bias), ...], last maps to logits
-    input_map: tuple | None = None  # (weight, bias)
+    input_map: tuple | None  # (weight, bias)
+    flat: np.ndarray
+
+
+def _layout(config: ModelConfig) -> list:
+    """(name, shape) of every trainable tensor, in the order of ModelParams.flat."""
+    d_in = config.width_after_input()
+    layout = []
+    if config.input_map_dim is not None:
+        layout += [("input_map.weight", (config.attr_dim, d_in)), ("input_map.bias", (d_in,))]
+    for l, ls in enumerate(config.layers):
+        f, n = ls.num_filters, ls.filter_nodes
+        layout += [(f"layers.{l}.adjacency", (f, n, n)), (f"layers.{l}.attributes", (f, n, d_in))]
+        if config.kernel_cfg().is_deep:
+            layout.append((f"layers.{l}.deep_weights", (f, n, ls.k_max)))
+        d_in = f
+    width = config.readout_dim()
+    for j, h in enumerate((*config.mlp_hidden, config.num_classes)):
+        layout += [(f"mlp.{j}.weight", (width, h)), (f"mlp.{j}.bias", (h,))]
+        width = h
+    return layout
 
 
 def _build_params(config: ModelConfig) -> ModelParams:
-    """Zero-initialized parameter containers with the configured shapes."""
+    """Zero-initialized parameters (deep pair weights 1) with the configured
+    shapes, each bound to its view of one zero vector (named_parameters)."""
     kernel_cfg = config.kernel_cfg()
-    d_in = config.width_after_input()
-    layers = []
-    for ls in config.layers:
-        n = ls.filter_nodes
-        blank = GraphFilter(n, np.zeros((n, n)), np.zeros((n, d_in)))
-        deep = np.ones((ls.num_filters, n, ls.k_max)) if kernel_cfg.is_deep else None
-        layers.append(KerGNNLayer([blank] * ls.num_filters, kernel_cfg, ls.hops, ls.k_max, deep))
-        d_in = ls.num_filters
-
-    mlp = []
-    width = config.readout_dim()
-    for h in list(config.mlp_hidden) + [config.num_classes]:
-        mlp.append((np.zeros((width, h)), np.zeros(h)))
-        width = h
-
-    input_map = None
+    flat = np.zeros(sum(math.prod(shape) for _, shape in _layout(config)))
+    params = ModelParams(config=config, layers=[], mlp=[], input_map=None, flat=flat)
+    views = iter(view for _, view in named_parameters(params))
     if config.input_map_dim is not None:
-        input_map = (np.zeros((config.attr_dim, config.input_map_dim)),
-                     np.zeros(config.input_map_dim))
-    return ModelParams(config=config, layers=layers, mlp=mlp, input_map=input_map)
+        params.input_map = (next(views), next(views))
+    for ls in config.layers:
+        layer = KerGNNLayer([], kernel_cfg, ls.hops, ls.k_max)  # tensors bound below
+        layer.adjacency, layer.attributes = next(views), next(views)
+        if kernel_cfg.is_deep:
+            layer.deep_weights = next(views)
+            layer.deep_weights[:] = 1.0
+        params.layers.append(layer)
+    params.mlp = [(next(views), next(views)) for _ in range(len(config.mlp_hidden) + 1)]
+    return params
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
@@ -246,21 +267,13 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     return params
 
 
-def named_parameters(params: ModelParams) -> list:
-    """Stable (name, array) list of every trainable tensor."""
-    out = []
-    if params.input_map is not None:
-        out.append(("input_map.weight", params.input_map[0]))
-        out.append(("input_map.bias", params.input_map[1]))
-    for l, layer in enumerate(params.layers):
-        out.append((f"layers.{l}.adjacency", layer.adjacency))
-        out.append((f"layers.{l}.attributes", layer.attributes))
-        if layer.deep_weights is not None:
-            out.append((f"layers.{l}.deep_weights", layer.deep_weights))
-    for j, (w, b) in enumerate(params.mlp):
-        out.append((f"mlp.{j}.weight", w))
-        out.append((f"mlp.{j}.bias", b))
-    return out
+def named_parameters(params: ModelParams, vector: np.ndarray | None = None) -> list:
+    """Stable (name, array) list of every trainable tensor, as views of
+    params.flat, or of vector, laid out like it (a gradient from backward_batch)."""
+    layout = _layout(params.config)
+    stops = np.cumsum([math.prod(shape) for _, shape in layout])
+    parts = np.split(params.flat if vector is None else vector, stops[:-1])
+    return [(name, part.reshape(shape)) for (name, shape), part in zip(layout, parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -460,19 +473,18 @@ def forward_batch(graphs: list, params: ModelParams, dropout_rngs: list | None =
                         layer_caches=layer_caches, mlp_inputs=mlp_inputs, gates=gates, logits=h)
 
 
-def backward_batch(fwd: BatchForward, dlogits: np.ndarray, params: ModelParams) -> dict:
-    """Gradients of sum(dlogits * logits) with respect to every trainable tensor,
-    summed over the batch inside the matmuls."""
-    grads: dict = {}
-
-    # MLP head
+def backward_batch(fwd: BatchForward, dlogits: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Gradient of sum(dlogits * logits), summed over the batch inside the
+    matmuls, as one vector laid out like params.flat: named_parameters(params,
+    grad) names its views."""
+    # MLP head; parts gathers the gradients in named_parameters order
+    parts = []
     dh = dlogits
     for j in reversed(range(len(params.mlp))):
         w, _ = params.mlp[j]
         if j < len(params.mlp) - 1:
             dh = dh * fwd.gates[j]
-        grads[f"mlp.{j}.weight"] = fwd.mlp_inputs[j].T @ dh
-        grads[f"mlp.{j}.bias"] = dh.sum(axis=0)
+        parts[:0] = [fwd.mlp_inputs[j].T @ dh, dh.sum(axis=0)]
         dh = dh @ w.T
 
     # readout: every node of graph b gets row b of the readout gradient, split by layer
@@ -489,17 +501,13 @@ def backward_batch(fwd: BatchForward, dlogits: np.ndarray, params: ModelParams) 
             gout = gout * (pre > 0)
         need_x = l > 0 or params.input_map is not None
         d_xh, d_adj, d_w, d_xsub = stacked_kernel_backward(cache, gout, need_x)
-        grads[f"layers.{l}.adjacency"] = d_adj
-        grads[f"layers.{l}.attributes"] = d_xh
-        if d_w is not None:
-            grads[f"layers.{l}.deep_weights"] = d_w
+        parts[:0] = [d_adj, d_xh] if d_w is None else [d_adj, d_xh, d_w]
         if need_x:
             dnodes[l] = dnodes[l] + fwd.stacks[l].scatter(d_xsub)
 
     if params.input_map is not None:
-        grads["input_map.weight"] = fwd.attributes.T @ dnodes[0]
-        grads["input_map.bias"] = dnodes[0].sum(axis=0)
-    return grads
+        parts[:0] = [fwd.attributes.T @ dnodes[0], dnodes[0].sum(axis=0)]
+    return np.concatenate([grad.ravel() for grad in parts])
 
 
 def predict_logits(graphs: list, params: ModelParams) -> np.ndarray:

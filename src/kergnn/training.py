@@ -29,7 +29,6 @@ from .model import (
     backward_batch,
     forward_batch,
     init_params,
-    named_parameters,
     packed_chunks,
     predict_logits,
     save_checkpoint,
@@ -209,28 +208,26 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 
 class Adam:
-    """Standard Adam with bias correction; one slot pair per named tensor."""
+    """Standard Adam with bias correction over params.flat, every trainable
+    tensor at once; m and v are vectors laid out like it."""
 
     def __init__(self, params: ModelParams, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.named = named_parameters(params)
+        self.flat = params.flat
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = {name: np.zeros_like(arr) for name, arr in self.named}
-        self.v = {name: np.zeros_like(arr) for name, arr in self.named}
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
         self.t = 0
 
-    def step(self, grads: dict, lr: float):
+    def step(self, grad: np.ndarray, lr: float):
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, arr in self.named:
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            arr -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1 - self.beta1) * grad
+        v *= self.beta2
+        v += (1 - self.beta2) * grad * grad
+        self.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def _graphs_of(data) -> list:
@@ -239,15 +236,6 @@ def _graphs_of(data) -> list:
         if g.graph_label is None:
             raise ValueError(f"graph {i} has no graph_label")
     return graphs
-
-
-def _clone_tensors(params: ModelParams) -> dict:
-    return {name: arr.copy() for name, arr in named_parameters(params)}
-
-
-def _restore_tensors(params: ModelParams, snapshot: dict):
-    for name, arr in named_parameters(params):
-        arr[:] = snapshot[name]
 
 
 def evaluate(params: ModelParams, graphs) -> float:
@@ -262,7 +250,7 @@ def evaluate(params: ModelParams, graphs) -> float:
 
 
 def _batch_step(graphs, params, rng):
-    """(mean loss, mean gradients, correct predictions) of a minibatch, by one
+    """(mean loss, mean gradient vector, correct predictions) of a minibatch, by one
     packed forward and backward per chunk (model.packed_chunks); chunks add up
     in order. A graph counts as correct when the argmax of the logits its loss
     is taken of is its label."""
@@ -270,7 +258,7 @@ def _batch_step(graphs, params, rng):
     # stream (every later shuffle and init) does not depend on the dropout rate
     seeds = rng.integers(0, 2**63 - 1, size=len(graphs))
     labels = np.array([g.graph_label for g in graphs])
-    total = {}
+    total = np.zeros_like(params.flat)
     loss = 0.0
     correct = 0
     for start, stop in packed_chunks(graphs, params):
@@ -281,11 +269,9 @@ def _batch_step(graphs, params, rng):
         losses, dlogits = softmax_cross_entropy(fwd.logits, labels[start:stop])
         loss += float(losses.sum())
         correct += int(np.count_nonzero(np.argmax(fwd.logits, axis=1) == labels[start:stop]))
-        for name, grad in backward_batch(fwd, dlogits, params).items():
-            total[name] = total[name] + grad if name in total else grad
+        total += backward_batch(fwd, dlogits, params)
     scale = 1.0 / len(graphs)
-    for name in total:
-        total[name] *= scale
+    total *= scale
     return loss * scale, total, correct
 
 
@@ -311,12 +297,13 @@ def _nonfinite_origin(graphs, params) -> str:
     return f"{where} are the first non-finite tensor"
 
 
-def _clip_grads(grads: dict, max_norm: float):
-    norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+def _clip_grads(grad: np.ndarray, max_norm: float):
+    """Scale grad in place to L2 norm max_norm if its one global norm is larger;
+    the norm is taken of grad / max|grad|, so a finite gradient cannot overflow it."""
+    top = np.max(np.abs(grad), initial=0.0)
+    norm = top * np.linalg.norm(grad / top) if top > 0 else 0.0
     if norm > max_norm:
-        factor = max_norm / norm
-        for g in grads.values():
-            g *= factor
+        grad *= max_norm / norm
 
 
 def train_fold(train_set, val_set, cfg: TrainConfig, rng):
@@ -352,7 +339,7 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng):
     history = {"train_loss": [], "train_acc": [], "val_acc": [], "lr": [], "epoch_seconds": []}
     best_acc = -1.0
     best_epoch = -1
-    best_snapshot = _clone_tensors(params)
+    best_snapshot = params.flat.copy()
 
     order = np.arange(len(train_graphs))
     for epoch in range(cfg.epochs):
@@ -363,15 +350,15 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng):
         correct = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_graphs[i] for i in order[start: start + cfg.batch_size]]
-            loss, grads, batch_correct = _batch_step(batch, params, rng)
+            loss, grad, batch_correct = _batch_step(batch, params, rng)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}: "
                     f"{_nonfinite_origin(batch, params)}"
                 )
             if cfg.grad_clip is not None:
-                _clip_grads(grads, cfg.grad_clip)
-            opt.step(grads, lr)
+                _clip_grads(grad, cfg.grad_clip)
+            opt.step(grad, lr)
             losses.append(loss)
             correct += batch_correct
         val_acc = evaluate(params, val_graphs)
@@ -383,9 +370,9 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng):
         if val_acc > best_acc:
             best_acc = val_acc
             best_epoch = epoch
-            best_snapshot = _clone_tensors(params)
+            best_snapshot = params.flat.copy()
 
-    _restore_tensors(params, best_snapshot)
+    params.flat[:] = best_snapshot
     history["best_epoch"] = best_epoch
     history["best_val_acc"] = best_acc
     return params, history

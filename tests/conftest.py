@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kergnn.graphs import Graph
+from kergnn.model import named_parameters
 
 
 def cycle_graph(n, d=1, label=None):
@@ -85,6 +86,32 @@ def with_attributes(sub, feats):
     attr = np.zeros((sub.capacity, feats.shape[1]))
     attr[: sub.size] = feats[list(sub.node_ids)]
     return Subgraph(sub.center, sub.node_ids, sub.adjacency, attr, sub.size)
+
+
+def assert_tensors_tile_flat(params):
+    """Every named tensor, and the model's own tensor of that name, is the
+    slice of params.flat at the running offset, and the slices tile it."""
+    own = dict(zip(("input_map.weight", "input_map.bias"), params.input_map or ()))
+    for l, layer in enumerate(params.layers):
+        own[f"layers.{l}.adjacency"] = layer.adjacency
+        own[f"layers.{l}.attributes"] = layer.attributes
+        if layer.deep_weights is not None:
+            own[f"layers.{l}.deep_weights"] = layer.deep_weights
+    for j, (w, b) in enumerate(params.mlp):
+        own[f"mlp.{j}.weight"], own[f"mlp.{j}.bias"] = w, b
+    named = named_parameters(params)
+    assert [name for name, _ in named] == list(own)
+    base, offset = params.flat.__array_interface__["data"][0], 0
+    for name, view in named:
+        for arr in (view, own[name]):
+            assert arr.shape == view.shape and arr.flags.c_contiguous, name
+            assert arr.__array_interface__["data"][0] == base + 8 * offset, name
+        offset += view.size
+    assert params.flat.ndim == 1 and offset == params.flat.size
+    for layer in params.layers:
+        for filt in layer.filters:
+            assert np.shares_memory(filt.adjacency, params.flat)
+            assert np.shares_memory(filt.attributes, params.flat)
 
 
 def brute_force_isomorphic(g1, g2):

@@ -29,7 +29,8 @@ from kergnn.model import (
 )
 from kergnn.training import TrainConfig, _batch_step, softmax_cross_entropy
 
-from conftest import hexagon, random_filter, random_graph, two_triangles, with_attributes
+from conftest import (assert_tensors_tile_flat, hexagon, random_filter, random_graph, two_triangles,
+                      with_attributes)
 
 
 def small_config(**over):
@@ -270,6 +271,25 @@ def test_named_parameters_are_the_stacked_layer_tensors():
     assert layer.deep_weights.shape == (3, 4, 6)
 
 
+def test_every_tensor_is_a_view_of_the_flat_vector(tmp_path):
+    # a tensor rebound instead of written in place would drop out of the
+    # optimizer and the checkpoint without an error
+    cfg = small_config(kernel_variant="deep", input_map_dim=3,
+                       layers=(LayerSpec(3, 4, 6, 1), LayerSpec(2, 3, 5, 2)))
+    params = init_params(cfg, np.random.default_rng(24))
+    assert_tensors_tile_flat(params)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), params, seed=0)
+    loaded, _, _ = load_checkpoint(str(path))
+    assert_tensors_tile_flat(loaded)
+    assert loaded.flat.tobytes() == params.flat.tobytes()
+    # a gradient vector is named by views of that vector in the same layout
+    grad = np.arange(params.flat.size, dtype=np.float64)
+    views = named_parameters(params, grad)
+    assert all(np.shares_memory(view, grad) for _, view in views)
+    assert np.concatenate([view.ravel() for _, view in views]).tobytes() == grad.tobytes()
+
+
 def test_filters_are_views_of_the_layer_tensors():
     params = init_params(small_config(), np.random.default_rng(20))
     layer = params.layers[0]
@@ -356,7 +376,7 @@ def test_end_to_end_gradients_match_finite_differences(variant):
 
     fwd = forward_batch(graphs, params)
     dlogits = softmax_cross_entropy(fwd.logits, labels)[1] / len(graphs)
-    grads = backward_batch(fwd, dlogits, params)
+    grads = dict(named_parameters(params, backward_batch(fwd, dlogits, params)))
     h = 1e-6
     worst = 0.0
     for name, arr in named_parameters(params):
@@ -426,7 +446,7 @@ def test_empty_batch_gives_no_logits(case):
     assert predict_logits([], params).shape == (0, 3)
     fwd = forward_batch([], params)
     assert fwd.logits.shape == (0, 3)
-    grads = backward_batch(fwd, np.zeros((0, 3)), params)
+    grads = dict(named_parameters(params, backward_batch(fwd, np.zeros((0, 3)), params)))
     for name, arr in named_parameters(params):
         assert np.array_equal(grads[name], np.zeros_like(arr)), name
 
@@ -457,7 +477,7 @@ def test_cached_maps_equal_the_stack_path(monkeypatch):
         for batch in (graphs, copies):
             fwd = forward_batch(batch, params)
             dlogits = softmax_cross_entropy(fwd.logits, labels)[1]
-            results.append((fwd.logits, backward_batch(fwd, dlogits, params)))
+            results.append((fwd.logits, dict(named_parameters(params, backward_batch(fwd, dlogits, params)))))
             monkeypatch.setattr(kergnn.model, "_layer_forms", _stack_path_forms)
         monkeypatch.undo()
         (got, got_grads), (want, want_grads) = results
@@ -517,13 +537,13 @@ def test_packed_batch_equals_batches_of_one(case):
         for g, s in zip(graphs, drop_seeds):
             fwd = forward_batch([g], params, [np.random.default_rng(s)])
             dlogits = softmax_cross_entropy(fwd.logits, np.array([g.graph_label]))[1]
-            single_grads.append(backward_batch(fwd, dlogits, params))
+            single_grads.append(dict(named_parameters(params, backward_batch(fwd, dlogits, params))))
             single_correct += int(np.argmax(fwd.logits[0]) == g.graph_label)
 
         def packed():
-            _, grads, correct = _batch_step(graphs, params, np.random.default_rng(seed))
+            _, grad, correct = _batch_step(graphs, params, np.random.default_rng(seed))
             assert correct == single_correct
-            return predict_logits(graphs, params), grads
+            return predict_logits(graphs, params), dict(named_parameters(params, grad))
 
         with pytest.MonkeyPatch.context() as mp:
             assert list(packed_chunks(graphs, params)) == [(0, len(graphs))]

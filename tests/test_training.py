@@ -7,7 +7,7 @@ import pytest
 from kergnn.errors import ConfigError, TrainingError
 from kergnn.graphs import Dataset, Graph, stack_subgraphs
 from kergnn.kernels import gram_maps
-from kergnn.model import (ModelConfig, init_params, layer_forward, model_forward, named_parameters,
+from kergnn.model import (LayerSpec, ModelConfig, init_params, layer_forward, model_forward, named_parameters,
                           predict_logits)
 from kergnn.training import (
     Adam,
@@ -20,9 +20,10 @@ from kergnn.training import (
     stratified_kfold,
     stratified_split,
     train_fold,
+    _clip_grads,
 )
 
-from conftest import complete_graph, path_graph, random_graph
+from conftest import assert_tensors_tile_flat, complete_graph, path_graph, random_graph
 
 
 def micro_pair():
@@ -80,11 +81,71 @@ def test_adam_constant_gradient_hand_computed():
     (name, arr) = named_parameters(params)[0]  # mlp.0.weight, shape (1, 1)
     arr[:] = 1.0
     opt = Adam(params, beta1=0.9, beta2=0.999, eps=1e-8)
-    grads = {n: np.ones_like(a) for n, a in named_parameters(params)}
-    opt.step(grads, lr=0.1)
+    grad = np.ones_like(params.flat)
+    opt.step(grad, lr=0.1)
     assert arr[0, 0] == pytest.approx(1.0 - 0.1 / (1 + 1e-8), abs=1e-15)
-    opt.step(grads, lr=0.1)
+    opt.step(grad, lr=0.1)
     assert arr[0, 0] == pytest.approx(1.0 - 2 * (0.1 / (1 + 1e-8)), abs=1e-12)
+
+
+def deep_mapped_params(seed):
+    cfg = ModelConfig(attr_dim=2, num_classes=3, kernel_variant="deep", input_map_dim=3,
+                      layers=(LayerSpec(3, 4, 5, 1), LayerSpec(2, 3, 5, 2)), mlp_hidden=(4,))
+    return init_params(cfg, np.random.default_rng(seed))
+
+
+def test_adam_step_equals_the_per_tensor_update():
+    # the per-tensor loop Adam ran before its state became two vectors: the
+    # same elementwise operations, so the same bytes
+    rng = np.random.default_rng(6)
+    params = deep_mapped_params(6)
+    beta1, beta2, eps = 0.8, 0.99, 1e-6
+    ref = {name: arr.copy() for name, arr in named_parameters(params)}
+    m = {name: np.zeros_like(arr) for name, arr in ref.items()}
+    v = {name: np.zeros_like(arr) for name, arr in ref.items()}
+    opt = Adam(params, beta1, beta2, eps)
+    for t in range(1, 4):
+        grad = rng.normal(size=params.flat.shape) * 10.0 ** rng.integers(-4, 4, size=params.flat.shape)
+        lr = 0.01 * t
+        opt.step(grad, lr)
+        bc1 = 1.0 - beta1 ** t
+        bc2 = 1.0 - beta2 ** t
+        for name, g in named_parameters(params, grad):
+            m[name] *= beta1
+            m[name] += (1 - beta1) * g
+            v[name] *= beta2
+            v[name] += (1 - beta2) * g * g
+            ref[name] -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+        for name, arr in named_parameters(params):
+            assert arr.tobytes() == ref[name].tobytes(), (t, name)
+    assert_tensors_tile_flat(params)
+
+
+def test_adam_step_moves_the_layer_filters():
+    params = deep_mapped_params(7)
+    filt = params.layers[0].filters[1]
+    before = filt.adjacency.copy()
+    Adam(params).step(np.ones_like(params.flat), lr=0.1)
+    assert np.allclose(filt.adjacency, before - 0.1, rtol=0, atol=1e-8)
+
+
+def test_clip_rescales_a_gradient_whose_square_overflows():
+    # 1e200 squared is inf: a norm of the raw entries zeroed the whole gradient
+    grad = np.array([1e200, -1e200, 3.0])
+    _clip_grads(grad, 1.0)
+    want = np.array([1.0, -1.0, 3e-200]) / np.sqrt(2.0)
+    assert np.allclose(grad, want, rtol=1e-12, atol=0)
+    assert np.linalg.norm(grad) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_clip_leaves_a_gradient_under_the_bound_unchanged():
+    grad = np.random.default_rng(8).normal(size=50)
+    before = grad.tobytes()
+    _clip_grads(grad, 1.01 * np.linalg.norm(grad))
+    assert grad.tobytes() == before
+    zero = np.zeros(4)
+    _clip_grads(zero, 1.0)
+    assert zero.tobytes() == np.zeros(4).tobytes()
 
 
 def test_learning_rate_halves_every_50_epochs():
@@ -145,6 +206,16 @@ def test_train_fold_returns_best_epoch_params():
     # ties broken toward the earliest epoch
     first_best = history["val_acc"].index(max(history["val_acc"]))
     assert best == first_best
+
+
+def test_train_fold_params_alias_their_vector_after_the_restore():
+    # the best epoch is restored by one vector copy into params.flat, which
+    # the model's tensors must still read
+    ds = micro_pair()
+    cfg = tiny_cfg(epochs=6, num_layers=2, kernel_variant="deep", input_map_dim=2, grad_clip=0.5)
+    params, history = train_fold(ds, ds, cfg, rng=1)
+    assert_tensors_tile_flat(params)
+    assert evaluate(params, ds) == history["best_val_acc"]
 
 
 def test_train_fold_rejects_bad_inputs():
