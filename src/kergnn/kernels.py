@@ -47,7 +47,9 @@ subgraphs'; `gram_maps` returns the subgraphs'. These do not depend on any
 parameter when the features are raw attributes, so a caller may keep them
 (the model keeps layer 1's on each graph) and start from them with
 `gram_maps_forward`: lambda_p is applied at use, and steps 0..P of a longer
-walk's maps equal the maps of walk length P byte for byte.
+walk's maps equal the maps of walk length P byte for byte. A value is
+linear in its subgraph's maps, so a sum of values over subgraphs is the
+value of their summed maps (the model sums a lone layer's over each graph).
 `stacked_kernel_backward(..., need_x=False)` skips the subgraph-feature
 gradient, which a layer reading raw attributes has no use for.
 """
@@ -389,7 +391,8 @@ def stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg: RWKernelConfig, wei
 
 def gram_maps_forward(attr_h, adj_h, maps, cfg: RWKernelConfig):
     """Gram-form kernel values (N, f) from the subgraphs' unweighted maps
-    (N, >= P+1, d*d), as gram_maps gives them; steps past P are ignored.
+    (N, >= P+1, d*d), as gram_maps gives them, or from sums of them, whose
+    values are the sums of the subgraphs' values; steps past P are ignored.
     Equal byte for byte to stacked_kernel_forward on the subgraphs themselves.
     The cache serves stacked_kernel_backward with need_x=False only."""
     if cfg.is_deep:

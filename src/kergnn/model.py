@@ -10,24 +10,33 @@ including layer 0, and an MLP maps the readout to class logits.
 All forward/backward code is plain dense numpy and works on packed batches:
 `forward_batch` concatenates the graphs' nodes and subgraph stacks (node ids
 offset by each graph's first node), runs every layer's kernel once over all
-of them, reads out by a segment sum per graph and applies the MLP to
-(B, width) arrays. `backward_batch` implements reverse-mode differentiation
-through the MLP, the readout, and every kernel layer back to the filter
-parameters and the optional input linear map; the kernel's matmuls sum the
-batch's gradients. `packed_chunks` cuts a batch into consecutive chunks whose
-kernel caches stay under `_CHUNK_ENTRIES` float64 entries, counting only the
-real subgraph slots of a Hadamard-form layer, since its tensors hold no
-padded slot. `model_forward` and `layer_forward` are batches of one.
+of them, reads out by a segment sum per graph (a "summed" layer gives graph
+sums itself) and applies the MLP to (B, width) arrays. `backward_batch`
+implements reverse-mode differentiation through the MLP, the readout, and
+every kernel layer back to the filter parameters and the optional input
+linear map; the kernel's matmuls sum the batch's gradients. `packed_chunks`
+cuts a batch into consecutive chunks whose kernel caches stay under
+`_CHUNK_ENTRIES` float64 entries, counting only the real subgraph slots of a
+Hadamard-form layer, since its tensors hold no padded slot, and one row per
+graph of a "summed" layer. `model_forward` and `layer_forward` are batches
+of one.
 
 `_layer_forms` decides once per layer how it runs: "hadamard" or "gram" on
-the packed subgraph stack, or "maps" for a first layer in the Gram form
-without an input map. Such a layer reads the raw attributes, so its subgraph
-side X_G^T A_G^p X_G is a constant of the graph: it is built once per graph
-(`Graph.gram_maps`, by (hops, k_max)) and concatenated instead of a stack.
-The stack it came from is dropped unless another layer shares its
-(hops, k_max); a longer walk later rebuilds it and extends the maps. The
-first layer's backward skips the subgraph-feature gradient unless an input
-map needs it. `layer_forward` always takes the stack path.
+the packed subgraph stack, "maps" for a first layer in the Gram form
+without an input map, or "summed" for such a layer when it is the only one
+and post_relu is off. A first layer without an input map reads the raw
+attributes, so its subgraph side X_G^T A_G^p X_G is a constant of the
+graph, kept on it (`Graph.gram_maps`, by (hops, k_max)) in place of a stack:
+per node, (n, P+1, d^2), for "maps", where a later layer reads the node
+values; summed over the nodes, (P+1, d^2), for "summed". A lone layer feeds
+only the readout, and the readout sums its values <phi_G(v), phi_H> over
+the nodes, so it needs <sum_v phi_G(v), phi_H>: one map row per graph, one
+kernel value row per graph, and a gradient that reads the readout's without
+repeating it per node. The stack the maps came from is dropped unless
+another layer shares its (hops, k_max); a longer walk later rebuilds it and
+extends the maps. The first layer's backward skips the subgraph-feature
+gradient unless an input map needs it. `layer_forward` always takes the
+stack path, and `model_forward` returns per-node values of every layer.
 """
 
 from __future__ import annotations
@@ -295,19 +304,26 @@ def _stack(g: Graph, layer: KerGNNLayer) -> SubgraphStack:
     return g.stacks[key]
 
 
-def _cached_maps(g: Graph, layer: KerGNNLayer, keep_stack: bool) -> np.ndarray:
-    """g's unweighted Gram maps (n, >= P+1, d^2) of its raw attributes at the
-    layer's (hops, k_max), kept on g. Built, or rebuilt for a longer walk, from
-    the stack, which is then dropped from g unless keep_stack."""
-    key = (layer.hops, layer.k_max)
+def _cached_maps(g: Graph, layer: KerGNNLayer, form: str, keep_stack: bool) -> np.ndarray:
+    """g's unweighted Gram maps of its raw attributes at the layer's (hops,
+    k_max), steps 0..P: per node (n, P+1, d^2) for form "maps", summed over
+    the nodes (P+1, d^2) for "summed". g keeps one entry per key, per node or
+    summed, of at least P+1 steps; a per-node entry also serves a summed
+    read. It is built, or rebuilt for a longer walk or for per-node reads,
+    from the stack, which is then dropped from g unless keep_stack; a rebuild
+    keeps every step and the per-node rows of the entry it replaces."""
+    key, steps = (layer.hops, layer.k_max), layer.kernel_cfg.P + 1
     maps = g.gram_maps.get(key)
-    if maps is None or maps.shape[1] <= layer.kernel_cfg.P:
+    per_node = form == "maps" or (maps is not None and maps.ndim == 3)
+    if maps is None or maps.shape[-2] < steps or maps.ndim < 2 + per_node:
+        built = steps if maps is None else max(steps, maps.shape[-2])
         stack = _stack(g, layer)
-        maps = g.gram_maps[key] = gram_maps(stack.gather(g.attributes), stack.adjacency,
-                                            layer.kernel_cfg.P)
+        maps = gram_maps(stack.gather(g.attributes), stack.adjacency, built - 1)
+        g.gram_maps[key] = maps = maps if per_node else maps.sum(axis=0)
         if not keep_stack:
             del g.stacks[key]
-    return maps
+    maps = maps[..., :steps, :]
+    return maps.sum(axis=0) if form == "summed" and maps.ndim == 3 else maps
 
 
 def _stack_form(layer: KerGNNLayer) -> str:
@@ -318,18 +334,20 @@ def _stack_form(layer: KerGNNLayer) -> str:
 
 def _layer_forms(params: ModelParams) -> list:
     """Each layer's form, the one decision forward, backward and chunking read:
-    "maps" for a first layer in the Gram form without an input map, else its
-    _stack_form."""
+    "maps" for a first layer in the Gram form without an input map, "summed"
+    for such a layer that feeds only the readout (the only layer, no
+    post_relu), else its _stack_form."""
     forms = [_stack_form(layer) for layer in params.layers]
     if forms and forms[0] == "gram" and params.input_map is None:
-        forms[0] = "maps"
+        forms[0] = "summed" if len(forms) == 1 and not params.config.post_relu else "maps"
     return forms
 
 
 def _layer_apply(layer: KerGNNLayer, form: str, source, feats: np.ndarray, post_relu: bool):
     """Kernel values of one layer and its backward cache. source is the packed
-    SubgraphStack, or for form "maps" the packed maps (feats is then unused)."""
-    if form == "maps":
+    SubgraphStack, or for forms "maps" and "summed" the packed maps (feats is
+    then unused)."""
+    if form in ("maps", "summed"):
         values, cache = gram_maps_forward(layer.attributes, layer.adjacency, source, layer.kernel_cfg)
     else:
         expected = (source.adjacency.shape[0], layer.in_dim)
@@ -357,29 +375,33 @@ def layer_forward(g: Graph, feats: np.ndarray, layer: KerGNNLayer,
 
 
 def _chunk_costs(params: ModelParams) -> tuple:
-    """(per_node, per_real) of the float64 entries a graph adds to the kernel
-    caches of all layers: per_node for each of its nodes, (P+1)(d^2 + k d) + k^2
-    per Gram-form layer for the maps, walks and subgraph adjacency (counted so
-    for "maps" layers too), and (layer, 2 f n) per real slot of the layer's
-    stack for each Hadamard-form layer."""
-    per_node, per_real = 0, []
+    """(per_graph, per_node, per_real) of the float64 entries a graph adds to
+    the kernel caches of all layers: per_graph for the graph, (P+1) d^2 for
+    the summed maps of a "summed" layer; per_node for each of its nodes,
+    (P+1)(d^2 + k d) + k^2 per other Gram-form layer for the maps, walks and
+    subgraph adjacency (counted so for "maps" layers too); and (layer, 2 f n)
+    per real slot of the layer's stack for each Hadamard-form layer."""
+    per_graph, per_node, per_real = 0, 0, []
     for layer, form in zip(params.layers, _layer_forms(params)):
         f, n, d = layer.attributes.shape
+        steps = layer.kernel_cfg.P + 1
         if form == "hadamard":
             per_real.append((layer, 2 * f * n))
+        elif form == "summed":
+            per_graph += steps * d * d
         else:
-            k, steps = layer.k_max, layer.kernel_cfg.P + 1
+            k = layer.k_max
             per_node += steps * (d * d + k * d) + k * k
-    return per_node, per_real
+    return per_graph, per_node, per_real
 
 
 def packed_chunks(graphs: list, params: ModelParams):
     """(start, stop) of consecutive runs of graphs whose packed intermediates
     stay under _CHUNK_ENTRIES; every run holds at least one graph."""
-    per_node, per_real = _chunk_costs(params)
+    per_graph, per_node, per_real = _chunk_costs(params)
     start, entries = 0, 0
     for i, g in enumerate(graphs):
-        added = g.num_nodes * per_node
+        added = per_graph + g.num_nodes * per_node
         for layer, cost in per_real:
             added += cost * len(_stack(g, layer).nodes)
         if i > start and entries + added >= _CHUNK_ENTRIES:
@@ -412,8 +434,9 @@ class BatchForward:
 
     offsets: np.ndarray  # (B+1,)
     attributes: np.ndarray  # raw packed attributes, (nodes, attr_dim)
-    stacks: list  # packed SubgraphStack of each layer, None for a "maps" layer
-    feats: list  # packed feats_0..feats_L, each (nodes, d_l)
+    forms: list  # _layer_forms of the layers
+    stacks: list  # packed SubgraphStack of each layer, None for a "maps" or "summed" layer
+    feats: list  # packed feats_0..feats_L, each (nodes, d_l); (B, d_l) graph sums for "summed"
     layer_caches: list  # hold the layer tensors themselves: backward before they change
     mlp_inputs: list  # (B, width) each
     gates: list  # (B, width) ReLU gate times dropout mask of each hidden layer
@@ -436,12 +459,15 @@ def forward_batch(graphs: list, params: ModelParams, dropout_rngs: list | None =
         w, b = params.input_map
         feats0 = feats0 @ w + b
     feats, stacks, layer_caches, packed = [feats0], [], [], {}
+    forms = _layer_forms(params)
     keys = [(layer.hops, layer.k_max) for layer in params.layers]
-    for layer, form, key in zip(params.layers, _layer_forms(params), keys):
-        if form == "maps":
+    for layer, form, key in zip(params.layers, forms, keys):
+        if form in ("maps", "summed"):
             steps, d = layer.kernel_cfg.P + 1, layer.in_dim
-            source = _concat([_cached_maps(g, layer, key in keys[1:])[:, :steps] for g in graphs],
-                             (0, steps, d * d))
+            maps = [_cached_maps(g, layer, form, key in keys[1:]) for g in graphs]
+            if form == "summed":
+                maps = [m[None] for m in maps]  # one row per graph
+            source = _concat(maps, (0, steps, d * d))
             stacks.append(None)
         else:
             if key not in packed:
@@ -452,7 +478,11 @@ def forward_batch(graphs: list, params: ModelParams, dropout_rngs: list | None =
         layer_caches.append(cache)
         feats.append(values)
 
-    h = _segment_sum(np.concatenate(feats, axis=1), offsets)
+    # a "summed" layer, the last, gave graph sums already
+    summed = forms[-1:] == ["summed"]
+    h = _segment_sum(np.concatenate(feats[:-1] if summed else feats, axis=1), offsets)
+    if summed:
+        h = np.concatenate([h, feats[-1]], axis=1)
     mlp_inputs, gates = [], []
     for j, (w, b) in enumerate(params.mlp):
         mlp_inputs.append(h)
@@ -469,7 +499,7 @@ def forward_batch(graphs: list, params: ModelParams, dropout_rngs: list | None =
             z = z * mask
         gates.append(gate)
         h = z
-    return BatchForward(offsets=offsets, attributes=attributes, stacks=stacks, feats=feats,
+    return BatchForward(offsets=offsets, attributes=attributes, forms=forms, stacks=stacks, feats=feats,
                         layer_caches=layer_caches, mlp_inputs=mlp_inputs, gates=gates, logits=h)
 
 
@@ -487,10 +517,13 @@ def backward_batch(fwd: BatchForward, dlogits: np.ndarray, params: ModelParams) 
         parts[:0] = [fwd.mlp_inputs[j].T @ dh, dh.sum(axis=0)]
         dh = dh @ w.T
 
-    # readout: every node of graph b gets row b of the readout gradient, split by layer
-    dreadout = np.repeat(dh, np.diff(fwd.offsets), axis=0)
+    # readout: every node of graph b gets row b of the readout gradient, split
+    # by layer; the graph sums of a "summed" layer read row b itself
     widths = np.cumsum([0] + [f.shape[1] for f in fwd.feats])
-    dnodes = [dreadout[:, lo:hi] for lo, hi in zip(widths[:-1], widths[1:])]
+    per_node = widths[-2] if fwd.forms[-1:] == ["summed"] else widths[-1]
+    dreadout = np.repeat(dh[:, :per_node], np.diff(fwd.offsets), axis=0)
+    dnodes = [dreadout[:, lo:hi] if hi <= per_node else dh[:, lo:hi]
+              for lo, hi in zip(widths[:-1], widths[1:])]
 
     # kernel layers, last to first; the raw attributes' gradient dnodes[0]
     # is read only by an input map
@@ -526,7 +559,9 @@ def predict_logits(graphs: list, params: ModelParams) -> np.ndarray:
 def model_forward(g: Graph, params: ModelParams, mode: str = "eval",
                   rng: np.random.Generator | None = None):
     """Logits (C,) plus the per-layer node feature maps, for introspection: a
-    batch of one. mode="train" applies dropout with masks drawn from rng."""
+    batch of one. mode="train" applies dropout with masks drawn from rng. A
+    "summed" layer's node values come from layer_forward, whose stack stays
+    on g."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     rngs = None
@@ -535,7 +570,10 @@ def model_forward(g: Graph, params: ModelParams, mode: str = "eval",
             raise ValueError("train-mode dropout requires an rng")
         rngs = [rng]
     fwd = forward_batch([g], params, rngs)
-    return fwd.logits[0], fwd.feats
+    feats = fwd.feats
+    if fwd.forms[-1:] == ["summed"]:
+        feats = feats[:-1] + [layer_forward(g, feats[-2], params.layers[-1])]
+    return fwd.logits[0], feats
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +628,11 @@ def save_checkpoint(path: str, params: ModelParams, seed: int, extra: dict | Non
         "tensors": tensors,
     }
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    # dumps runs the C encoder in one shot; json.dump streams the same text
+    # through the pure-Python one, at twice the time
+    text = json.dumps(payload, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(text)
 
 
 def load_checkpoint(path: str):

@@ -29,6 +29,7 @@ from .model import (
     backward_batch,
     forward_batch,
     init_params,
+    model_forward,
     packed_chunks,
     predict_logits,
     save_checkpoint,
@@ -240,7 +241,9 @@ def _graphs_of(data) -> list:
 
 def evaluate(params: ModelParams, graphs) -> float:
     """Eval-mode accuracy over labeled graphs; their stacks and layer-1 Gram
-    maps stay on them (Graph.stacks, Graph.gram_maps)."""
+    maps stay on them (Graph.stacks, Graph.gram_maps): per node, or one
+    (P+1, d^2) row summed over the nodes when layer 1 is the only layer
+    (model._layer_forms)."""
     graphs = _graphs_of(graphs)
     if not graphs:
         raise ValueError("cannot evaluate on an empty split")
@@ -277,15 +280,15 @@ def _batch_step(graphs, params, rng):
 
 def _nonfinite_origin(graphs, params) -> str:
     """Where the non-finite loss of a batch started, found by re-running its
-    forward chunk by chunk in eval mode (dropout acts on the MLP only): the
-    shallowest input-map or layers.{l} feature tensor holding a non-finite
-    value in any chunk, else the MLP logits."""
+    forward graph by graph in eval mode (dropout acts on the MLP only): the
+    shallowest input-map or layers.{l} per-node feature tensor holding a
+    non-finite value in any graph, else the MLP logits."""
     names = [f"layers.{l} features" for l in range(len(params.layers))]
     if params.input_map is not None:
         names.insert(0, "input_map features")
     first = len(names)
-    for start, stop in packed_chunks(graphs, params):
-        feats = forward_batch(graphs[start:stop], params).feats
+    for g in graphs:
+        _, feats = model_forward(g, params)
         tensors = feats if params.input_map is not None else feats[1:]
         for i, x in enumerate(tensors[:first]):
             if not np.isfinite(x).all():
@@ -319,7 +322,9 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng):
       lr, epoch_seconds  learning rate and wall time of the epoch.
     Subgraph stacks and layer-1 Gram maps are built once per graph and
     kept on it (see Graph.stacks, Graph.gram_maps), so later epochs,
-    candidates and folds reuse them.
+    candidates and folds reuse them. A lone Gram-form layer on the raw
+    attributes without post_relu keeps only its maps summed over the graph's
+    nodes, (P+1) d^2 floats per graph, and no stack (model._layer_forms).
     """
     cfg.validate()
     train_graphs = _graphs_of(train_set)

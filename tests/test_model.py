@@ -361,13 +361,20 @@ def micro_dataset(rng):
     ]
 
 
-@pytest.mark.parametrize("variant", ["plain", "deep"])
-def test_end_to_end_gradients_match_finite_differences(variant):
+FD_CASES = {
+    variant: dict(kernel_variant=variant, input_map_dim=3,
+                  layers=(LayerSpec(2, 3, 6, 1), LayerSpec(2, 2, 6, 1)))
+    for variant in ("plain", "deep")
+}
+FD_CASES["summed"] = dict(layers=(LayerSpec(2, 3, 6, 1),))  # one plain layer on the raw attributes
+
+
+@pytest.mark.parametrize("case", sorted(FD_CASES))
+def test_end_to_end_gradients_match_finite_differences(case):
     rng = np.random.default_rng(13)
     graphs = micro_dataset(rng)
-    cfg = small_config(kernel_variant=variant, input_map_dim=3,
-                       layers=(LayerSpec(2, 3, 6, 1), LayerSpec(2, 2, 6, 1)))
-    params = init_params(cfg, rng)
+    params = init_params(small_config(**FD_CASES[case]), rng)
+    assert (kergnn.model._layer_forms(params) == ["summed"]) == (case == "summed")
 
     labels = np.array([g.graph_label for g in graphs])
 
@@ -452,14 +459,18 @@ def test_empty_batch_gives_no_logits(case):
 
 
 def _stack_path_forms(params):
-    """_layer_forms without the "maps" form: every layer on its subgraph stack."""
+    """_layer_forms without the "maps" and "summed" forms: every layer on its subgraph stack."""
     return [kergnn.model._stack_form(layer) for layer in params.layers]
 
 
 def test_cached_maps_equal_the_stack_path(monkeypatch):
     # layer 1's cached Gram maps against the stack path on copies of the same
-    # graphs, bit for bit: 0-node graphs in the batch, P slices of the maps of
-    # a longer walk, and lambdas that differ from those of the first forward
+    # graphs: 0-node graphs in the batch, P slices of the maps of a longer
+    # walk, and lambdas that differ from those of the first forward. Per-node
+    # maps (a two-layer model, "maps") give the same bytes. A lone layer
+    # ("summed") sums its maps over each graph's nodes before the filters
+    # read them, where the stack path sums the node values after: another
+    # summation order, so logits and gradients agree to 1e-12 relative
     rng = np.random.default_rng(12)
     graphs = [random_graph(rng, n, 0.5, d=2, label=int(rng.integers(2))) for n in (5, 0, 7, 3, 0)]
     graphs.insert(0, empty_graph(2, label=0))
@@ -471,21 +482,62 @@ def test_cached_maps_equal_the_stack_path(monkeypatch):
     labels = np.array([g.graph_label for g in graphs])
     for cfg in cfgs:
         params = init_params(cfg, np.random.default_rng(cfg.walk_length))
-        assert kergnn.model._layer_forms(params)[0] == "maps"
+        form = kergnn.model._layer_forms(params)[0]
+        assert form == ("summed" if len(cfg.layers) == 1 else "maps")
         copies = [dataclasses.replace(g) for g in graphs]
         results = []
         for batch in (graphs, copies):
             fwd = forward_batch(batch, params)
             dlogits = softmax_cross_entropy(fwd.logits, labels)[1]
-            results.append((fwd.logits, dict(named_parameters(params, backward_batch(fwd, dlogits, params)))))
+            results.append((fwd.logits, backward_batch(fwd, dlogits, params)))
             monkeypatch.setattr(kergnn.model, "_layer_forms", _stack_path_forms)
         monkeypatch.undo()
-        (got, got_grads), (want, want_grads) = results
-        assert got.tobytes() == want.tobytes()
-        for name, _ in named_parameters(params):
-            assert got_grads[name].tobytes() == want_grads[name].tobytes(), name
-        assert all(g.gram_maps[(1, 6)].shape[1] == 4 for g in graphs)  # the first, P = 3
+        (got, got_grad), (want, want_grad) = results
+        if form == "maps":
+            assert got.tobytes() == want.tobytes()
+            assert got_grad.tobytes() == want_grad.tobytes()
+        else:
+            assert _rel(got, want, np.max(np.abs(want))) <= 1e-12
+            for (name, g), (_, w) in zip(named_parameters(params, got_grad),
+                                         named_parameters(params, want_grad)):
+                assert _rel(g, w, np.max(np.abs(w))) <= 1e-12, name
         assert not any(c.gram_maps for c in copies)
+    # the first forward, P = 3, set the steps; the two-layer model's per-node
+    # rebuild kept all four
+    assert all(g.gram_maps[(1, 6)].shape == (g.num_nodes, 4, 4) for g in graphs)
+
+
+def test_summed_layer_keeps_per_node_values_for_introspection():
+    # the packed forward of a lone layer reads out <sum_v phi_G(v), phi_H>;
+    # model_forward still returns each node's value, from the stack path
+    rng = np.random.default_rng(8)
+    g = random_graph(rng, 7, 0.5, d=2)
+    params = init_params(small_config(), rng)
+    assert kergnn.model._layer_forms(params) == ["summed"]
+    fwd = forward_batch([g], params)
+    assert fwd.feats[1].shape == (1, 3) and fwd.stacks == [None]
+    logits, feats = model_forward(g, params)
+    assert logits.tobytes() == fwd.logits[0].tobytes()
+    assert np.array_equal(feats[1], layer_forward(g, g.attributes, params.layers[0]))
+    assert _rel(feats[1].sum(axis=0), fwd.feats[1][0], np.max(np.abs(fwd.feats[1]))) <= 1e-12
+
+
+def test_summed_layer_packs_whole_batches(monkeypatch):
+    # a "summed" layer costs its (P+1) d^2 map row per graph, whatever the
+    # graph's size: ten graphs the per-node "maps" form puts in a chunk each
+    # are one chunk, until the bound is ten rows
+    rng = np.random.default_rng(22)
+    graphs = [random_graph(rng, 8, 0.4, d=2, label=0) for _ in range(10)]
+    lone = init_params(small_config(), rng)
+    relu = init_params(small_config(post_relu=True), rng)  # a clamped layer is not linear in its maps
+    assert kergnn.model._layer_forms(lone) == ["summed"]
+    assert kergnn.model._layer_forms(relu) == ["maps"]
+    row = 3 * 2 * 2  # (P+1) d^2
+    monkeypatch.setattr(kergnn.model, "_CHUNK_ENTRIES", 10 * row + 1)
+    assert list(packed_chunks(graphs, lone)) == [(0, 10)]
+    assert list(packed_chunks(graphs, relu)) == [(i, i + 1) for i in range(10)]
+    monkeypatch.setattr(kergnn.model, "_CHUNK_ENTRIES", 10 * row)
+    assert list(packed_chunks(graphs, lone)) == [(0, 9), (9, 10)]
 
 
 def _rel(got, want, scale):
@@ -650,6 +702,27 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(a1, a2)
     g = random_graph(np.random.default_rng(0), 5, 0.5, d=2)
     assert np.array_equal(model_forward(g, params)[0], model_forward(g, loaded)[0])
+
+
+def test_checkpoint_bytes_match_json_dump(tmp_path):
+    # save_checkpoint writes json.dumps' text; json.dump, its former writer,
+    # streams the same payload through another encoder
+    params = init_params(small_config(kernel_variant="deep", input_map_dim=4), np.random.default_rng(19))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), params, seed=3, extra={"fold": 1, "val_acc": 0.75})
+    payload = {
+        "format_version": kergnn.model.CHECKPOINT_VERSION,
+        "kind": "kergnn-checkpoint",
+        "config": dataclasses.asdict(params.config),
+        "seed": 3,
+        "extra": {"fold": 1, "val_acc": 0.75},
+        "tensors": {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+                    for name, arr in named_parameters(params)},
+    }
+    reference = tmp_path / "reference.ckpt"
+    with open(reference, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True)
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_checkpoint_version_mismatch(tmp_path):

@@ -7,8 +7,8 @@ import pytest
 from kergnn.errors import ConfigError, TrainingError
 from kergnn.graphs import Dataset, Graph, stack_subgraphs
 from kergnn.kernels import gram_maps
-from kergnn.model import (LayerSpec, ModelConfig, init_params, layer_forward, model_forward, named_parameters,
-                          predict_logits)
+from kergnn.model import (LayerSpec, ModelConfig, forward_batch, init_params, layer_forward, model_forward,
+                          named_parameters, predict_logits)
 from kergnn.training import (
     Adam,
     TrainConfig,
@@ -244,6 +244,9 @@ def test_divergence_error_names_the_first_nonfinite_layer():
                    ds.num_classes, ds.attr_dim)
     with pytest.raises(TrainingError, match=r"epoch 0, batch 0: layers\.0 features are the first"):
         train_fold(huge, huge, tiny_cfg(num_layers=2, epochs=1), rng=0)
+    # a lone layer reads out graph sums; its per-node values are named
+    with pytest.raises(TrainingError, match=r"epoch 0, batch 0: layers\.0 features are the first"):
+        train_fold(huge, huge, tiny_cfg(epochs=1), rng=0)
 
 
 def mixed_prediction_dataset():
@@ -445,20 +448,21 @@ def test_second_cross_validate_builds_no_stacks(stack_builds):
 
 
 def test_relabeled_graph_builds_its_own_stacks(stack_builds):
+    # a lone layer keeps its maps summed over the nodes, and no stack
     rng = np.random.default_rng(2)
     g = random_graph(rng, 6, 0.5, d=1, label=0)
     params = init_params(tiny_cfg().model_config(1, 2), np.random.default_rng(0))
-    model_forward(g, params)
-    assert list(g.gram_maps) == [(1, 5)]
+    forward_batch([g], params)
+    assert list(g.gram_maps) == [(1, 5)] and not g.stacks
     moved = g.relabeled(rng.permutation(6))
     copied = dataclasses.replace(g, graph_label=1)
     assert not moved.gram_maps and not copied.gram_maps
     assert not moved.stacks and not copied.stacks
-    model_forward(moved, params)
+    forward_batch([moved], params)
     assert [b[0] for b in stack_builds] == [g, moved]
     own = stack_subgraphs(moved, 1, 5)
     assert moved.gram_maps[(1, 5)].tobytes() == gram_maps(own.gather(moved.attributes),
-                                                          own.adjacency, 2).tobytes()
+                                                          own.adjacency, 2).sum(axis=0).tobytes()
 
 
 def test_longer_walk_extends_the_maps(stack_builds):
@@ -468,16 +472,36 @@ def test_longer_walk_extends_the_maps(stack_builds):
     g = random_graph(rng, 7, 0.5, d=2, label=0)
     forward = {p: init_params(tiny_cfg(walk_length=p).model_config(2, 2), np.random.default_rng(p))
                for p in (1, 2)}
-    model_forward(g, forward[1])
+    forward_batch([g], forward[1])
     short = g.gram_maps[(1, 5)]
-    assert short.shape == (7, 2, 4) and not g.stacks
-    model_forward(g, forward[2])
-    assert g.gram_maps[(1, 5)].shape == (7, 3, 4) and not g.stacks
-    assert g.gram_maps[(1, 5)][:, :2].tobytes() == short.tobytes()
+    assert short.shape == (2, 4) and not g.stacks
+    forward_batch([g], forward[2])
+    assert g.gram_maps[(1, 5)].shape == (3, 4) and not g.stacks
+    assert g.gram_maps[(1, 5)][:2].tobytes() == short.tobytes()
     assert stack_builds == [(g, 1, 5)] * 2
     longer = g.gram_maps[(1, 5)]
-    model_forward(g, forward[1])
+    forward_batch([g], forward[1])
     assert g.gram_maps[(1, 5)] is longer and len(stack_builds) == 2
+
+
+def test_per_node_maps_serve_a_lone_layer(stack_builds):
+    # a two-layer model needs layer 1's maps per node, so it rebuilds a lone
+    # layer's summed entry once, keeping its steps; the lone layer then sums
+    # the per-node rows, to the bytes it read before, and builds nothing. A
+    # longer walk extends the per-node entry, which stays per node
+    rng = np.random.default_rng(3)
+    g = random_graph(rng, 7, 0.5, d=2, label=0)
+    lone = {p: init_params(tiny_cfg(walk_length=p).model_config(2, 2), np.random.default_rng(p))
+            for p in (2, 3)}
+    two = init_params(tiny_cfg(walk_length=1, num_layers=2).model_config(2, 2), np.random.default_rng(1))
+    before = forward_batch([g], lone[2]).logits
+    forward_batch([g], two)
+    assert g.gram_maps[(1, 5)].shape == (7, 3, 4) and list(g.stacks) == [(1, 5)]
+    assert forward_batch([g], lone[2]).logits.tobytes() == before.tobytes()
+    assert stack_builds == [(g, 1, 5)] * 2
+    forward_batch([g], lone[3])
+    assert g.gram_maps[(1, 5)].shape == (7, 4, 4) and not g.stacks
+    assert stack_builds == [(g, 1, 5)] * 2
 
 
 def test_stack_kept_while_another_layer_shares_its_key(stack_builds):
