@@ -72,8 +72,8 @@ class Graph:
         of either sign (load_tudataset and read_graph_file write 0/1).
     attributes: (n, d) real matrix, one row per node.
     stacks: SubgraphStacks by (hops, k_max), built by the model on first use.
-    gram_maps: the model's first-layer Gram maps of the attributes by (hops,
-        k_max), (n, P+1, d^2) per node or (P+1, d^2) summed over the nodes;
+    gram_maps: the Gram maps of the attributes by (hops, k_max) that a lone
+        first layer of the model reads, (P+1, d^2) summed over the nodes;
         see kergnn.model.
         The arrays are read-only, so no entry of either cache goes stale;
         copies made by `relabeled` or `dataclasses.replace` start with both

@@ -45,11 +45,11 @@ a function of the shapes alone.
 One helper forms every unweighted map X^T A^p X, the filters' and the
 subgraphs'; `gram_maps` returns the subgraphs'. These do not depend on any
 parameter when the features are raw attributes, so a caller may keep them
-(the model keeps layer 1's on each graph) and start from them with
-`gram_maps_forward`: lambda_p is applied at use, and steps 0..P of a longer
-walk's maps equal the maps of walk length P byte for byte. A value is
-linear in its subgraph's maps, so a sum of values over subgraphs is the
-value of their summed maps (the model sums a lone layer's over each graph).
+and start from them with `gram_maps_forward`: lambda_p is applied at use,
+and steps 0..P of a longer walk's maps equal the maps of walk length P byte
+for byte. A value is linear in its subgraph's maps, so a sum of values over
+subgraphs is the value of their summed maps (the model keeps a lone first
+layer's maps summed over each graph's subgraphs).
 `stacked_kernel_backward(..., need_x=False)` skips the subgraph-feature
 gradient, which a layer reading raw attributes has no use for.
 """

@@ -22,21 +22,19 @@ graph of a "summed" layer. `model_forward` and `layer_forward` are batches
 of one.
 
 `_layer_forms` decides once per layer how it runs: "hadamard" or "gram" on
-the packed subgraph stack, "maps" for a first layer in the Gram form
-without an input map, or "summed" for such a layer when it is the only one
-and post_relu is off. A first layer without an input map reads the raw
-attributes, so its subgraph side X_G^T A_G^p X_G is a constant of the
-graph, kept on it (`Graph.gram_maps`, by (hops, k_max)) in place of a stack:
-per node, (n, P+1, d^2), for "maps", where a later layer reads the node
-values; summed over the nodes, (P+1, d^2), for "summed". A lone layer feeds
-only the readout, and the readout sums its values <phi_G(v), phi_H> over
-the nodes, so it needs <sum_v phi_G(v), phi_H>: one map row per graph, one
-kernel value row per graph, and a gradient that reads the readout's without
-repeating it per node. The stack the maps came from is dropped unless
-another layer shares its (hops, k_max); a longer walk later rebuilds it and
-extends the maps. The first layer's backward skips the subgraph-feature
-gradient unless an input map needs it. `layer_forward` always takes the
-stack path, and `model_forward` returns per-node values of every layer.
+the packed subgraph stack, or "summed" for a first layer in the Gram form
+without an input map when it is the only layer and post_relu is off. Such a
+layer reads the raw attributes and feeds only the readout, which sums its
+values <phi_G(v), phi_H> over the nodes, so it needs <sum_v phi_G(v), phi_H>:
+the subgraph side sum_v X_G^T A_G^p X_G is a constant of the graph, kept on
+it (`Graph.gram_maps`, by (hops, k_max), (P+1, d^2)) in place of a stack,
+giving one map row per graph, one kernel value row per graph, and a gradient
+that reads the readout's without repeating it per node. The stack the maps
+came from is dropped; a longer walk later rebuilds it and extends the maps.
+Every other layer, a multi-layer model's first included, runs on its stack.
+The first layer's backward skips the subgraph-feature gradient unless an
+input map needs it. `layer_forward` always takes the stack path, and
+`model_forward` returns per-node values of every layer.
 """
 
 from __future__ import annotations
@@ -136,6 +134,20 @@ class KerGNNLayer:
                 raise ConfigError(f"deep variant needs deep weights of shape {want}")
 
 
+# kind -> (accepted abstract type, name in messages)
+_KINDS = {int: (numbers.Integral, "integers"), float: (numbers.Real, "reals"),
+          bool: (bool, "True or False")}
+
+
+def _plain(name: str, value, kind: type):
+    """value as a Python int, float or bool (kind), or ConfigError if it is not
+    of that kind; a bool is neither an int nor a float here."""
+    abc, label = _KINDS[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, abc):
+        raise ConfigError(f"{name}: expected {label}, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     num_filters: int
@@ -160,28 +172,29 @@ class ModelConfig:
     post_relu: bool = False
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "layers",
-            tuple(ls if isinstance(ls, LayerSpec) else LayerSpec(**ls) for ls in self.layers),
-        )
-        sizes = [*self.mlp_hidden, *(v for ls in self.layers for v in astuple(ls))]
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in sizes):
-            raise ConfigError(f"layer sizes and mlp hidden dims must be integers, got {sizes}")
-        object.__setattr__(self, "mlp_hidden", tuple(int(h) for h in self.mlp_hidden))
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        # Python numbers only, so asdict(config) is JSON (numpy scalars are not)
+        layers = [astuple(ls if isinstance(ls, LayerSpec) else LayerSpec(**ls)) for ls in self.layers]
+        put("layers", tuple(LayerSpec(*(_plain("layer sizes", v, int) for v in ls)) for ls in layers))
+        put("mlp_hidden", tuple(_plain("mlp_hidden", h, int) for h in self.mlp_hidden))
+        for name, kind in (("attr_dim", int), ("num_classes", int), ("walk_length", int),
+                           ("dropout", float), ("post_relu", bool)):
+            put(name, _plain(name, getattr(self, name), kind))
+        counts = [self.attr_dim, self.num_classes, *self.mlp_hidden, *(v for ls in layers for v in ls)]
+        if self.input_map_dim is not None:
+            put("input_map_dim", _plain("input_map_dim", self.input_map_dim, int))
+            counts.append(self.input_map_dim)
         if self.lambdas is not None:
-            object.__setattr__(self, "lambdas", tuple(float(x) for x in self.lambdas))
-        if self.attr_dim < 1 or self.num_classes < 1:
-            raise ConfigError("attr_dim and num_classes must be positive")
+            if not isinstance(self.lambdas, (list, tuple)):
+                raise ConfigError(f"lambdas: expected a list or tuple of reals, got {self.lambdas!r}")
+            put("lambdas", tuple(_plain("lambdas", x, float) for x in self.lambdas))
+        if min(counts) < 1:
+            raise ConfigError(f"attr_dim, num_classes, mlp hidden dims, layer sizes and "
+                              f"input_map_dim must be positive, got {counts}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
-        if self.input_map_dim is not None and self.input_map_dim < 1:
-            raise ConfigError("input_map_dim must be positive")
-        for ls in self.layers:
-            if min(ls.num_filters, ls.filter_nodes, ls.k_max, ls.hops) < 1:
-                raise ConfigError("layer sizes must be positive")
-        if any(h < 1 for h in self.mlp_hidden):
-            raise ConfigError("mlp hidden dims must be positive")
         self.kernel_cfg()  # walk length, lambdas and variant
 
     def kernel_cfg(self) -> RWKernelConfig:
@@ -291,7 +304,7 @@ def named_parameters(params: ModelParams, vector: np.ndarray | None = None) -> l
 
 # Float64 entries that one packed chunk's layer intermediates may hold. Every
 # layer's kernel cache lives until backward, so a packed node costs the sum
-# over layers (see _entries_per_node); a batch is cut into consecutive chunks
+# over layers (see _chunk_costs); a batch is cut into consecutive chunks
 # of graphs under this bound, and a graph larger than it is a chunk alone.
 _CHUNK_ENTRIES = 2**17
 
@@ -304,26 +317,20 @@ def _stack(g: Graph, layer: KerGNNLayer) -> SubgraphStack:
     return g.stacks[key]
 
 
-def _cached_maps(g: Graph, layer: KerGNNLayer, form: str, keep_stack: bool) -> np.ndarray:
+def _summed_maps(g: Graph, layer: KerGNNLayer) -> np.ndarray:
     """g's unweighted Gram maps of its raw attributes at the layer's (hops,
-    k_max), steps 0..P: per node (n, P+1, d^2) for form "maps", summed over
-    the nodes (P+1, d^2) for "summed". g keeps one entry per key, per node or
-    summed, of at least P+1 steps; a per-node entry also serves a summed
-    read. It is built, or rebuilt for a longer walk or for per-node reads,
-    from the stack, which is then dropped from g unless keep_stack; a rebuild
-    keeps every step and the per-node rows of the entry it replaces."""
+    k_max), steps 0..P, summed over the nodes: (P+1, d^2). g keeps one entry
+    per key, of at least P+1 steps, and a shorter walk reads a slice of it. It
+    is built, or rebuilt for a longer walk, from the stack, which is then
+    dropped from g."""
     key, steps = (layer.hops, layer.k_max), layer.kernel_cfg.P + 1
     maps = g.gram_maps.get(key)
-    per_node = form == "maps" or (maps is not None and maps.ndim == 3)
-    if maps is None or maps.shape[-2] < steps or maps.ndim < 2 + per_node:
-        built = steps if maps is None else max(steps, maps.shape[-2])
+    if maps is None or len(maps) < steps:
         stack = _stack(g, layer)
-        maps = gram_maps(stack.gather(g.attributes), stack.adjacency, built - 1)
-        g.gram_maps[key] = maps = maps if per_node else maps.sum(axis=0)
-        if not keep_stack:
-            del g.stacks[key]
-    maps = maps[..., :steps, :]
-    return maps.sum(axis=0) if form == "summed" and maps.ndim == 3 else maps
+        g.gram_maps[key] = maps = gram_maps(stack.gather(g.attributes), stack.adjacency,
+                                            steps - 1).sum(axis=0)
+        del g.stacks[key]
+    return maps[:steps]
 
 
 def _stack_form(layer: KerGNNLayer) -> str:
@@ -334,20 +341,19 @@ def _stack_form(layer: KerGNNLayer) -> str:
 
 def _layer_forms(params: ModelParams) -> list:
     """Each layer's form, the one decision forward, backward and chunking read:
-    "maps" for a first layer in the Gram form without an input map, "summed"
-    for such a layer that feeds only the readout (the only layer, no
-    post_relu), else its _stack_form."""
+    "summed" for a lone first layer in the Gram form without an input map or
+    post_relu, else its _stack_form."""
     forms = [_stack_form(layer) for layer in params.layers]
-    if forms and forms[0] == "gram" and params.input_map is None:
-        forms[0] = "summed" if len(forms) == 1 and not params.config.post_relu else "maps"
+    if forms == ["gram"] and params.input_map is None and not params.config.post_relu:
+        forms = ["summed"]
     return forms
 
 
 def _layer_apply(layer: KerGNNLayer, form: str, source, feats: np.ndarray, post_relu: bool):
     """Kernel values of one layer and its backward cache. source is the packed
-    SubgraphStack, or for forms "maps" and "summed" the packed maps (feats is
-    then unused)."""
-    if form in ("maps", "summed"):
+    SubgraphStack, or for form "summed" the graphs' summed maps (feats is then
+    unused)."""
+    if form == "summed":
         values, cache = gram_maps_forward(layer.attributes, layer.adjacency, source, layer.kernel_cfg)
     else:
         expected = (source.adjacency.shape[0], layer.in_dim)
@@ -378,9 +384,9 @@ def _chunk_costs(params: ModelParams) -> tuple:
     """(per_graph, per_node, per_real) of the float64 entries a graph adds to
     the kernel caches of all layers: per_graph for the graph, (P+1) d^2 for
     the summed maps of a "summed" layer; per_node for each of its nodes,
-    (P+1)(d^2 + k d) + k^2 per other Gram-form layer for the maps, walks and
-    subgraph adjacency (counted so for "maps" layers too); and (layer, 2 f n)
-    per real slot of the layer's stack for each Hadamard-form layer."""
+    (P+1)(d^2 + k d) + k^2 per "gram" layer for the maps, walks and subgraph
+    adjacency; and (layer, 2 f n) per real slot of the layer's stack for each
+    Hadamard-form layer."""
     per_graph, per_node, per_real = 0, 0, []
     for layer, form in zip(params.layers, _layer_forms(params)):
         f, n, d = layer.attributes.shape
@@ -435,7 +441,7 @@ class BatchForward:
     offsets: np.ndarray  # (B+1,)
     attributes: np.ndarray  # raw packed attributes, (nodes, attr_dim)
     forms: list  # _layer_forms of the layers
-    stacks: list  # packed SubgraphStack of each layer, None for a "maps" or "summed" layer
+    stacks: list  # packed SubgraphStack of each layer, None for a "summed" layer
     feats: list  # packed feats_0..feats_L, each (nodes, d_l); (B, d_l) graph sums for "summed"
     layer_caches: list  # hold the layer tensors themselves: backward before they change
     mlp_inputs: list  # (B, width) each
@@ -460,16 +466,13 @@ def forward_batch(graphs: list, params: ModelParams, dropout_rngs: list | None =
         feats0 = feats0 @ w + b
     feats, stacks, layer_caches, packed = [feats0], [], [], {}
     forms = _layer_forms(params)
-    keys = [(layer.hops, layer.k_max) for layer in params.layers]
-    for layer, form, key in zip(params.layers, forms, keys):
-        if form in ("maps", "summed"):
-            steps, d = layer.kernel_cfg.P + 1, layer.in_dim
-            maps = [_cached_maps(g, layer, form, key in keys[1:]) for g in graphs]
-            if form == "summed":
-                maps = [m[None] for m in maps]  # one row per graph
-            source = _concat(maps, (0, steps, d * d))
+    for layer, form in zip(params.layers, forms):
+        if form == "summed":
+            source = _concat([_summed_maps(g, layer)[None] for g in graphs],
+                             (0, layer.kernel_cfg.P + 1, layer.in_dim ** 2))
             stacks.append(None)
         else:
+            key = (layer.hops, layer.k_max)
             if key not in packed:
                 packed[key] = SubgraphStack.concatenate([_stack(g, layer) for g in graphs], layer.k_max)
             source = packed[key]

@@ -158,11 +158,13 @@ class TrainConfig:
         )
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("num_filters", "filter_nodes", "mlp_hidden", "lambdas"):
-            if isinstance(d[key], tuple):
-                d[key] = list(d[key])
-        return d
+        """The fields in JSON types: tuples as lists, numpy scalars as Python numbers."""
+        def plain(v):
+            if isinstance(v, tuple):
+                return [plain(x) for x in v]
+            return v.item() if isinstance(v, np.generic) else v
+
+        return {name: plain(v) for name, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -240,10 +242,9 @@ def _graphs_of(data) -> list:
 
 
 def evaluate(params: ModelParams, graphs) -> float:
-    """Eval-mode accuracy over labeled graphs; their stacks and layer-1 Gram
-    maps stay on them (Graph.stacks, Graph.gram_maps): per node, or one
-    (P+1, d^2) row summed over the nodes when layer 1 is the only layer
-    (model._layer_forms)."""
+    """Eval-mode accuracy over labeled graphs; their stacks, or the (P+1, d^2)
+    Gram maps summed over the nodes of a lone layer-1 in the "summed" form,
+    stay on them (Graph.stacks, Graph.gram_maps; model._layer_forms)."""
     graphs = _graphs_of(graphs)
     if not graphs:
         raise ValueError("cannot evaluate on an empty split")
@@ -320,11 +321,11 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng):
                      parameters updated batch by batch);
       val_acc        eval-mode accuracy on val_set after the epoch;
       lr, epoch_seconds  learning rate and wall time of the epoch.
-    Subgraph stacks and layer-1 Gram maps are built once per graph and
-    kept on it (see Graph.stacks, Graph.gram_maps), so later epochs,
-    candidates and folds reuse them. A lone Gram-form layer on the raw
-    attributes without post_relu keeps only its maps summed over the graph's
-    nodes, (P+1) d^2 floats per graph, and no stack (model._layer_forms).
+    Subgraph stacks are built once per graph and kept on it (see
+    Graph.stacks), so later epochs, candidates and folds reuse them. A lone
+    Gram-form layer on the raw attributes without post_relu keeps only its
+    Gram maps summed over the graph's nodes, (P+1) d^2 floats per graph
+    (Graph.gram_maps), and no stack (model._layer_forms).
     """
     cfg.validate()
     train_graphs = _graphs_of(train_set)

@@ -6,9 +6,11 @@ applies a few byte-level edits, and loads the result: it must either load or
 raise the package's own DatasetError, never a numpy, Unicode or memory error.
 
 Given cross-validation splits of the wrong kind raise ConfigError before any
-fold trains.
+fold trains. A checkpoint whose config fields have the wrong type raises
+CheckpointError, and numpy-scalar configs write checkpoints that load back.
 """
 
+import json
 import os
 import tempfile
 
@@ -17,8 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kergnn.training
-from kergnn.errors import ConfigError, DatasetError
+from kergnn.errors import CheckpointError, ConfigError, DatasetError
 from kergnn.graphs import Dataset, load_tudataset, read_graph_file, write_graph_file
+from kergnn.model import LayerSpec, ModelConfig, init_params, load_checkpoint, save_checkpoint
 from kergnn.training import TrainConfig, cross_validate
 
 from conftest import random_graph, write_tudataset
@@ -168,3 +171,43 @@ def test_bad_split_raises_config_error_before_training(monkeypatch, split):
 def test_no_split_list_raises_config_error(splits, message):
     with pytest.raises(ConfigError, match=message):
         cross_validate(twelve_graphs(), TrainConfig(epochs=1), seed=0, splits=splits)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("post_relu", "false"),  # loaded as truthy and applied ReLU
+    ("post_relu", 1),
+    ("lambdas", "11"),  # loaded as (1.0, 1.0)
+    ("lambdas", ["1", 1]),
+    ("lambdas", {"0": 1, "1": 1}),
+    ("walk_length", True),  # gave P = True
+    ("walk_length", 1.0),
+    ("attr_dim", 2.0),
+    ("num_classes", "2"),
+    ("input_map_dim", False),
+    ("dropout", "0"),
+    ("dropout", None),
+])
+def test_checkpoint_with_mistyped_config_raises_checkpoint_error(tmp_path, field, value):
+    cfg = ModelConfig(attr_dim=2, num_classes=2, layers=(LayerSpec(2, 3, 4),), walk_length=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), init_params(cfg, np.random.default_rng(0)), seed=0)
+    payload = json.loads(path.read_text())
+    payload["config"][field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=field):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("over", [{"k_max": np.int64(4)}, {"epochs": np.int64(1)},
+                                  {"walk_length": np.int64(1), "dropout": np.float64(0.25),
+                                   "lambdas": (np.float64(1.0), np.int64(2))}])
+def test_numpy_scalar_config_writes_checkpoints_that_load(tmp_path, over):
+    # an int64 k_max or epochs passed validate, trained every fold and then
+    # failed in json.dumps when the fold checkpoints were written
+    cfg = TrainConfig(**{"epochs": 1, **over})
+    json.dumps(cfg.to_dict())
+    cross_validate(twelve_graphs(), cfg, seed=0, n_folds=3, out_dir=str(tmp_path))
+    for k in range(3):
+        params, _, extra = load_checkpoint(str(tmp_path / f"fold{k}" / "best.ckpt"))
+        assert params.config == cfg.model_config(1, 2)
+        assert extra["config"] == json.loads(json.dumps(cfg.to_dict()))

@@ -459,31 +459,28 @@ def test_empty_batch_gives_no_logits(case):
 
 
 def _stack_path_forms(params):
-    """_layer_forms without the "maps" and "summed" forms: every layer on its subgraph stack."""
+    """_layer_forms without the "summed" form: every layer on its subgraph stack."""
     return [kergnn.model._stack_form(layer) for layer in params.layers]
 
 
 def test_cached_maps_equal_the_stack_path(monkeypatch):
-    # layer 1's cached Gram maps against the stack path on copies of the same
-    # graphs: 0-node graphs in the batch, P slices of the maps of a longer
-    # walk, and lambdas that differ from those of the first forward. Per-node
-    # maps (a two-layer model, "maps") give the same bytes. A lone layer
-    # ("summed") sums its maps over each graph's nodes before the filters
-    # read them, where the stack path sums the node values after: another
-    # summation order, so logits and gradients agree to 1e-12 relative
+    # a lone layer's cached summed Gram maps against the stack path on copies
+    # of the same graphs: 0-node graphs in the batch, P slices of the maps of
+    # a longer walk, and lambdas that differ from those of the first forward.
+    # The "summed" form sums its maps over each graph's nodes before the
+    # filters read them, where the stack path sums the node values after:
+    # another summation order, so logits and gradients agree to 1e-12 relative
     rng = np.random.default_rng(12)
     graphs = [random_graph(rng, n, 0.5, d=2, label=int(rng.integers(2))) for n in (5, 0, 7, 3, 0)]
     graphs.insert(0, empty_graph(2, label=0))
     cfgs = [small_config(walk_length=3),
             small_config(walk_length=1),
             small_config(walk_length=2, lambdas=(0.5, 0.25, 2.0)),
-            small_config(walk_length=3, lambdas=(1.0, 0.1, 0.01, 0.001)),
-            small_config(walk_length=2, layers=(LayerSpec(3, 3, 6, 1), LayerSpec(2, 3, 6, 1)))]
+            small_config(walk_length=3, lambdas=(1.0, 0.1, 0.01, 0.001))]
     labels = np.array([g.graph_label for g in graphs])
     for cfg in cfgs:
         params = init_params(cfg, np.random.default_rng(cfg.walk_length))
-        form = kergnn.model._layer_forms(params)[0]
-        assert form == ("summed" if len(cfg.layers) == 1 else "maps")
+        assert kergnn.model._layer_forms(params) == ["summed"]
         copies = [dataclasses.replace(g) for g in graphs]
         results = []
         for batch in (graphs, copies):
@@ -493,18 +490,13 @@ def test_cached_maps_equal_the_stack_path(monkeypatch):
             monkeypatch.setattr(kergnn.model, "_layer_forms", _stack_path_forms)
         monkeypatch.undo()
         (got, got_grad), (want, want_grad) = results
-        if form == "maps":
-            assert got.tobytes() == want.tobytes()
-            assert got_grad.tobytes() == want_grad.tobytes()
-        else:
-            assert _rel(got, want, np.max(np.abs(want))) <= 1e-12
-            for (name, g), (_, w) in zip(named_parameters(params, got_grad),
-                                         named_parameters(params, want_grad)):
-                assert _rel(g, w, np.max(np.abs(w))) <= 1e-12, name
+        assert _rel(got, want, np.max(np.abs(want))) <= 1e-12
+        for (name, g), (_, w) in zip(named_parameters(params, got_grad),
+                                     named_parameters(params, want_grad)):
+            assert _rel(g, w, np.max(np.abs(w))) <= 1e-12, name
         assert not any(c.gram_maps for c in copies)
-    # the first forward, P = 3, set the steps; the two-layer model's per-node
-    # rebuild kept all four
-    assert all(g.gram_maps[(1, 6)].shape == (g.num_nodes, 4, 4) for g in graphs)
+    # the first forward, P = 3, set the steps: one summed (P+1, d^2) entry
+    assert all(g.gram_maps[(1, 6)].shape == (4, 4) for g in graphs)
 
 
 def test_summed_layer_keeps_per_node_values_for_introspection():
@@ -524,14 +516,14 @@ def test_summed_layer_keeps_per_node_values_for_introspection():
 
 def test_summed_layer_packs_whole_batches(monkeypatch):
     # a "summed" layer costs its (P+1) d^2 map row per graph, whatever the
-    # graph's size: ten graphs the per-node "maps" form puts in a chunk each
-    # are one chunk, until the bound is ten rows
+    # graph's size: ten graphs the "gram" form puts in a chunk each are one
+    # chunk, until the bound is ten rows
     rng = np.random.default_rng(22)
     graphs = [random_graph(rng, 8, 0.4, d=2, label=0) for _ in range(10)]
     lone = init_params(small_config(), rng)
     relu = init_params(small_config(post_relu=True), rng)  # a clamped layer is not linear in its maps
     assert kergnn.model._layer_forms(lone) == ["summed"]
-    assert kergnn.model._layer_forms(relu) == ["maps"]
+    assert kergnn.model._layer_forms(relu) == ["gram"]
     row = 3 * 2 * 2  # (P+1) d^2
     monkeypatch.setattr(kergnn.model, "_CHUNK_ENTRIES", 10 * row + 1)
     assert list(packed_chunks(graphs, lone)) == [(0, 10)]
@@ -625,7 +617,7 @@ def test_chunks_keep_real_slot_entries_under_the_bound(monkeypatch, variant):
     cfg = small_config(kernel_variant=variant, layers=(LayerSpec(8, 2, 4, 1), LayerSpec(2, 2, 4, 2)))
     params = init_params(cfg, rng)
     forms = kergnn.model._layer_forms(params)
-    assert forms == (["maps", "hadamard"] if variant == "plain" else ["hadamard", "hadamard"])
+    assert forms == (["gram", "hadamard"] if variant == "plain" else ["hadamard", "hadamard"])
 
     def entries(batch):
         fwd = forward_batch(batch, params)

@@ -416,9 +416,9 @@ def stack_builds(monkeypatch):
 
 def test_cross_validate_builds_each_stack_once(stack_builds):
     ds = two_class_dataset()
-    # the second candidate's two layers share one (hops, k_max). Layer 1's
-    # stack is dropped once its Gram maps exist, so the longer walk of the
-    # second candidate builds it once more; later folds build none
+    # the second candidate's two layers share one (hops, k_max). The first
+    # candidate's lone layer drops its stack once its summed Gram maps exist,
+    # so the second candidate builds it once more; later folds build none
     grid = [tiny_cfg(epochs=2, walk_length=1), tiny_cfg(epochs=2, walk_length=2, num_layers=2)]
     cross_validate(ds, grid, seed=5, n_folds=3)
     builds = Counter((id(g), hops, k_max) for g, hops, k_max in stack_builds)
@@ -484,36 +484,19 @@ def test_longer_walk_extends_the_maps(stack_builds):
     assert g.gram_maps[(1, 5)] is longer and len(stack_builds) == 2
 
 
-def test_per_node_maps_serve_a_lone_layer(stack_builds):
-    # a two-layer model needs layer 1's maps per node, so it rebuilds a lone
-    # layer's summed entry once, keeping its steps; the lone layer then sums
-    # the per-node rows, to the bytes it read before, and builds nothing. A
-    # longer walk extends the per-node entry, which stays per node
-    rng = np.random.default_rng(3)
-    g = random_graph(rng, 7, 0.5, d=2, label=0)
-    lone = {p: init_params(tiny_cfg(walk_length=p).model_config(2, 2), np.random.default_rng(p))
-            for p in (2, 3)}
-    two = init_params(tiny_cfg(walk_length=1, num_layers=2).model_config(2, 2), np.random.default_rng(1))
-    before = forward_batch([g], lone[2]).logits
-    forward_batch([g], two)
-    assert g.gram_maps[(1, 5)].shape == (7, 3, 4) and list(g.stacks) == [(1, 5)]
-    assert forward_batch([g], lone[2]).logits.tobytes() == before.tobytes()
-    assert stack_builds == [(g, 1, 5)] * 2
-    forward_batch([g], lone[3])
-    assert g.gram_maps[(1, 5)].shape == (7, 4, 4) and not g.stacks
-    assert stack_builds == [(g, 1, 5)] * 2
-
-
 def test_stack_kept_while_another_layer_shares_its_key(stack_builds):
+    # a two-layer plain model runs layer 1 on its stack as well: it keeps no
+    # Gram maps and builds one stack per graph, which both layers read
     rng = np.random.default_rng(7)
-    g = random_graph(rng, 7, 0.5, d=1, label=0)
+    graphs = [random_graph(rng, n, 0.5, d=1, label=0) for n in (7, 4)]
     params = init_params(tiny_cfg(num_layers=2).model_config(1, 2), np.random.default_rng(0))
     for _ in range(2):
-        model_forward(g, params)
-    assert list(g.stacks) == list(g.gram_maps) == [(1, 5)]
-    assert stack_builds == [(g, 1, 5)]
+        fwd = forward_batch(graphs, params)
+    assert fwd.forms == ["gram", "gram"] and fwd.stacks[0] is fwd.stacks[1]
+    assert stack_builds == [(h, 1, 5) for h in graphs]
+    assert all(list(h.stacks) == [(1, 5)] and not h.gram_maps for h in graphs)
     # a model with an input map runs layer 1 on the stack and keeps no maps
-    moved = g.relabeled(np.arange(7))
+    moved = graphs[0].relabeled(np.arange(7))
     mapped = init_params(tiny_cfg(input_map_dim=2).model_config(1, 2), np.random.default_rng(0))
     model_forward(moved, mapped)
     assert list(moved.stacks) == [(1, 5)] and not moved.gram_maps
