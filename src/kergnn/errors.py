@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one typed value check."""
+
+import numbers
 
 
 class DatasetError(Exception):
@@ -15,3 +17,17 @@ class CheckpointError(Exception):
 
 class TrainingError(RuntimeError):
     """Raised when training diverges (non-finite loss)."""
+
+
+# kind -> (accepted abstract type, name in messages)
+_KINDS = {int: (numbers.Integral, "integers"), float: (numbers.Real, "reals"),
+          bool: (bool, "True or False"), str: (str, "a string")}
+
+
+def plain_value(name: str, value, kind: type):
+    """value as a Python int, float, bool or str (kind), or ConfigError if it is
+    not of that kind; a bool is neither an int nor a float here."""
+    abc, label = _KINDS[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, abc):
+        raise ConfigError(f"{name}: expected {label}, got {value!r}")
+    return kind(value)

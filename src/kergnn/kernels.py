@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, plain_value
 
 __all__ = [
     "RWKernelConfig",
@@ -82,26 +82,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RWKernelConfig:
-    """Walk length P, per-step weights lambda_0..lambda_P, and variant."""
+    """Walk length P, per-step weights lambda_0..lambda_P, and variant.
+
+    P is an integer >= 0 and lambdas a list, tuple or 1-D array of P+1 finite
+    nonnegative reals (None: all 1.0); all three are stored as Python values,
+    and a value of the wrong type raises ConfigError."""
 
     P: int
     lambdas: tuple = None
     variant: str = "plain"
 
     def __post_init__(self):
-        if self.P < 0:
+        P = plain_value("walk length P", self.P, int)
+        if P < 0:
             raise ConfigError("P must be >= 0")
-        lambdas = self.lambdas
-        if lambdas is None:
-            lambdas = (1.0,) * (self.P + 1)
-        lambdas = tuple(float(x) for x in np.atleast_1d(lambdas))
-        if len(lambdas) != self.P + 1:
-            raise ConfigError(f"lambdas must have P+1 = {self.P + 1} entries, got {len(lambdas)}")
+        lambdas = (1.0,) * (P + 1) if self.lambdas is None else self.lambdas
+        if not isinstance(lambdas, (list, tuple, np.ndarray)) or getattr(lambdas, "ndim", 1) != 1:
+            raise ConfigError(f"lambdas: expected a list, tuple or 1-D array of reals, got {lambdas!r}")
+        lambdas = tuple(plain_value("lambdas", x, float) for x in lambdas)
+        if len(lambdas) != P + 1:
+            raise ConfigError(f"lambdas must have P+1 = {P + 1} entries, got {len(lambdas)}")
         if not all(0.0 <= x < np.inf for x in lambdas):  # also false for nan
             raise ConfigError(f"lambda weights must be finite and nonnegative, got {lambdas}")
-        if self.variant not in ("plain", "deep"):
-            raise ConfigError(f"unknown kernel variant: {self.variant!r}")
-        object.__setattr__(self, "lambdas", lambdas)
+        variant = plain_value("kernel variant", self.variant, str)
+        if variant not in ("plain", "deep"):
+            raise ConfigError(f"unknown kernel variant: {variant!r}")
+        for name, value in (("P", P), ("lambdas", lambdas), ("variant", variant)):
+            object.__setattr__(self, name, value)
 
     @property
     def is_deep(self) -> bool:

@@ -41,13 +41,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, asdict, astuple
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, plain_value
 from .graphs import Graph, SubgraphStack, stack_subgraphs
 from .kernels import (
     RWKernelConfig,
@@ -134,20 +133,6 @@ class KerGNNLayer:
                 raise ConfigError(f"deep variant needs deep weights of shape {want}")
 
 
-# kind -> (accepted abstract type, name in messages)
-_KINDS = {int: (numbers.Integral, "integers"), float: (numbers.Real, "reals"),
-          bool: (bool, "True or False")}
-
-
-def _plain(name: str, value, kind: type):
-    """value as a Python int, float or bool (kind), or ConfigError if it is not
-    of that kind; a bool is neither an int nor a float here."""
-    abc, label = _KINDS[kind]
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, abc):
-        raise ConfigError(f"{name}: expected {label}, got {value!r}")
-    return kind(value)
-
-
 @dataclass(frozen=True)
 class LayerSpec:
     num_filters: int
@@ -177,25 +162,24 @@ class ModelConfig:
 
         # Python numbers only, so asdict(config) is JSON (numpy scalars are not)
         layers = [astuple(ls if isinstance(ls, LayerSpec) else LayerSpec(**ls)) for ls in self.layers]
-        put("layers", tuple(LayerSpec(*(_plain("layer sizes", v, int) for v in ls)) for ls in layers))
-        put("mlp_hidden", tuple(_plain("mlp_hidden", h, int) for h in self.mlp_hidden))
+        put("layers", tuple(LayerSpec(*(plain_value("layer sizes", v, int) for v in ls)) for ls in layers))
+        put("mlp_hidden", tuple(plain_value("mlp_hidden", h, int) for h in self.mlp_hidden))
         for name, kind in (("attr_dim", int), ("num_classes", int), ("walk_length", int),
                            ("dropout", float), ("post_relu", bool)):
-            put(name, _plain(name, getattr(self, name), kind))
+            put(name, plain_value(name, getattr(self, name), kind))
         counts = [self.attr_dim, self.num_classes, *self.mlp_hidden, *(v for ls in layers for v in ls)]
         if self.input_map_dim is not None:
-            put("input_map_dim", _plain("input_map_dim", self.input_map_dim, int))
+            put("input_map_dim", plain_value("input_map_dim", self.input_map_dim, int))
             counts.append(self.input_map_dim)
-        if self.lambdas is not None:
-            if not isinstance(self.lambdas, (list, tuple)):
-                raise ConfigError(f"lambdas: expected a list or tuple of reals, got {self.lambdas!r}")
-            put("lambdas", tuple(_plain("lambdas", x, float) for x in self.lambdas))
         if min(counts) < 1:
             raise ConfigError(f"attr_dim, num_classes, mlp hidden dims, layer sizes and "
                               f"input_map_dim must be positive, got {counts}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
-        self.kernel_cfg()  # walk length, lambdas and variant
+        kernel = self.kernel_cfg()  # walk length, lambdas and variant, as Python values
+        put("kernel_variant", kernel.variant)
+        if self.lambdas is not None:
+            put("lambdas", kernel.lambdas)
 
     def kernel_cfg(self) -> RWKernelConfig:
         return RWKernelConfig(self.walk_length, self.lambdas, self.kernel_variant)
@@ -559,20 +543,11 @@ def predict_logits(graphs: list, params: ModelParams) -> np.ndarray:
     return _concat(logits, (0, params.config.num_classes))
 
 
-def model_forward(g: Graph, params: ModelParams, mode: str = "eval",
-                  rng: np.random.Generator | None = None):
-    """Logits (C,) plus the per-layer node feature maps, for introspection: a
-    batch of one. mode="train" applies dropout with masks drawn from rng. A
-    "summed" layer's node values come from layer_forward, whose stack stays
-    on g."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    rngs = None
-    if mode == "train" and params.config.dropout > 0.0:
-        if rng is None:
-            raise ValueError("train-mode dropout requires an rng")
-        rngs = [rng]
-    fwd = forward_batch([g], params, rngs)
+def model_forward(g: Graph, params: ModelParams):
+    """Eval-mode logits (C,) plus the per-layer node feature maps of g, for
+    introspection: a batch of one. A "summed" layer's node values come from
+    layer_forward, whose stack stays on g."""
+    fwd = forward_batch([g], params)
     feats = fwd.feats
     if fwd.forms[-1:] == ["summed"]:
         feats = feats[:-1] + [layer_forward(g, feats[-2], params.layers[-1])]
@@ -668,9 +643,12 @@ def load_checkpoint(path: str):
             arr[:] = data
         for layer in params.layers:
             layer.validate()  # a ConfigError is a ValueError, reported below
-        seed = int(payload["seed"])
+        seed = plain_value("seed", payload["seed"], int)
+        extra = payload.get("extra", {})
+        if not isinstance(extra, dict):
+            raise CheckpointError(f"corrupted checkpoint {path}: extra: expected an object, got {extra!r}")
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupted checkpoint {path}: {exc}") from exc
-    return params, seed, payload.get("extra", {})
+    return params, seed, extra

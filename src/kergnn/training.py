@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, TrainingError, plain_value
 from .graphs import Dataset
 from .model import (
     LayerSpec,
@@ -29,7 +29,6 @@ from .model import (
     backward_batch,
     forward_batch,
     init_params,
-    model_forward,
     packed_chunks,
     predict_logits,
     save_checkpoint,
@@ -257,7 +256,15 @@ def _batch_step(graphs, params, rng):
     """(mean loss, mean gradient vector, correct predictions) of a minibatch, by one
     packed forward and backward per chunk (model.packed_chunks); chunks add up
     in order. A graph counts as correct when the argmax of the logits its loss
-    is taken of is its label."""
+    is taken of is its label.
+
+    The first chunk whose losses are not all finite raises TrainingError
+    before its backward, and no later chunk is forwarded. The error names the
+    shallowest tensor of that chunk's forward (BatchForward.feats) holding a
+    non-finite value: the input map's features, then each layer's (a "summed"
+    layer's graph sums), else the MLP logits. Each loss is at most
+    -log(1e-300) ~ 691, so the batch mean is non-finite exactly when some
+    chunk's loss is."""
     # one dropout seed per graph is drawn even without dropout, so the rng
     # stream (every later shuffle and init) does not depend on the dropout rate
     seeds = rng.integers(0, 2**63 - 1, size=len(graphs))
@@ -271,34 +278,20 @@ def _batch_step(graphs, params, rng):
             rngs = [np.random.default_rng(seed) for seed in seeds[start:stop]]
         fwd = forward_batch(graphs[start:stop], params, rngs)
         losses, dlogits = softmax_cross_entropy(fwd.logits, labels[start:stop])
+        if not np.isfinite(losses).all():
+            # without an input map, feats[0] is the raw attributes and is not named
+            names = ["input_map features"] * (params.input_map is not None)
+            names += [f"layers.{l} features" for l in range(len(params.layers))]
+            tensors = fwd.feats[len(fwd.feats) - len(names):]
+            where = next((name for name, x in zip(names, tensors) if not np.isfinite(x).all()),
+                         "the MLP logits")
+            raise TrainingError(f"{where} are the first non-finite tensor")
         loss += float(losses.sum())
         correct += int(np.count_nonzero(np.argmax(fwd.logits, axis=1) == labels[start:stop]))
         total += backward_batch(fwd, dlogits, params)
     scale = 1.0 / len(graphs)
     total *= scale
     return loss * scale, total, correct
-
-
-def _nonfinite_origin(graphs, params) -> str:
-    """Where the non-finite loss of a batch started, found by re-running its
-    forward graph by graph in eval mode (dropout acts on the MLP only): the
-    shallowest input-map or layers.{l} per-node feature tensor holding a
-    non-finite value in any graph, else the MLP logits."""
-    names = [f"layers.{l} features" for l in range(len(params.layers))]
-    if params.input_map is not None:
-        names.insert(0, "input_map features")
-    first = len(names)
-    for g in graphs:
-        _, feats = model_forward(g, params)
-        tensors = feats if params.input_map is not None else feats[1:]
-        for i, x in enumerate(tensors[:first]):
-            if not np.isfinite(x).all():
-                first = i
-                break
-        if first == 0:
-            break
-    where = names[first] if first < len(names) else "the MLP logits"
-    return f"{where} are the first non-finite tensor"
 
 
 def _clip_grads(grad: np.ndarray, max_norm: float):
@@ -325,7 +318,9 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng):
     Graph.stacks), so later epochs, candidates and folds reuse them. A lone
     Gram-form layer on the raw attributes without post_relu keeps only its
     Gram maps summed over the graph's nodes, (P+1) d^2 floats per graph
-    (Graph.gram_maps), and no stack (model._layer_forms).
+    (Graph.gram_maps), and no stack (model._layer_forms). A minibatch whose
+    loss is not finite raises TrainingError naming the epoch, the batch and
+    the first non-finite tensor (_batch_step).
     """
     cfg.validate()
     train_graphs = _graphs_of(train_set)
@@ -356,12 +351,12 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng):
         correct = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_graphs[i] for i in order[start: start + cfg.batch_size]]
-            loss, grad, batch_correct = _batch_step(batch, params, rng)
-            if not np.isfinite(loss):
+            try:
+                loss, grad, batch_correct = _batch_step(batch, params, rng)
+            except TrainingError as exc:
                 raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}: "
-                    f"{_nonfinite_origin(batch, params)}"
-                )
+                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}: {exc}"
+                ) from None
             if cfg.grad_clip is not None:
                 _clip_grads(grad, cfg.grad_clip)
             opt.step(grad, lr)
@@ -496,8 +491,8 @@ def cross_validate(ds: Dataset, grid, seed: int, n_folds: int = 10,
     each side must be a nonempty 1-D integer array with indices in
     [0, len(ds)), train and test must not overlap, and some class must have
     two training graphs, so that the inner split leaves one to train on.
-    Every split is checked before any fold trains, and a bad one raises
-    ConfigError.
+    Every split, or else n_folds (an integer >= 1), is checked before any
+    fold trains, and a bad one raises ConfigError.
     """
     if not _is_int(seed) or seed < 0:
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
@@ -522,8 +517,9 @@ def cross_validate(ds: Dataset, grid, seed: int, n_folds: int = 10,
                 raise ConfigError(f"split {k}: the inner validation split would take every "
                                   f"training graph; some class needs 2 training graphs")
     else:
+        n_folds = plain_value("n_folds", n_folds, int)
         if n_folds < 1:
-            raise ValueError("n_folds must be >= 1")
+            raise ConfigError(f"n_folds must be >= 1, got {n_folds}")
         if np.any(counts < max(n_folds, 2)):
             raise ValueError(
                 f"stratification needs at least {max(n_folds, 2)} graphs per class, got {counts.tolist()}"

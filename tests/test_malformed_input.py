@@ -5,8 +5,10 @@ DatasetError. Each example starts from a valid file (or dataset directory),
 applies a few byte-level edits, and loads the result: it must either load or
 raise the package's own DatasetError, never a numpy, Unicode or memory error.
 
-Given cross-validation splits of the wrong kind raise ConfigError before any
-fold trains. A checkpoint whose config fields have the wrong type raises
+Given cross-validation splits of the wrong kind, and an n_folds that is not
+an integer >= 1, raise ConfigError before any fold trains. A kernel config
+with a walk length, weight or variant of the wrong type raises ConfigError. A
+checkpoint whose config fields, seed or extra have the wrong type raises
 CheckpointError, and numpy-scalar configs write checkpoints that load back.
 """
 
@@ -21,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 import kergnn.training
 from kergnn.errors import CheckpointError, ConfigError, DatasetError
 from kergnn.graphs import Dataset, load_tudataset, read_graph_file, write_graph_file
+from kergnn.kernels import RWKernelConfig
 from kergnn.model import LayerSpec, ModelConfig, init_params, load_checkpoint, save_checkpoint
 from kergnn.training import TrainConfig, cross_validate
 
@@ -165,6 +168,61 @@ def test_bad_split_raises_config_error_before_training(monkeypatch, split):
     monkeypatch.setattr(kergnn.training, "train_fold", no_training)
     with pytest.raises(ConfigError, match="split 1"):
         cross_validate(twelve_graphs(), TrainConfig(epochs=1), seed=0, splits=[VALID_SPLIT, split])
+
+
+@pytest.mark.parametrize("n_folds", [2.5, "3", np.float64(3.0), True, 0, -1])
+def test_bad_n_folds_raises_config_error_before_training(monkeypatch, n_folds):
+    # 2.5, "3" and 3.0 raised TypeError, 0 a bare ValueError; True ran a holdout
+    def no_training(*args, **kwargs):
+        raise AssertionError("a fold trained before n_folds was checked")
+
+    monkeypatch.setattr(kergnn.training, "train_fold", no_training)
+    with pytest.raises(ConfigError, match="n_folds"):
+        cross_validate(twelve_graphs(), TrainConfig(epochs=1), seed=0, n_folds=n_folds)
+
+
+@pytest.mark.parametrize("args,field", [
+    ((True,), "P"),  # gave P = True
+    ((2.5,), "P"),  # TypeError
+    (("2",), "P"),
+    ((np.float64(2.0),), "P"),
+    ((1, ["1", "0.5"]), "lambdas"),  # became (1.0, 0.5)
+    ((1, (True, False)), "lambdas"),  # became (1.0, 0.0)
+    ((1, "11"), "lambdas"),
+    ((0, 0.5), "lambdas"),  # a bare number became (0.5,)
+    ((1, np.ones((2, 1))), "lambdas"),
+    ((1, None, 3), "variant"),
+], ids=["bool-P", "float-P", "str-P", "float64-P", "str-lambdas", "bool-lambdas", "str-lambda-list",
+        "scalar-lambda", "2d-lambdas", "int-variant"])
+def test_mistyped_kernel_config_raises_config_error(args, field):
+    with pytest.raises(ConfigError, match=field):
+        RWKernelConfig(*args)
+
+
+def test_kernel_config_keeps_python_values():
+    cfg = RWKernelConfig(np.int64(2), np.array([1.0, 0.5, 0.25]), np.str_("deep"))
+    assert type(cfg.P) is int and type(cfg.variant) is str
+    assert cfg.lambdas == (1.0, 0.5, 0.25) and all(type(x) is float for x in cfg.lambdas)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", 1.5),  # loaded as 1
+    ("seed", "7"),  # loaded as 7
+    ("seed", True),  # loaded as 1
+    ("seed", None),
+    ("extra", [1]),  # came back as a list
+    ("extra", "fold 0"),
+    ("extra", None),
+])
+def test_checkpoint_with_mistyped_seed_or_extra_raises_checkpoint_error(tmp_path, key, value):
+    cfg = ModelConfig(attr_dim=2, num_classes=2, layers=(LayerSpec(2, 3, 4),), walk_length=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), init_params(cfg, np.random.default_rng(0)), seed=0, extra={"fold": 0})
+    payload = json.loads(path.read_text())
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(str(path))
 
 
 @pytest.mark.parametrize("splits,message", [([], "at least one"), (5, "list of")])

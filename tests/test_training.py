@@ -4,6 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import kergnn.model
+import kergnn.training
 from kergnn.errors import ConfigError, TrainingError
 from kergnn.graphs import Dataset, Graph, stack_subgraphs
 from kergnn.kernels import gram_maps
@@ -20,6 +22,7 @@ from kergnn.training import (
     stratified_kfold,
     stratified_split,
     train_fold,
+    _batch_step,
     _clip_grads,
 )
 
@@ -247,6 +250,56 @@ def test_divergence_error_names_the_first_nonfinite_layer():
     # a lone layer reads out graph sums; its per-node values are named
     with pytest.raises(TrainingError, match=r"epoch 0, batch 0: layers\.0 features are the first"):
         train_fold(huge, huge, tiny_cfg(epochs=1), rng=0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_chunk_gets_no_backward_and_ends_the_forwards(monkeypatch):
+    # one graph per chunk, the whole set in one batch; one graph's 1e200
+    # attributes overflow layer 0. The chunks before it run forward and
+    # backward, its own only forward, and nothing is forwarded after it:
+    # neither the rest of the batch nor a re-run to find where it started
+    tri, path = micro_pair().graphs
+    huge = dataclasses.replace(tri, attributes=tri.attributes * 1e200)
+    ds = Dataset("mixed", [tri, path, huge, path, tri], 2, 1)
+    cfg = tiny_cfg(num_layers=2, epochs=1, batch_size=len(ds))
+    monkeypatch.setattr(kergnn.model, "_CHUNK_ENTRIES", 1)
+    params = init_params(cfg.model_config(1, 2), np.random.default_rng(0))
+    assert len(list(kergnn.model.packed_chunks(ds.graphs, params))) == len(ds)
+
+    calls = []
+
+    def recorded(name, fn):
+        def wrapper(first, *args, **kwargs):
+            calls.append((name, first))
+            return fn(first, *args, **kwargs)
+        return wrapper
+
+    forward = recorded("forward", kergnn.model.forward_batch)
+    for module in (kergnn.model, kergnn.training):
+        monkeypatch.setattr(module, "forward_batch", forward)
+    monkeypatch.setattr(kergnn.training, "backward_batch", recorded("backward", kergnn.model.backward_batch))
+    with pytest.raises(TrainingError, match=r"epoch 0, batch 0: layers\.0 features are the first"):
+        train_fold(ds, micro_pair(), cfg, rng=0)
+    names = [name for name, _ in calls]
+    assert names == ["forward", "backward"] * names.count("backward") + ["forward"]
+    # the last forward is the diverged chunk's, and no other forward held it
+    forwarded = [graphs for name, graphs in calls if name == "forward"]
+    assert forwarded[-1] == [huge]
+    assert not any(g is huge for graphs in forwarded[:-1] for g in graphs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tensor,where", [("input_map", "input_map features"),
+                                          ("mlp", "the MLP logits")])
+def test_divergence_error_names_the_input_map_and_the_mlp_logits(tensor, where):
+    # an infinite bias makes its own output the first non-finite tensor: the
+    # input map's features (and every layer after them), or the logits alone
+    ds = micro_pair()
+    params = init_params(tiny_cfg(input_map_dim=2).model_config(1, 2), np.random.default_rng(0))
+    bias = params.input_map[1] if tensor == "input_map" else params.mlp[-1][1]
+    bias[0] = np.inf
+    with pytest.raises(TrainingError, match=f"^{where} are the first non-finite tensor$"):
+        _batch_step(list(ds.graphs), params, np.random.default_rng(0))
 
 
 def mixed_prediction_dataset():
