@@ -10,10 +10,14 @@ Datasets in the TUDataset text format are read from a directory of files:
     <name>_node_labels.txt     optional, one integer per node line
     <name>_node_attributes.txt optional, finite reals per node line
 
-These and the standalone graph files go through one line parser: blank lines
-are skipped, and '#' comment lines too in graph files only; fields are split
-at whitespace, and at commas as well in _A.txt and _node_attributes.txt; an
-error names the file and the line it is on.
+These and the standalone graph files are defined by one line parser: blank
+lines are skipped, and '#' comment lines too in graph files only; fields are
+split at whitespace, and at commas as well in _A.txt and _node_attributes.txt;
+an error names the file and the line it is on. The four integer files are
+read by one array scan of their bytes when they are plain (ASCII digits,
+signs, spaces, tabs, commas in _A.txt, '\n' or '\r\n' line ends, at most 18
+digits a number, the right count on every line, valid edges); any other file
+goes through the line parser, so values and errors are the same either way.
 
 Node attributes fed to models are built as: one-hot node labels when labels
 are present, raw continuous attributes when present (concatenated after the
@@ -231,13 +235,13 @@ def _reals(fields: list, width: int | None = None) -> list:
 
 
 def _edge(fields: list, first: int, last: int) -> tuple:
-    """0-based (i, j) of an edge row whose node ids run first..last."""
+    """(i, j) of an edge row whose node ids run first..last."""
     if len(fields) != 2:
         raise ValueError("expected an edge 'i j'")
     i, j = int(fields[0]), int(fields[1])
     if not (first <= i <= last and first <= j <= last) or i == j:
         raise ValueError(f"invalid edge ({i}, {j}): node ids must differ and lie in {first}..{last}")
-    return i - first, j - first
+    return i, j
 
 
 def _expect(path: str, values: list, count: int, what: str) -> None:
@@ -245,10 +249,99 @@ def _expect(path: str, values: list, count: int, what: str) -> None:
         raise DatasetError(f"{path}: expected {count} {what}, found {len(values)}")
 
 
-def _codes(raw: list) -> tuple:
-    """Codes 0..k-1 of integer labels (Python ints, any size) by ascending value, and k."""
-    index = {v: k for k, v in enumerate(sorted(set(raw)))}
-    return np.fromiter(map(index.__getitem__, raw), np.int64, len(raw)), len(index)
+# Most digits of a number the array scan reads: 10**18 - 1 fits in an int64.
+_SCAN_DIGITS = 18
+
+
+def _scan_integers(path: str, width: int, commas: bool) -> tuple | None:
+    """What _read_integers gives for a plain file, by one array scan of its
+    bytes, or None when the file is not plain.
+
+    A plain file holds only ASCII digits, '+', '-', spaces, tabs, commas when
+    `commas`, and '\n' or '\r\n' line ends; each of its tokens (a run of
+    digits and signs) is one sign at most, first, then 1.._SCAN_DIGITS
+    digits; each line holding a token or a comma holds `width` tokens.
+    """
+    try:
+        with open(path, "rb") as fh:
+            buf = np.frombuffer(fh.read(), dtype=np.uint8)
+    except OSError:
+        return None
+    sign = (buf == ord("+")) | (buf == ord("-"))
+    newline = buf == ord("\n")
+    token = (buf - np.uint8(ord("0")) < 10) | sign  # bytes below '0' wrap around
+    plain = token | newline | (buf == ord(" ")) | (buf == ord("\t")) | (buf == ord("\r"))
+    if commas:
+        plain |= buf == ord(",")
+    if not plain.all():
+        return None
+    del plain
+    # str.splitlines also breaks at a lone '\r'
+    returns = np.flatnonzero(buf == ord("\r")) + 1
+    if returns.size and (returns[-1] == buf.size or not newline[returns].all()):
+        return None
+
+    # the bytes where a token starts or ends alternate: starts, then ends
+    bounds = np.flatnonzero(np.diff(token, prepend=False, append=False))
+    del token
+    starts, ends = bounds[::2], bounds[1::2]
+    signed = sign[starts]
+    if np.count_nonzero(signed) != np.count_nonzero(sign):
+        return None  # a sign after the first byte of a token
+    first = starts + signed
+    digits = ends - first
+    if digits.size and (digits.min() < 1 or digits.max() > _SCAN_DIGITS):
+        return None
+
+    breaks = np.flatnonzero(newline)
+
+    def per_line(at):  # how many of the sorted byte positions `at` each line holds
+        return np.diff(np.searchsorted(at, breaks), prepend=0, append=at.size)
+
+    counts = per_line(starts)
+    data = counts != 0
+    if commas:  # a line of commas alone is a data line with no fields
+        data |= per_line(np.flatnonzero(buf == ord(","))) != 0
+    if np.any(counts[data] != width):
+        return None
+
+    values = np.zeros(starts.size, dtype=np.int64)
+    for k in range(int(digits.max(initial=0))):  # the digit k places left of a token's end
+        digit = np.where(digits > k, buf[ends - 1 - k] - np.uint8(ord("0")), np.uint8(0))
+        values += digit.astype(np.int64) * 10**k
+    values = np.where(buf[starts] == ord("-"), -values, values)
+    return values.reshape(-1, width), np.flatnonzero(data) + 1
+
+
+def _read_integers(path: str, width: int, parse, *, commas: bool = False, valid=None) -> tuple:
+    """_parse_lines(path, parse, commas=commas) of a file of `width` integers
+    a line, as arrays: values (lines, width) and line numbers (lines,).
+
+    A plain file (_scan_integers) whose values pass `valid` is read by one
+    array scan; any other goes through _parse_lines, which gives the values
+    or the DatasetError of the first bad line. Values past int64 come back in
+    an object array.
+    """
+    scanned = _scan_integers(path, width, commas)
+    if scanned is not None and (valid is None or valid(scanned[0])):
+        return scanned
+    values, numbers = _parse_lines(path, parse, commas=commas)
+    try:
+        values = np.array(values, dtype=np.int64)
+    except OverflowError:
+        values = np.array(values, dtype=object)
+    return values.reshape(-1, width), np.array(numbers, dtype=np.int64)
+
+
+def _integers(path: str) -> np.ndarray:
+    """The integer on each data line of path (_read_integers)."""
+    return _read_integers(path, 1, _integer)[0][:, 0]
+
+
+def _codes(raw: np.ndarray) -> tuple:
+    """Codes 0..k-1 of integer labels by ascending value, and k."""
+    values, codes = np.unique(raw, return_inverse=True)
+    return codes, len(values)
 
 
 def load_tudataset(directory: str, name: str) -> Dataset:
@@ -262,21 +355,25 @@ def load_tudataset(directory: str, name: str) -> Dataset:
     indicator_path = prefix + "_graph_indicator.txt"
     labels_path = prefix + "_graph_labels.txt"
 
-    indicator, _ = _parse_lines(indicator_path, _integer)
+    indicator = _integers(indicator_path)
     num_nodes = len(indicator)
-    graph_ids = set(indicator)
+    graph_ids = np.unique(indicator)
     num_graphs = len(graph_ids)
     # distinct integers cover 1..n exactly when the smallest is 1 and the largest n
-    if graph_ids and (min(graph_ids) != 1 or max(graph_ids) != num_graphs):
-        raise DatasetError(f"{indicator_path}: graph ids must cover 1..{max(graph_ids)}")
-    graph_of = np.array(indicator, dtype=np.int64) - 1
+    if num_graphs and (graph_ids[0] != 1 or graph_ids[-1] != num_graphs):
+        raise DatasetError(f"{indicator_path}: graph ids must cover 1..{graph_ids[-1]}")
+    graph_of = indicator.astype(np.int64) - 1
 
-    raw_graph_labels, _ = _parse_lines(labels_path, _integer)
+    raw_graph_labels = _integers(labels_path)
     _expect(labels_path, raw_graph_labels, num_graphs, "labels")
     graph_labels, num_classes = _codes(raw_graph_labels)
 
-    pairs, edge_lines = _parse_lines(edges_path, lambda f: _edge(f, 1, num_nodes), commas=True)
-    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    def valid(edges):  # the checks of _edge, on every row at once
+        return bool(np.all((edges >= 1) & (edges <= num_nodes)) and np.all(edges[:, 0] != edges[:, 1]))
+
+    edges, edge_lines = _read_integers(edges_path, 2, lambda f: _edge(f, 1, num_nodes),
+                                       commas=True, valid=valid)
+    src, dst = (edges - 1).T
     crossing = np.flatnonzero(graph_of[src] != graph_of[dst])
     if crossing.size:
         raise DatasetError(f"{edges_path}:{edge_lines[crossing[0]]}: edge crosses graph boundaries")
@@ -284,7 +381,7 @@ def load_tudataset(directory: str, name: str) -> Dataset:
     node_labels_path = prefix + "_node_labels.txt"
     node_labels, blocks = None, []
     if os.path.isfile(node_labels_path):
-        raw_node_labels, _ = _parse_lines(node_labels_path, _integer)
+        raw_node_labels = _integers(node_labels_path)
         _expect(node_labels_path, raw_node_labels, num_nodes, "labels")
         node_labels, num_values = _codes(raw_node_labels)
         blocks.append(np.eye(num_values)[node_labels])

@@ -34,7 +34,8 @@ came from is dropped; a longer walk later rebuilds it and extends the maps.
 Every other layer, a multi-layer model's first included, runs on its stack.
 The first layer's backward skips the subgraph-feature gradient unless an
 input map needs it. `layer_forward` always takes the stack path, and
-`model_forward` returns per-node values of every layer.
+`model_forward` returns per-node values of every layer, those of a "summed"
+layer from a stack it builds for the call and does not keep.
 """
 
 from __future__ import annotations
@@ -546,11 +547,15 @@ def predict_logits(graphs: list, params: ModelParams) -> np.ndarray:
 def model_forward(g: Graph, params: ModelParams):
     """Eval-mode logits (C,) plus the per-layer node feature maps of g, for
     introspection: a batch of one. A "summed" layer's node values come from
-    layer_forward, whose stack stays on g."""
+    the stack path on a subgraph stack built for the call and not kept on g,
+    which holds only that layer's summed Gram maps."""
     fwd = forward_batch([g], params)
     feats = fwd.feats
     if fwd.forms[-1:] == ["summed"]:
-        feats = feats[:-1] + [layer_forward(g, feats[-2], params.layers[-1])]
+        layer = params.layers[-1]
+        stack = stack_subgraphs(g, layer.hops, layer.k_max)
+        values, _ = _layer_apply(layer, _stack_form(layer), stack, feats[-2], post_relu=False)
+        feats = feats[:-1] + [values]
     return fwd.logits[0], feats
 
 

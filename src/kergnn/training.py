@@ -236,7 +236,7 @@ def _graphs_of(data) -> list:
     graphs = list(data.graphs) if isinstance(data, Dataset) else list(data)
     for i, g in enumerate(graphs):
         if g.graph_label is None:
-            raise ValueError(f"graph {i} has no graph_label")
+            raise ConfigError(f"graph {i} has no graph_label")
     return graphs
 
 
@@ -246,7 +246,7 @@ def evaluate(params: ModelParams, graphs) -> float:
     stay on them (Graph.stacks, Graph.gram_maps; model._layer_forms)."""
     graphs = _graphs_of(graphs)
     if not graphs:
-        raise ValueError("cannot evaluate on an empty split")
+        raise ConfigError("cannot evaluate on an empty split")
     predicted = np.argmax(predict_logits(graphs, params), axis=1)
     correct = np.count_nonzero(predicted == [g.graph_label for g in graphs])
     return int(correct) / len(graphs)
@@ -326,7 +326,7 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng):
     train_graphs = _graphs_of(train_set)
     val_graphs = _graphs_of(val_set)
     if not train_graphs or not val_graphs:
-        raise ValueError("train and validation splits must be nonempty")
+        raise ConfigError("train and validation splits must be nonempty")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
 
@@ -388,7 +388,7 @@ def _grid_candidates(grid) -> list:
 def _grid_search_full(train_set, val_set, grid, rng):
     candidates = _grid_candidates(grid)
     if not candidates:
-        raise ValueError("grid must contain at least one configuration")
+        raise ConfigError("grid must contain at least one configuration")
     seeds = rng.integers(0, 2**63 - 1, size=len(candidates))
     best = None
     for cfg, seed in zip(candidates, seeds):
@@ -401,7 +401,7 @@ def _grid_search_full(train_set, val_set, grid, rng):
         if best is None or score > best[2]:
             best = (cfg, params, score, history)
     if best is None:
-        raise ValueError("no valid configuration in grid")
+        raise ConfigError("no valid configuration in grid")
     return best
 
 
@@ -521,7 +521,7 @@ def cross_validate(ds: Dataset, grid, seed: int, n_folds: int = 10,
         if n_folds < 1:
             raise ConfigError(f"n_folds must be >= 1, got {n_folds}")
         if np.any(counts < max(n_folds, 2)):
-            raise ValueError(
+            raise ConfigError(
                 f"stratification needs at least {max(n_folds, 2)} graphs per class, got {counts.tolist()}"
             )
 

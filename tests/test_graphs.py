@@ -544,6 +544,105 @@ def test_load_edge_errors_count_blank_lines(tmp_path):
         load_tudataset(str(tmp_path), "gap")
 
 
+@pytest.fixture(params=["scan", "lines"])
+def reader(request, monkeypatch):
+    """Loads through the array scan of plain integer files ("scan"), or with
+    every file left to the line parser ("lines")."""
+    if request.param == "lines":
+        monkeypatch.setattr(kergnn.graphs, "_scan_integers", lambda *args: None)
+    return request.param
+
+
+def test_load_spellings_equal_the_plain_twin(tmp_path, reader):
+    # CRLF ends, tabs, "i,j" without a space, '+' signs, trailing blanks and
+    # blank lines, and graph labels -1 and 20 digits long, which code as the
+    # plain twin's 0 and 1
+    adjs = [np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]]), np.array([[0, 1], [1, 0]]),
+            np.array([[0, 1], [1, 0]])]
+    write_tudataset(tmp_path / "plain", "T", adjs, [0, 1, 0], node_labels=[4, 2, 2, 4, 9, 2, 2])
+    twin = load_tudataset(str(tmp_path / "plain"), "T")
+    spelled = tmp_path / "spelled"
+    spelled.mkdir()
+    pairs = [line.split(", ") for line in (tmp_path / "plain" / "T_A.txt").read_text().splitlines()]
+    rows = [f"{i},{j}" if k % 3 == 0 else f"\t+{i}\t{j} \t" if k % 3 == 1 else f" {i} ,{j}  "
+            for k, (i, j) in enumerate(pairs)]
+    (spelled / "T_A.txt").write_bytes("\r\n".join(rows + ["", " \t", ""]).encode())
+    (spelled / "T_graph_indicator.txt").write_bytes(b"1\r\n1\r\n1\r\n2\r\n2\r\n3\r\n3\r\n")
+    (spelled / "T_graph_labels.txt").write_bytes(b"-1\r\n99999999999999999999\r\n\t-1 ")
+    (spelled / "T_node_labels.txt").write_bytes(b"4\t\n+2\n\n2\n4\n9\n2\n2")
+    if reader == "scan":  # the edges are plain: the scan reads them itself
+        assert kergnn.graphs._scan_integers(str(spelled / "T_A.txt"), 2, True) is not None
+    loaded = load_tudataset(str(spelled), "T")
+    assert (loaded.num_classes, loaded.attr_dim, len(loaded)) == (twin.num_classes, twin.attr_dim, 3)
+    for g, h in zip(twin.graphs, loaded.graphs):
+        assert h.adjacency.tobytes() == g.adjacency.tobytes()
+        assert h.attributes.tobytes() == g.attributes.tobytes()
+        assert h.node_labels.tobytes() == g.node_labels.tobytes()
+        assert h.graph_label == g.graph_label
+
+
+def test_load_errors_name_the_same_line_either_way(tmp_path, reader):
+    adj = np.array([[0, 1], [1, 0]])
+    write_tudataset(tmp_path, "ids", [adj], [1])
+    (tmp_path / "ids_graph_indicator.txt").write_text("1\n99999999999999999999\n")
+    with pytest.raises(DatasetError, match=r"graph ids must cover 1\.\.99999999999999999999$"):
+        load_tudataset(str(tmp_path), "ids")
+    write_tudataset(tmp_path, "oor", [adj], [1])
+    (tmp_path / "oor_A.txt").write_bytes(b"1, 2\r\n2, 1\r\n1, 99\r\n")
+    with pytest.raises(DatasetError, match=r"oor_A\.txt:3: invalid edge \(1, 99\)"):
+        load_tudataset(str(tmp_path), "oor")
+    write_tudataset(tmp_path, "gap", [adj], [1])
+    (tmp_path / "gap_A.txt").write_text("\n1, 2\n\n2, 1\n\n1, x\n")
+    with pytest.raises(DatasetError, match=r"gap_A\.txt:6: "):
+        load_tudataset(str(tmp_path), "gap")
+    (tmp_path / "gap_A.txt").write_text("\n\n2\t1\n")
+    with pytest.raises(DatasetError, match=r"gap_A\.txt:3: no reverse of edge 2, 1"):
+        load_tudataset(str(tmp_path), "gap")
+
+
+def _fields(fields):
+    return [int(x) for x in fields]
+
+
+@pytest.mark.parametrize("data,width,commas", [
+    (b"", 1, False),
+    (b"\n \t\r\n\n", 1, False),
+    (b"7\n-0\n+12\r\n007\n123456789012345678\n-123456789012345678", 1, False),
+    (b"1 2\r\n\r\n \t\r\n3,4 ,\n,5\t6", 2, True),
+], ids=["empty", "blank", "integers", "edges"])
+def test_scan_of_a_plain_file_equals_the_line_parser(tmp_path, data, width, commas):
+    path = tmp_path / "ints.txt"
+    path.write_bytes(data)
+    values, lines = kergnn.graphs._scan_integers(str(path), width, commas)
+    rows, numbers = kergnn.graphs._parse_lines(str(path), _fields, commas=commas)
+    assert values.dtype == np.int64 and values.shape == (len(rows), width)
+    assert values.tolist() == rows and lines.tolist() == numbers
+
+
+@pytest.mark.parametrize("data,width,commas", [
+    (b"1\r2\n", 1, False),  # str.splitlines breaks a line at a lone '\r'
+    (b"1\n2\r", 1, False),
+    (b"1_0\n", 1, False),  # int() reads 10
+    (b"\xd9\xa3\n", 1, False),  # int() reads an Arabic-Indic 3
+    (b"1\xc2\xa0\n", 1, False),  # str.split() splits at a no-break space
+    (b"\x0b1\n", 1, False),  # and str.splitlines at a vertical tab: 1 is on line 2
+    (b"+-1\n", 1, False),
+    (b"1-\n", 1, False),
+    (b"-\n", 1, False),
+    (b"1234567890123456789\n", 1, False),  # 19 digits
+    (b"1 2\n", 1, False),  # two fields on a line of one
+    (b"1, 2\n3\n", 2, True),
+    (b"1, 2\n ,\n", 2, True),  # a data line of a comma alone
+    (b"1,2\n", 1, False),  # a comma outside _A.txt
+], ids=["cr", "trailing-cr", "underscore", "arabic-digit", "nbsp", "vtab", "two-signs",
+        "sign-last", "sign-alone", "19-digits", "extra-field", "short-line", "comma-line",
+        "comma"])
+def test_scan_leaves_a_file_it_cannot_read_plainly_to_the_line_parser(tmp_path, data, width, commas):
+    path = tmp_path / "ints.txt"
+    path.write_bytes(data)
+    assert kergnn.graphs._scan_integers(str(path), width, commas) is None
+
+
 def test_load_rejects_non_finite_attributes(tmp_path):
     adj = np.array([[0, 1], [1, 0]])
     for value in ("nan", "inf"):

@@ -4,6 +4,8 @@ Property tests: mutated graph files and TUDataset directories raise only
 DatasetError. Each example starts from a valid file (or dataset directory),
 applies a few byte-level edits, and loads the result: it must either load or
 raise the package's own DatasetError, never a numpy, Unicode or memory error.
+A mutated dataset directory loads to the same graphs, or the same error, as
+a load that leaves every file to the line parser.
 
 Given cross-validation splits of the wrong kind, and an n_folds that is not
 an integer >= 1, raise ConfigError before any fold trains. A kernel config
@@ -15,11 +17,13 @@ CheckpointError, and numpy-scalar configs write checkpoints that load back.
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kergnn.graphs
 import kergnn.training
 from kergnn.errors import CheckpointError, ConfigError, DatasetError
 from kergnn.graphs import Dataset, load_tudataset, read_graph_file, write_graph_file
@@ -33,9 +37,13 @@ from conftest import random_graph, write_tudataset
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 # the bytes the parsers care about: digits, signs, separators, line breaks,
-# comment marks, float spellings, huge numbers and a byte that is not UTF-8
+# comment marks, float spellings, huge numbers and a byte that is not UTF-8;
+# then what the array scan of integer files leaves to the line parser or
+# reads itself: tabs, '\r' alone and in '\r\n', a '+' sign, an underscore
+# int() accepts, a vertical tab, a no-break space and an Arabic-Indic digit
 TOKENS = (b"0", b"1", b"2", b"9", b"-", b"-1", b"+", b".", b",", b" ", b"\n", b"#", b"e",
-          b"x", b"nan", b"inf", b"1e999", b"99999999999", b"99999999999999999999", b"\xff")
+          b"x", b"nan", b"inf", b"1e999", b"99999999999", b"99999999999999999999", b"\xff",
+          b"\t", b"\r", b"\r\n", b"+1", b"1_0", b"\x0b", b"\xc2\xa0", b"\xd9\xa3")
 
 MUTATION = st.one_of(
     st.tuples(st.just("replace"), st.integers(0, 10**6), st.sampled_from(TOKENS)),
@@ -117,24 +125,55 @@ def test_mutated_graph_file_raises_only_dataset_error(mutations):
             pass
 
 
-@PROPERTY_SETTINGS
-@given(edits=st.lists(st.tuples(st.sampled_from(sorted(DATASET_FILES)), MUTATIONS),
-                      min_size=1, max_size=3),
-       removed=st.sampled_from([None] + sorted(DATASET_FILES)))
-def test_mutated_tudataset_raises_only_dataset_error(edits, removed):
+DATASET_EDITS = st.lists(st.tuples(st.sampled_from(sorted(DATASET_FILES)), MUTATIONS), min_size=1, max_size=3)
+REMOVED_FILE = st.sampled_from([None] + sorted(DATASET_FILES))
+
+
+def write_mutated_dataset(directory: str, edits, removed) -> None:
     files = dict(DATASET_FILES)
     for suffix, mutations in edits:
         files[suffix] = mutate(files[suffix], mutations)
     if removed is not None:
         del files[removed]
+    for suffix, data in files.items():
+        with open(os.path.join(directory, "D" + suffix), "wb") as fh:
+            fh.write(data)
+
+
+@PROPERTY_SETTINGS
+@given(edits=DATASET_EDITS, removed=REMOVED_FILE)
+def test_mutated_tudataset_raises_only_dataset_error(edits, removed):
     with tempfile.TemporaryDirectory() as tmp:
-        for suffix, data in files.items():
-            with open(os.path.join(tmp, "D" + suffix), "wb") as fh:
-                fh.write(data)
+        write_mutated_dataset(tmp, edits, removed)
         try:
             load_tudataset(tmp, "D")
         except DatasetError:
             pass
+
+
+def load_outcome(directory: str) -> tuple:
+    """The bytes of every graph load_tudataset reads from directory, or its
+    DatasetError message."""
+    try:
+        ds = load_tudataset(directory, "D")
+    except DatasetError as exc:
+        return "error", str(exc)
+    graphs = [(g.adjacency.tobytes(), g.attributes.shape, g.attributes.tobytes(), g.graph_label,
+               None if g.node_labels is None else g.node_labels.tobytes()) for g in ds.graphs]
+    return "dataset", ds.num_classes, ds.attr_dim, graphs
+
+
+@PROPERTY_SETTINGS
+@given(edits=DATASET_EDITS, removed=REMOVED_FILE)
+def test_mutated_tudataset_loads_as_the_line_parser_reads_it(edits, removed):
+    # the array scan of the integer files gives the graphs, or the error,
+    # of a load that leaves every file to _parse_lines
+    with tempfile.TemporaryDirectory() as tmp:
+        write_mutated_dataset(tmp, edits, removed)
+        scanned = load_outcome(tmp)
+        with mock.patch.object(kergnn.graphs, "_scan_integers", lambda *args: None):
+            parsed = load_outcome(tmp)
+    assert scanned == parsed
 
 
 VALID_SPLIT = (np.arange(8), np.arange(8, 12))

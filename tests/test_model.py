@@ -512,6 +512,17 @@ def test_summed_layer_keeps_per_node_values_for_introspection():
     assert _rel(feats[1].sum(axis=0), fwd.feats[1][0], np.max(np.abs(fwd.feats[1]))) <= 1e-12
 
 
+def test_model_forward_keeps_no_stack_of_a_summed_layer():
+    # the per-node values of a lone "summed" layer come from a stack built
+    # for the call; the graph keeps only the summed maps the packed path reads
+    rng = np.random.default_rng(9)
+    g = random_graph(rng, 7, 0.5, d=2)
+    params = init_params(small_config(), rng)
+    assert kergnn.model._layer_forms(params) == ["summed"]
+    model_forward(g, params)
+    assert not g.stacks and list(g.gram_maps) == [(1, 6)]
+
+
 def test_summed_layer_packs_whole_batches(monkeypatch):
     # a "summed" layer costs its (P+1) d^2 map row per graph, whatever the
     # graph's size: ten graphs the "gram" form puts in a chunk each are one

@@ -622,6 +622,27 @@ def test_cross_validate_rejects_thin_classes():
         cross_validate(ds, tiny_cfg(epochs=1), seed=0, n_folds=10)
 
 
+@pytest.mark.parametrize("case", ["thin-classes", "unlabeled", "empty-eval", "empty-train", "empty-grid",
+                                  "invalid-grid"])
+def test_caller_input_errors_are_config_errors(case):
+    # each was a bare ValueError; the CLI reports ConfigError as a usage error
+    ds = two_class_dataset(n_per_class=4)
+    params = init_params(tiny_cfg().model_config(1, 2), np.random.default_rng(0))
+    unlabeled = Graph(3, np.zeros((3, 3)), np.ones((3, 1)))
+    calls = {
+        "thin-classes": (lambda: cross_validate(ds, tiny_cfg(epochs=1), seed=0, n_folds=10), "stratification"),
+        "unlabeled": (lambda: evaluate(params, [unlabeled]), "graph 0 has no graph_label"),
+        "empty-eval": (lambda: evaluate(params, []), "empty split"),
+        "empty-train": (lambda: train_fold([], list(ds.graphs), tiny_cfg(epochs=1), 0), "nonempty"),
+        "empty-grid": (lambda: cross_validate(ds, [], seed=0, n_folds=2), "at least one configuration"),
+        "invalid-grid": (lambda: cross_validate(ds, [tiny_cfg(lr=-1.0)], seed=0, n_folds=2),
+                         "no valid configuration"),
+    }
+    call, message = calls[case]
+    with pytest.raises(ConfigError, match=message):
+        call()
+
+
 def test_cross_validate_accepts_explicit_splits():
     ds = two_class_dataset()
     cfg = tiny_cfg(epochs=2, num_filters=2)
