@@ -32,10 +32,23 @@ limited reachability by 0/1 matmuls with the edge indicator, a row-wise
 argsort of the key dist * n + id, and one gather of the adjacency, in blocks
 of rows so no n x n int64 matrix is formed. Its SubgraphStack keeps the padded
 adjacencies, and for the real slots only their layout and the node each holds.
+
+A Graph is a plain immutable value and holds no cache. A Dataset made by its
+constructor is a root: it owns PackedGraphs, its graphs packed for batching,
+which builds nothing until used and then keeps what it built (node offsets,
+labels, attribute sums, and what kergnn.model puts there: one PackedStack
+over all graphs per (hops, k_max), and summed Gram maps). Dataset.subset
+shares its root's view and holds an index array into it, so a subset of a
+subset, a fold or a minibatch is an index array, and every one of them
+reads the same caches. PackedStack.take gathers the stack of any index
+array of graphs in one vectorised step, equal byte for byte to
+SubgraphStack.concatenate of the graphs' own stacks.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 import os
 from collections import deque
@@ -43,12 +56,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DatasetError
+from .errors import ConfigError, DatasetError
 from .kernels import SlotLayout
 
 __all__ = [
     "Graph",
     "Dataset",
+    "PackedGraphs",
+    "PackedStack",
     "Subgraph",
     "DatasetStats",
     "load_tudataset",
@@ -75,13 +90,8 @@ class Graph:
     adjacency: (n, n) symmetric real matrix with zero diagonal, edge weights
         of either sign (load_tudataset and read_graph_file write 0/1).
     attributes: (n, d) real matrix, one row per node.
-    stacks: SubgraphStacks by (hops, k_max), built by the model on first use.
-    gram_maps: the Gram maps of the attributes by (hops, k_max) that a lone
-        first layer of the model reads, (P+1, d^2) summed over the nodes;
-        see kergnn.model.
-        The arrays are read-only, so no entry of either cache goes stale;
-        copies made by `relabeled` or `dataclasses.replace` start with both
-        empty; `stacks.clear()` and `gram_maps.clear()` free them.
+    The arrays are read-only. A graph holds no cache: what the model builds
+    from it is kept by the Dataset it is in (PackedGraphs).
 
     Equality and hashing are by identity (the fields are arrays).
     """
@@ -91,8 +101,6 @@ class Graph:
     attributes: np.ndarray
     graph_label: int | None = None
     node_labels: np.ndarray | None = None
-    stacks: dict = field(default_factory=dict, init=False, repr=False)
-    gram_maps: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=np.float64)
@@ -134,10 +142,22 @@ class Graph:
 
 @dataclass(frozen=True)
 class Dataset:
+    """Labeled graphs of one attribute width, and the caches built over them.
+
+    A dataset made by the constructor is a root: it checks its graphs, and
+    owns `packed`, its graphs packed for batching (PackedGraphs), which
+    builds nothing until first used. `subset` shares its root's `packed` and
+    holds `index`, its graphs' positions in the root, so every subset of one
+    root reads one set of caches. A copy put in a new Dataset, say by
+    `dataclasses.replace` or `Graph.relabeled`, is a new root with its own.
+    """
+
     name: str
     graphs: tuple
     num_classes: int
     attr_dim: int
+    packed: "PackedGraphs" = field(init=False, repr=False, compare=False)
+    index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "graphs", tuple(self.graphs))
@@ -146,16 +166,96 @@ class Dataset:
                 raise ValueError("all graphs must share the dataset attribute width")
             if g.graph_label is None or not (0 <= g.graph_label < self.num_classes):
                 raise ValueError("graph labels must lie in [0, num_classes)")
+        index = np.arange(len(self.graphs))
+        index.setflags(write=False)
+        object.__setattr__(self, "packed", PackedGraphs(self.graphs, self.attr_dim))
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.graphs)
 
     def labels(self) -> np.ndarray:
-        return np.array([g.graph_label for g in self.graphs], dtype=np.int64)
+        return self.packed.labels[self.index]
 
     def subset(self, indices, name: str | None = None) -> "Dataset":
-        graphs = [self.graphs[i] for i in indices]
-        return Dataset(name or self.name, graphs, self.num_classes, self.attr_dim)
+        """The graphs at `indices`, 1-D integers in [0, len), in that order (a
+        ConfigError otherwise). It shares this dataset's root and its caches,
+        and its graphs are not checked again."""
+        picked = _checked_index(indices, len(self))
+        index = self.index[picked]
+        index.setflags(write=False)
+        sub = copy.copy(self)  # no __init__: the root checked these graphs
+        for key, value in (("name", name or self.name), ("index", index),
+                           ("graphs", tuple(map(self.graphs.__getitem__, picked.tolist())))):
+            object.__setattr__(sub, key, value)
+        return sub
+
+
+def _checked_index(indices, count: int) -> np.ndarray:
+    """indices as an int64 array, or ConfigError unless they are 1-D integers
+    in [0, count): a negative index would count from the end, bools would be
+    taken as 0 and 1, and as a numpy index as a mask."""
+    try:
+        idx = np.asarray(indices)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"subset indices must be a 1-D list of integers: {exc}") from None
+    if idx.ndim != 1:
+        raise ConfigError(f"subset indices must be 1-D, got shape {idx.shape}")
+    if idx.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if idx.dtype.kind not in "iu":
+        raise ConfigError(f"subset indices must be integers, got dtype {idx.dtype}")
+    if idx.min() < 0 or idx.max() >= count:
+        raise ConfigError(f"subset indices must lie in [0, {count}), got {idx.min()}..{idx.max()}")
+    return idx.astype(np.int64)
+
+
+def segment_sum(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(B, d) sums of the rows offsets[b]:offsets[b+1] of x; 0 for an empty run.
+    reduceat would give an empty run its neighbour's first row instead."""
+    out = np.zeros((len(offsets) - 1, x.shape[1]))
+    nonempty = offsets[1:] > offsets[:-1]
+    if nonempty.any():
+        out[nonempty] = np.add.reduceat(x, offsets[:-1][nonempty], axis=0)
+    return out
+
+
+class PackedGraphs:
+    """A root dataset's graphs packed for batching, shared by its subsets.
+
+    Node rows run graph by graph: graph i's nodes are rows offsets[i]:
+    offsets[i+1]. A batch is an index array into the graphs. Every member is
+    built on first use and then kept, since the graphs are immutable:
+    offsets, labels, and attr_sums, each graph's attribute sums by
+    segment_sum. kergnn.model fills the two caches by (hops, k_max): stacks,
+    one PackedStack over all graphs, and maps, the summed Gram maps that a
+    lone first layer reads, (G, steps, d^2).
+    """
+
+    def __init__(self, graphs: tuple, attr_dim: int):
+        self.graphs, self.attr_dim = graphs, attr_dim
+        self.stacks = {}
+        self.maps = {}
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        return np.cumsum([0] + [g.num_nodes for g in self.graphs])
+
+    @functools.cached_property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        return np.array([g.graph_label for g in self.graphs], dtype=np.int64)
+
+    @functools.cached_property
+    def attr_sums(self) -> np.ndarray:
+        """(G, d): graph by graph, so no node-row copy of the attributes is made."""
+        sums = np.zeros((len(self.graphs), self.attr_dim))
+        for row, g in zip(sums, self.graphs):
+            row[:] = segment_sum(g.attributes, np.array([0, g.num_nodes]))[0]
+        return sums
 
 
 @dataclass(frozen=True)
@@ -560,23 +660,69 @@ class SubgraphStack:
         return np.bincount(flat, weights=real.ravel(), minlength=n * d).reshape(n, d)
 
     @classmethod
-    def concatenate(cls, stacks: list, k_max: int) -> "SubgraphStack":
+    def concatenate(cls, stacks, k_max: int, rows: int | None = None) -> "SubgraphStack":
         """One stack over the disjoint union of the stacks' graphs, in order.
         A stack holds one subgraph per node, so nodes and the layout's flat
         slot indices are offset by the subgraphs before it, and its starts by
-        the real slots before it. No stacks give an empty stack of k_max slots."""
-        if not stacks:
-            return cls(nodes=np.zeros(0, dtype=np.int64), adjacency=np.zeros((0, k_max, k_max)),
-                       layout=SlotLayout.from_mask(np.zeros((0, k_max))))
-        if len(stacks) == 1:
-            return stacks[0]
-        rows = np.cumsum([0] + [len(s.adjacency) for s in stacks[:-1]])
-        reals = np.cumsum([0] + [len(s.nodes) for s in stacks[:-1]])
-        layout = SlotLayout(real=np.concatenate([s.layout.real + r * k_max for s, r in zip(stacks, rows)]),
-                            starts=np.concatenate([s.layout.starts + r for s, r in zip(stacks, reals)]),
-                            slots=np.concatenate([s.layout.slots for s in stacks]))
-        return cls(nodes=np.concatenate([s.nodes + r for s, r in zip(stacks, rows)]),
-                   adjacency=np.concatenate([s.adjacency for s in stacks]), layout=layout)
+        the real slots before it. No stacks give an empty stack of k_max slots.
+        Given rows, the count of all their subgraphs, the stacks may be any
+        iterable: each adjacency is copied into one array of that many rows
+        as it comes, so a generator's stacks are never held all at once."""
+        if rows is None:
+            stacks = list(stacks)
+            rows = sum(len(s.adjacency) for s in stacks)
+        adjacency = np.zeros((rows, k_max, k_max))
+        empty = np.zeros(0, dtype=np.int64)
+        nodes, real, starts, slots = [empty], [empty], [empty], [empty]
+        row = reals = 0
+        for s in stacks:
+            n = len(s.adjacency)
+            adjacency[row:row + n] = s.adjacency
+            nodes.append(s.nodes + row)
+            real.append(s.layout.real + row * k_max)
+            starts.append(s.layout.starts + reals)
+            slots.append(s.layout.slots)
+            row, reals = row + n, reals + len(s.nodes)
+        layout = SlotLayout(real=np.concatenate(real), starts=np.concatenate(starts),
+                            slots=np.concatenate(slots))
+        return cls(nodes=np.concatenate(nodes), adjacency=adjacency, layout=layout)
+
+
+@dataclass
+class PackedStack:
+    """One SubgraphStack over all graphs of a PackedGraphs, as
+    SubgraphStack.concatenate joins them: graph i's subgraphs are rows
+    offsets[i]:offsets[i+1], and its real slots run real_offsets[i]:
+    real_offsets[i+1] of the layout."""
+
+    stack: SubgraphStack
+    offsets: np.ndarray  # (G+1,)
+    real_offsets: np.ndarray  # (G+1,)
+
+    @classmethod
+    def build(cls, stacks, offsets: np.ndarray, k_max: int) -> "PackedStack":
+        """From each graph's own stack, an iterable consumed in order."""
+        stack = SubgraphStack.concatenate(stacks, k_max, rows=int(offsets[-1]))
+        real_offsets = np.append(stack.layout.starts, len(stack.nodes))[offsets]
+        return cls(stack=stack, offsets=offsets, real_offsets=real_offsets)
+
+    def take(self, idx: np.ndarray) -> "SubgraphStack":
+        """The stack of the graphs at idx, equal byte for byte to
+        SubgraphStack.concatenate of their own stacks: one gather of each
+        graph's run of rows and of real slots, shifted to the batch's own
+        offsets."""
+        s, k = self.stack, self.stack.adjacency.shape[1]
+        lo, count = self.offsets[idx], np.diff(self.offsets)[idx]
+        real_lo, real_count = self.real_offsets[idx], np.diff(self.real_offsets)[idx]
+        row_shift = lo - (np.cumsum(count) - count)  # per graph, stack row minus batch row
+        real_shift = real_lo - (np.cumsum(real_count) - real_count)
+        rows = np.arange(count.sum()) + np.repeat(row_shift, count)
+        reals = np.arange(real_count.sum()) + np.repeat(real_shift, real_count)
+        node_shift = np.repeat(row_shift, real_count)
+        layout = SlotLayout(real=s.layout.real[reals] - node_shift * k,
+                            starts=s.layout.starts[rows] - np.repeat(real_shift, count),
+                            slots=s.layout.slots[reals])
+        return SubgraphStack(nodes=s.nodes[reals] - node_shift, adjacency=s.adjacency[rows], layout=layout)
 
 
 # Rows of the hop-limited reachability built at a time: the (chunk, n) key

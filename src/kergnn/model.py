@@ -7,35 +7,43 @@ attributes) and each filter, and uses the d_l kernel values as the node's new
 feature map. The graph readout concatenates per-layer node-feature sums,
 including layer 0, and an MLP maps the readout to class logits.
 
-All forward/backward code is plain dense numpy and works on packed batches:
-`forward_batch` concatenates the graphs' nodes and subgraph stacks (node ids
-offset by each graph's first node), runs every layer's kernel once over all
-of them, reads out by a segment sum per graph (a "summed" layer gives graph
-sums itself) and applies the MLP to (B, width) arrays. `backward_batch`
-implements reverse-mode differentiation through the MLP, the readout, and
-every kernel layer back to the filter parameters and the optional input
-linear map; the kernel's matmuls sum the batch's gradients. `packed_chunks`
-cuts a batch into consecutive chunks whose kernel caches stay under
-`_CHUNK_ENTRIES` float64 entries, counting only the real subgraph slots of a
-Hadamard-form layer, since its tensors hold no padded slot, and one row per
-graph of a "summed" layer. `model_forward` and `layer_forward` are batches
-of one.
+All forward/backward code is plain dense numpy and works on packed batches.
+A batch is an index array into a dataset's packed view (graphs.PackedGraphs,
+shared by every subset of one root dataset; a list of graphs gets a view of
+its own for the call). The view keeps, per (hops, k_max), one subgraph stack
+over all its graphs, built in place graph by graph through this module's
+`stack_subgraphs` on first use (`_packed_stack`). `forward_batch` gathers
+the batch's node attributes and stack rows (`PackedStack.take`, equal byte
+for byte to concatenating the graphs' own stacks), runs every layer's kernel
+once over all of them, reads out by a segment sum per graph and applies the
+MLP to (B, width) arrays. `backward_batch` implements reverse-mode
+differentiation through the MLP, the readout, and every kernel layer back to
+the filter parameters and the optional input linear map; the kernel's
+matmuls sum the batch's gradients. `packed_chunks` cuts a batch into
+consecutive chunks whose kernel caches stay under `_CHUNK_ENTRIES` float64
+entries, counting only the real subgraph slots of a Hadamard-form layer,
+since its tensors hold no padded slot, and one row per graph of a "summed"
+layer; the cuts come from a cumulative sum of the graphs' costs.
+`model_forward` and `layer_forward` are batches of one, and keep nothing.
 
 `_layer_forms` decides once per layer how it runs: "hadamard" or "gram" on
 the packed subgraph stack, or "summed" for a first layer in the Gram form
 without an input map when it is the only layer and post_relu is off. Such a
 layer reads the raw attributes and feeds only the readout, which sums its
 values <phi_G(v), phi_H> over the nodes, so it needs <sum_v phi_G(v), phi_H>:
-the subgraph side sum_v X_G^T A_G^p X_G is a constant of the graph, kept on
-it (`Graph.gram_maps`, by (hops, k_max), (P+1, d^2)) in place of a stack,
-giving one map row per graph, one kernel value row per graph, and a gradient
-that reads the readout's without repeating it per node. The stack the maps
-came from is dropped; a longer walk later rebuilds it and extends the maps.
-Every other layer, a multi-layer model's first included, runs on its stack.
-The first layer's backward skips the subgraph-feature gradient unless an
-input map needs it. `layer_forward` always takes the stack path, and
+the subgraph side sum_v X_G^T A_G^p X_G is a constant of the graph. The view
+keeps it as one (P+1, d^2) row per graph (`PackedGraphs.maps`, by (hops,
+k_max)), built graph by graph from each graph's own stack, which is then
+dropped; a longer walk later rebuilds the stacks and extends the maps. With
+the graphs' attribute sums (`PackedGraphs.attr_sums`) in place of the
+readout of layer 0, such a model trains and predicts on (B, .) graph rows
+alone: one map row, one kernel value row and one readout row per graph, and
+a gradient that reads the readout's without repeating it per node. Every
+other layer, a multi-layer model's first included, runs on its stack. The
+first layer's backward skips the subgraph-feature gradient unless an input
+map needs it. `layer_forward` always takes the stack path, and
 `model_forward` returns per-node values of every layer, those of a "summed"
-layer from a stack it builds for the call and does not keep.
+layer from a stack it builds for the call.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from dataclasses import dataclass, asdict, astuple
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, plain_value
-from .graphs import Graph, SubgraphStack, stack_subgraphs
+from .graphs import Dataset, Graph, PackedGraphs, PackedStack, segment_sum, stack_subgraphs
 from .kernels import (
     RWKernelConfig,
     gram_maps,
@@ -166,7 +174,7 @@ class ModelConfig:
         put("layers", tuple(LayerSpec(*(plain_value("layer sizes", v, int) for v in ls)) for ls in layers))
         put("mlp_hidden", tuple(plain_value("mlp_hidden", h, int) for h in self.mlp_hidden))
         for name, kind in (("attr_dim", int), ("num_classes", int), ("walk_length", int),
-                           ("dropout", float), ("post_relu", bool)):
+                           ("dropout", float), ("post_relu", bool), ("kernel_variant", str)):
             put(name, plain_value(name, getattr(self, name), kind))
         counts = [self.attr_dim, self.num_classes, *self.mlp_hidden, *(v for ls in layers for v in ls)]
         if self.input_map_dim is not None:
@@ -294,28 +302,45 @@ def named_parameters(params: ModelParams, vector: np.ndarray | None = None) -> l
 _CHUNK_ENTRIES = 2**17
 
 
-def _stack(g: Graph, layer: KerGNNLayer) -> SubgraphStack:
-    """g's subgraph stack at the layer's (hops, k_max), kept on g after the first build."""
+def _pack(graphs, config: ModelConfig) -> tuple:
+    """(PackedGraphs, index) of graphs: a Dataset's root view and its index
+    into it, or for a list a view made for the call, which nothing keeps."""
+    if isinstance(graphs, Dataset):
+        if len(graphs) and graphs.attr_dim != config.attr_dim:
+            raise ValueError(f"dataset attribute width {graphs.attr_dim} != model width {config.attr_dim}")
+        return graphs.packed, graphs.index
+    graphs = tuple(graphs)
+    for g in graphs:
+        if g.attr_dim != config.attr_dim:
+            raise ValueError(f"graph attribute width {g.attr_dim} != model width {config.attr_dim}")
+    return PackedGraphs(graphs, config.attr_dim), np.arange(len(graphs))
+
+
+def _packed_stack(pack: PackedGraphs, layer: KerGNNLayer) -> PackedStack:
+    """The stack of all of pack's graphs at the layer's (hops, k_max), built
+    in place graph by graph on first use and kept on pack."""
     key = (layer.hops, layer.k_max)
-    if key not in g.stacks:
-        g.stacks[key] = stack_subgraphs(g, *key)
-    return g.stacks[key]
+    if key not in pack.stacks:
+        pack.stacks[key] = PackedStack.build((stack_subgraphs(g, *key) for g in pack.graphs),
+                                             pack.offsets, layer.k_max)
+    return pack.stacks[key]
 
 
-def _summed_maps(g: Graph, layer: KerGNNLayer) -> np.ndarray:
-    """g's unweighted Gram maps of its raw attributes at the layer's (hops,
-    k_max), steps 0..P, summed over the nodes: (P+1, d^2). g keeps one entry
-    per key, of at least P+1 steps, and a shorter walk reads a slice of it. It
-    is built, or rebuilt for a longer walk, from the stack, which is then
-    dropped from g."""
+def _summed_maps(pack: PackedGraphs, layer: KerGNNLayer) -> np.ndarray:
+    """Every graph's unweighted Gram maps of its raw attributes at the layer's
+    (hops, k_max), steps 0..P or more, summed over its nodes: (G, steps, d^2).
+    pack keeps one array per key, built graph by graph from each graph's own
+    stack, which is not kept, and rebuilt for a longer walk; a shorter walk
+    reads a slice of it."""
     key, steps = (layer.hops, layer.k_max), layer.kernel_cfg.P + 1
-    maps = g.gram_maps.get(key)
-    if maps is None or len(maps) < steps:
-        stack = _stack(g, layer)
-        g.gram_maps[key] = maps = gram_maps(stack.gather(g.attributes), stack.adjacency,
-                                            steps - 1).sum(axis=0)
-        del g.stacks[key]
-    return maps[:steps]
+    if key in pack.maps and pack.maps[key].shape[1] < steps:
+        del pack.maps[key]  # every row is rebuilt: free the shorter array first
+    if key not in pack.maps:
+        pack.maps[key] = np.zeros((len(pack.graphs), steps, layer.in_dim ** 2))
+        for row, g in zip(pack.maps[key], pack.graphs):
+            stack = stack_subgraphs(g, *key)
+            row[:] = gram_maps(stack.gather(g.attributes), stack.adjacency, steps - 1).sum(axis=0)
+    return pack.maps[key]
 
 
 def _stack_form(layer: KerGNNLayer) -> str:
@@ -359,8 +384,9 @@ def _layer_apply(layer: KerGNNLayer, form: str, source, feats: np.ndarray, post_
 
 def layer_forward(g: Graph, feats: np.ndarray, layer: KerGNNLayer,
                   post_relu: bool = False) -> np.ndarray:
-    """Per-node kernel values (num_nodes, d_l) against every filter."""
-    values, _ = _layer_apply(layer, _stack_form(layer), _stack(g, layer),
+    """Per-node kernel values (num_nodes, d_l) against every filter, on a
+    subgraph stack built for the call."""
+    values, _ = _layer_apply(layer, _stack_form(layer), stack_subgraphs(g, layer.hops, layer.k_max),
                              np.asarray(feats, dtype=np.float64), post_relu)
     return values
 
@@ -386,21 +412,30 @@ def _chunk_costs(params: ModelParams) -> tuple:
     return per_graph, per_node, per_real
 
 
-def packed_chunks(graphs: list, params: ModelParams):
-    """(start, stop) of consecutive runs of graphs whose packed intermediates
-    stay under _CHUNK_ENTRIES; every run holds at least one graph."""
+def _chunks(pack: PackedGraphs, idx: np.ndarray, params: ModelParams) -> list:
+    """(start, stop) of consecutive runs of idx whose packed intermediates stay
+    under _CHUNK_ENTRIES; every run holds at least one graph. A run ends before
+    the first graph that brings its entries to the bound, found by searchsorted
+    in the cumulative sum of the graphs' costs."""
     per_graph, per_node, per_real = _chunk_costs(params)
-    start, entries = 0, 0
-    for i, g in enumerate(graphs):
-        added = per_graph + g.num_nodes * per_node
-        for layer, cost in per_real:
-            added += cost * len(_stack(g, layer).nodes)
-        if i > start and entries + added >= _CHUNK_ENTRIES:
-            yield start, i
-            start, entries = i, 0
-        entries += added
-    if start < len(graphs):
-        yield start, len(graphs)
+    costs = per_graph + pack.sizes[idx] * per_node
+    for layer, cost in per_real:
+        costs = costs + cost * np.diff(_packed_stack(pack, layer).real_offsets)[idx]
+    ends = np.cumsum(costs)
+    chunks, start = [], 0
+    while start < len(idx):
+        before = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, before + _CHUNK_ENTRIES)), start + 1)
+        chunks.append((start, stop))
+        start = stop
+    return chunks
+
+
+def packed_chunks(graphs, params: ModelParams) -> list:
+    """(start, stop) of consecutive runs of graphs (a list or a Dataset) whose
+    packed intermediates stay under _CHUNK_ENTRIES; every run holds at least
+    one graph."""
+    return _chunks(*_pack(graphs, params.config), params)
 
 
 def _concat(arrays: list, empty_shape: tuple) -> np.ndarray:
@@ -408,69 +443,56 @@ def _concat(arrays: list, empty_shape: tuple) -> np.ndarray:
     return np.concatenate(arrays) if arrays else np.zeros(empty_shape)
 
 
-def _segment_sum(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """(B, d) sums of the rows offsets[b]:offsets[b+1] of x; 0 for an empty run.
-    reduceat would give an empty run its neighbour's first row instead."""
-    out = np.zeros((len(offsets) - 1, x.shape[1]))
-    nonempty = offsets[1:] > offsets[:-1]
-    if nonempty.any():
-        out[nonempty] = np.add.reduceat(x, offsets[:-1][nonempty], axis=0)
-    return out
-
-
 @dataclass
 class BatchForward:
     """Everything backward_batch needs from one packed forward pass: the
-    graphs' nodes concatenated in order, graph b's rows at offsets[b]:offsets[b+1]."""
+    graphs' nodes concatenated in order, graph b's rows at offsets[b]:offsets[b+1].
+    A model whose only layer is "summed" has no node rows: offsets and
+    attributes are None, and each tensor of feats holds one row per graph."""
 
-    offsets: np.ndarray  # (B+1,)
-    attributes: np.ndarray  # raw packed attributes, (nodes, attr_dim)
+    offsets: np.ndarray | None  # (B+1,)
+    attributes: np.ndarray | None  # raw packed attributes, (nodes, attr_dim)
     forms: list  # _layer_forms of the layers
     stacks: list  # packed SubgraphStack of each layer, None for a "summed" layer
-    feats: list  # packed feats_0..feats_L, each (nodes, d_l); (B, d_l) graph sums for "summed"
+    feats: list  # packed feats_0..feats_L, each (nodes, d_l), or (B, d_l) graph sums
     layer_caches: list  # hold the layer tensors themselves: backward before they change
     mlp_inputs: list  # (B, width) each
     gates: list  # (B, width) ReLU gate times dropout mask of each hidden layer
     logits: np.ndarray  # (B, C)
 
 
-def forward_batch(graphs: list, params: ModelParams, dropout_rngs: list | None = None) -> BatchForward:
-    """One packed forward pass over graphs: each layer's kernel runs once on the
-    concatenated subgraph stacks. dropout_rngs, one per graph, switch on the
-    configured dropout; graph b's masks are drawn from dropout_rngs[b] alone."""
+def _forward(pack: PackedGraphs, idx: np.ndarray, params: ModelParams,
+             dropout_rngs: list | None = None) -> BatchForward:
+    """forward_batch of the graphs of pack at idx."""
     cfg = params.config
-    for g in graphs:
-        if g.attr_dim != cfg.attr_dim:
-            raise ValueError(f"graph attribute width {g.attr_dim} != model width {cfg.attr_dim}")
-    offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
-    attributes = _concat([g.attributes for g in graphs], (0, cfg.attr_dim))
-
-    feats0 = attributes
-    if params.input_map is not None:
-        w, b = params.input_map
-        feats0 = feats0 @ w + b
-    feats, stacks, layer_caches, packed = [feats0], [], [], {}
     forms = _layer_forms(params)
-    for layer, form in zip(params.layers, forms):
-        if form == "summed":
-            source = _concat([_summed_maps(g, layer)[None] for g in graphs],
-                             (0, layer.kernel_cfg.P + 1, layer.in_dim ** 2))
-            stacks.append(None)
-        else:
+    offsets = attributes = None
+    if forms == ["summed"]:
+        # the readout of a lone "summed" layer's input, the raw attributes, is
+        # their graph sums, so the whole batch is graph rows
+        layer = params.layers[0]
+        maps = _summed_maps(pack, layer)[idx, :layer.kernel_cfg.P + 1]
+        values, cache = _layer_apply(layer, "summed", maps, None, cfg.post_relu)
+        feats, stacks, layer_caches = [pack.attr_sums[idx], values], [None], [cache]
+        h = np.concatenate(feats, axis=1)
+    else:
+        offsets = np.concatenate(([0], np.cumsum(pack.sizes[idx])))
+        attributes = _concat([pack.graphs[i].attributes for i in idx.tolist()], (0, cfg.attr_dim))
+        feats0 = attributes
+        if params.input_map is not None:
+            w, b = params.input_map
+            feats0 = feats0 @ w + b
+        feats, stacks, layer_caches, packed = [feats0], [], [], {}
+        for layer, form in zip(params.layers, forms):
             key = (layer.hops, layer.k_max)
             if key not in packed:
-                packed[key] = SubgraphStack.concatenate([_stack(g, layer) for g in graphs], layer.k_max)
-            source = packed[key]
-            stacks.append(source)
-        values, cache = _layer_apply(layer, form, source, feats[-1], cfg.post_relu)
-        layer_caches.append(cache)
-        feats.append(values)
+                packed[key] = _packed_stack(pack, layer).take(idx)
+            stacks.append(packed[key])
+            values, cache = _layer_apply(layer, form, packed[key], feats[-1], cfg.post_relu)
+            layer_caches.append(cache)
+            feats.append(values)
+        h = segment_sum(np.concatenate(feats, axis=1), offsets)
 
-    # a "summed" layer, the last, gave graph sums already
-    summed = forms[-1:] == ["summed"]
-    h = _segment_sum(np.concatenate(feats[:-1] if summed else feats, axis=1), offsets)
-    if summed:
-        h = np.concatenate([h, feats[-1]], axis=1)
     mlp_inputs, gates = [], []
     for j, (w, b) in enumerate(params.mlp):
         mlp_inputs.append(h)
@@ -491,6 +513,14 @@ def forward_batch(graphs: list, params: ModelParams, dropout_rngs: list | None =
                         layer_caches=layer_caches, mlp_inputs=mlp_inputs, gates=gates, logits=h)
 
 
+def forward_batch(graphs, params: ModelParams, dropout_rngs: list | None = None) -> BatchForward:
+    """One packed forward pass over graphs, a list or a Dataset: each layer's
+    kernel runs once on the batch's subgraph stack, gathered from the view the
+    graphs are packed in. dropout_rngs, one per graph, switch on the
+    configured dropout; graph b's masks are drawn from dropout_rngs[b] alone."""
+    return _forward(*_pack(graphs, params.config), params, dropout_rngs)
+
+
 def backward_batch(fwd: BatchForward, dlogits: np.ndarray, params: ModelParams) -> np.ndarray:
     """Gradient of sum(dlogits * logits), summed over the batch inside the
     matmuls, as one vector laid out like params.flat: named_parameters(params,
@@ -506,12 +536,11 @@ def backward_batch(fwd: BatchForward, dlogits: np.ndarray, params: ModelParams) 
         dh = dh @ w.T
 
     # readout: every node of graph b gets row b of the readout gradient, split
-    # by layer; the graph sums of a "summed" layer read row b itself
+    # by layer; graph rows read row b itself
     widths = np.cumsum([0] + [f.shape[1] for f in fwd.feats])
-    per_node = widths[-2] if fwd.forms[-1:] == ["summed"] else widths[-1]
-    dreadout = np.repeat(dh[:, :per_node], np.diff(fwd.offsets), axis=0)
-    dnodes = [dreadout[:, lo:hi] if hi <= per_node else dh[:, lo:hi]
-              for lo, hi in zip(widths[:-1], widths[1:])]
+    if fwd.offsets is not None:
+        dh = np.repeat(dh, np.diff(fwd.offsets), axis=0)
+    dnodes = [dh[:, lo:hi] for lo, hi in zip(widths[:-1], widths[1:])]
 
     # kernel layers, last to first; the raw attributes' gradient dnodes[0]
     # is read only by an input map
@@ -531,32 +560,36 @@ def backward_batch(fwd: BatchForward, dlogits: np.ndarray, params: ModelParams) 
     return np.concatenate([grad.ravel() for grad in parts])
 
 
-def predict_logits(graphs: list, params: ModelParams) -> np.ndarray:
-    """Eval-mode logits (B, C) of graphs, forwarded in packed chunks."""
+def _predict(pack: PackedGraphs, idx: np.ndarray, params: ModelParams) -> np.ndarray:
+    """predict_logits of the graphs of pack at idx."""
     logits = []
-    for start, stop in packed_chunks(graphs, params):
+    for start, stop in _chunks(pack, idx, params):
         # fwd holds the last chunk's arrays until the next forward returns: freed
         # at once, they let malloc trim the heap and fault it in again for every
         # chunk (4.7-6.2x the minor page faults, ~1.5x the time, of an evaluate
         # of the mutag-deep benchmark graphs, 1.4 graphs per chunk)
-        fwd = forward_batch(graphs[start:stop], params)
+        fwd = _forward(pack, idx[start:stop], params)
         logits.append(fwd.logits)
     return _concat(logits, (0, params.config.num_classes))
 
 
+def predict_logits(graphs, params: ModelParams) -> np.ndarray:
+    """Eval-mode logits (B, C) of graphs (a list or a Dataset), forwarded in
+    packed chunks."""
+    return _predict(*_pack(graphs, params.config), params)
+
+
 def model_forward(g: Graph, params: ModelParams):
     """Eval-mode logits (C,) plus the per-layer node feature maps of g, for
-    introspection: a batch of one. A "summed" layer's node values come from
-    the stack path on a subgraph stack built for the call and not kept on g,
-    which holds only that layer's summed Gram maps."""
+    introspection: a batch of one, whose stacks and maps nothing keeps. A
+    "summed" layer's node values come from the stack path."""
     fwd = forward_batch([g], params)
-    feats = fwd.feats
-    if fwd.forms[-1:] == ["summed"]:
-        layer = params.layers[-1]
-        stack = stack_subgraphs(g, layer.hops, layer.k_max)
-        values, _ = _layer_apply(layer, _stack_form(layer), stack, feats[-2], post_relu=False)
-        feats = feats[:-1] + [values]
-    return fwd.logits[0], feats
+    if fwd.forms != ["summed"]:
+        return fwd.logits[0], fwd.feats
+    layer = params.layers[0]
+    values, _ = _layer_apply(layer, _stack_form(layer), stack_subgraphs(g, layer.hops, layer.k_max),
+                             g.attributes, post_relu=False)
+    return fwd.logits[0], [g.attributes, values]
 
 
 # ---------------------------------------------------------------------------

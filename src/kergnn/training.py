@@ -8,15 +8,22 @@ mean +- std.
 
 Everything is driven by integer seeds through numpy SeedSequence spawning, so
 (dataset, grid, seed) fully determines the result.
+
+Folds and inner splits are subsets of the dataset, and a minibatch is an index
+array into the root dataset's packed view (graphs.PackedGraphs): subgraph
+stacks and summed Gram maps are built once per root and (hops, k_max), and
+read by every fold, candidate, epoch and evaluation after that. A model
+whose only layer is "summed" trains on graph rows alone: its training step
+runs Python per graph only to seed each graph's dropout stream.
 """
 
 from __future__ import annotations
 
 import json
-import numbers
+import math
 import os
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -26,11 +33,12 @@ from .model import (
     LayerSpec,
     ModelConfig,
     ModelParams,
+    _chunks,
+    _forward,
+    _pack,
+    _predict,
     backward_batch,
-    forward_batch,
     init_params,
-    packed_chunks,
-    predict_logits,
     save_checkpoint,
 )
 
@@ -50,24 +58,24 @@ __all__ = [
 ]
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-# TrainConfig field annotations (strings, see the __future__ import) -> value checks
-_TYPE_CHECKS = {
-    "int": _is_int,
-    "float": _is_real,
-    "bool": lambda v: isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "tuple[int, ...]": lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
-    "tuple[float, ...]": lambda v: isinstance(v, tuple) and all(map(_is_real, v)),
-    "None": lambda v: v is None,
-}
+# The TrainConfig fields that no ModelConfig field checks: (name, kind for
+# errors.plain_value, range test written so that nan fails it, the range in
+# words). k_max and hops reach the model only through its layers, so a model
+# without layers would not check them. grad_clip may also be None.
+_TRAIN_FIELDS = (
+    ("lr", float, lambda v: 0 < v < math.inf, "finite and > 0"),
+    ("lr_half_every", int, lambda v: v >= 1, ">= 1"),
+    ("epochs", int, lambda v: v >= 1, ">= 1"),
+    ("batch_size", int, lambda v: v >= 1, ">= 1"),
+    ("seed", int, lambda v: v >= 0, ">= 0"),
+    ("beta1", float, lambda v: 0 <= v < 1, "in [0, 1)"),
+    ("beta2", float, lambda v: 0 <= v < 1, "in [0, 1)"),
+    ("eps", float, lambda v: 0 < v < math.inf, "finite and > 0"),
+    ("grad_clip", float, lambda v: v > 0, "> 0"),
+    ("num_layers", int, lambda v: v >= 0, ">= 0"),
+    ("k_max", int, lambda v: v >= 1, ">= 1"),
+    ("hops", int, lambda v: v >= 1, ">= 1"),
+)
 
 
 @dataclass(frozen=True)
@@ -105,40 +113,31 @@ class TrainConfig:
         if not isinstance(self.mlp_hidden, tuple):
             object.__setattr__(self, "mlp_hidden", (self.mlp_hidden,))
 
-    def _per_layer(self, v) -> list:
-        if isinstance(v, tuple):
-            if len(v) != self.num_layers:
-                raise ConfigError(f"per-layer list has {len(v)} entries for {self.num_layers} layers")
-            return list(v)
-        return [v] * self.num_layers
+    def _per_layer(self, name: str) -> list:
+        """num_filters or filter_nodes, one integer per layer; a single one is
+        checked even when there are no layers to repeat it for."""
+        v = getattr(self, name)
+        values = [plain_value(name, x, int) for x in (v if isinstance(v, tuple) else (v,))]
+        if not isinstance(v, tuple):
+            return values * self.num_layers
+        if len(v) != self.num_layers:
+            raise ConfigError(f"per-layer list has {len(v)} entries for {self.num_layers} layers")
+        return values
 
     def validate(self):
-        """Field types and training settings here; the model fields are checked
-        by building the ModelConfig they describe."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not any(_TYPE_CHECKS[t.strip()](value) for t in f.type.split("|")):
-                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        # each range test is written so that nan fails it
-        for name, ok, want in (
-            ("lr", 0 < self.lr < np.inf, "finite and > 0"),
-            ("grad_clip", self.grad_clip is None or self.grad_clip > 0, "> 0"),
-            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
-            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
-            ("eps", 0 < self.eps < np.inf, "finite and > 0"),
-            ("epochs", self.epochs >= 1, ">= 1"),
-            ("batch_size", self.batch_size >= 1, ">= 1"),
-            ("lr_half_every", self.lr_half_every >= 1, ">= 1"),
-            ("num_layers", self.num_layers >= 0, ">= 0"),
-            ("seed", self.seed >= 0, ">= 0"),
-        ):
-            if not ok:
-                raise ConfigError(f"{name} must be {want}, got {getattr(self, name)!r}")
+        """The fields of _TRAIN_FIELDS here; the model fields are checked by
+        building the ModelConfig they describe."""
+        for name, kind, ok, want in _TRAIN_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "grad_clip":  # no clipping
+                continue
+            if not ok(plain_value(name, value, kind)):
+                raise ConfigError(f"{name} must be {want}, got {value!r}")
         self.model_config(attr_dim=1, num_classes=1)
 
     def model_config(self, attr_dim: int, num_classes: int) -> ModelConfig:
-        filters = self._per_layer(self.num_filters)
-        nodes = self._per_layer(self.filter_nodes)
+        filters = self._per_layer("num_filters")
+        nodes = self._per_layer("filter_nodes")
         layers = [
             LayerSpec(num_filters=f, filter_nodes=n, k_max=self.k_max, hops=self.hops)
             for f, n in zip(filters, nodes)
@@ -232,31 +231,37 @@ class Adam:
         self.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def _graphs_of(data) -> list:
-    graphs = list(data.graphs) if isinstance(data, Dataset) else list(data)
+def _as_dataset(data, num_classes: int, attr_dim: int) -> Dataset:
+    """data if it is a Dataset, else a root Dataset of its graphs, each of
+    which must have a graph_label."""
+    if isinstance(data, Dataset):
+        return data
+    graphs = list(data)
     for i, g in enumerate(graphs):
         if g.graph_label is None:
             raise ConfigError(f"graph {i} has no graph_label")
-    return graphs
+    return Dataset("graphs", graphs, num_classes, attr_dim)
 
 
 def evaluate(params: ModelParams, graphs) -> float:
-    """Eval-mode accuracy over labeled graphs; their stacks, or the (P+1, d^2)
-    Gram maps summed over the nodes of a lone layer-1 in the "summed" form,
-    stay on them (Graph.stacks, Graph.gram_maps; model._layer_forms)."""
-    graphs = _graphs_of(graphs)
-    if not graphs:
+    """Eval-mode accuracy over labeled graphs, a list or a Dataset. A Dataset's
+    stacks and summed maps are built once for its root and kept there
+    (PackedGraphs), so a second evaluate of it, or of another subset of the
+    same root, builds none; a list's are built for the call."""
+    cfg = params.config
+    ds = _as_dataset(graphs, cfg.num_classes, cfg.attr_dim)
+    if not len(ds):
         raise ConfigError("cannot evaluate on an empty split")
-    predicted = np.argmax(predict_logits(graphs, params), axis=1)
-    correct = np.count_nonzero(predicted == [g.graph_label for g in graphs])
-    return int(correct) / len(graphs)
+    pack, idx = _pack(ds, cfg)
+    predicted = np.argmax(_predict(pack, idx, params), axis=1)
+    return int(np.count_nonzero(predicted == pack.labels[idx])) / len(idx)
 
 
-def _batch_step(graphs, params, rng):
-    """(mean loss, mean gradient vector, correct predictions) of a minibatch, by one
-    packed forward and backward per chunk (model.packed_chunks); chunks add up
-    in order. A graph counts as correct when the argmax of the logits its loss
-    is taken of is its label.
+def _batch_step(pack, idx, params, rng):
+    """(mean loss, mean gradient vector, correct predictions) of the minibatch of
+    pack's graphs at idx, by one packed forward and backward per chunk
+    (model.packed_chunks); chunks add up in order. A graph counts as correct
+    when the argmax of the logits its loss is taken of is its label.
 
     The first chunk whose losses are not all finite raises TrainingError
     before its backward, and no later chunk is forwarded. The error names the
@@ -267,16 +272,16 @@ def _batch_step(graphs, params, rng):
     chunk's loss is."""
     # one dropout seed per graph is drawn even without dropout, so the rng
     # stream (every later shuffle and init) does not depend on the dropout rate
-    seeds = rng.integers(0, 2**63 - 1, size=len(graphs))
-    labels = np.array([g.graph_label for g in graphs])
+    seeds = rng.integers(0, 2**63 - 1, size=len(idx))
+    labels = pack.labels[idx]
     total = np.zeros_like(params.flat)
     loss = 0.0
     correct = 0
-    for start, stop in packed_chunks(graphs, params):
+    for start, stop in _chunks(pack, idx, params):
         rngs = None
         if params.config.dropout > 0:
             rngs = [np.random.default_rng(seed) for seed in seeds[start:stop]]
-        fwd = forward_batch(graphs[start:stop], params, rngs)
+        fwd = _forward(pack, idx[start:stop], params, rngs)
         losses, dlogits = softmax_cross_entropy(fwd.logits, labels[start:stop])
         if not np.isfinite(losses).all():
             # without an input map, feats[0] is the raw attributes and is not named
@@ -289,7 +294,7 @@ def _batch_step(graphs, params, rng):
         loss += float(losses.sum())
         correct += int(np.count_nonzero(np.argmax(fwd.logits, axis=1) == labels[start:stop]))
         total += backward_batch(fwd, dlogits, params)
-    scale = 1.0 / len(graphs)
+    scale = 1.0 / len(idx)
     total *= scale
     return loss * scale, total, correct
 
@@ -314,35 +319,39 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng):
                      parameters updated batch by batch);
       val_acc        eval-mode accuracy on val_set after the epoch;
       lr, epoch_seconds  learning rate and wall time of the epoch.
-    Subgraph stacks are built once per graph and kept on it (see
-    Graph.stacks), so later epochs, candidates and folds reuse them. A lone
-    Gram-form layer on the raw attributes without post_relu keeps only its
-    Gram maps summed over the graph's nodes, (P+1) d^2 floats per graph
-    (Graph.gram_maps), and no stack (model._layer_forms). A minibatch whose
+    Either set is a Dataset or a list of labeled graphs, which is packed into
+    a Dataset of its own. A minibatch is an index array into the root
+    dataset's packed view (graphs.PackedGraphs), whose subgraph stacks, or a
+    lone "summed" layer's Gram maps summed over each graph's nodes (one
+    (P+1) d^2 row per graph, model._layer_forms), are built once for the
+    root, so later epochs, candidates and folds reuse them. A minibatch whose
     loss is not finite raises TrainingError naming the epoch, the batch and
     the first non-finite tensor (_batch_step).
     """
     cfg.validate()
-    train_graphs = _graphs_of(train_set)
-    val_graphs = _graphs_of(val_set)
-    if not train_graphs or not val_graphs:
-        raise ConfigError("train and validation splits must be nonempty")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-
-    sample = train_graphs[0]
-    num_classes = max(g.graph_label for g in train_graphs + val_graphs) + 1
+    train_set, val_set = (data if isinstance(data, Dataset) else list(data) for data in (train_set, val_set))
+    graphs = [data.graphs if isinstance(data, Dataset) else data for data in (train_set, val_set)]
+    if not all(graphs):
+        raise ConfigError("train and validation splits must be nonempty")
     if isinstance(train_set, Dataset):
         num_classes = train_set.num_classes
-    params = init_params(cfg.model_config(sample.attr_dim, num_classes), rng)
+    else:  # _as_dataset rejects an unlabeled graph
+        num_classes = 1 + max((g.graph_label for split in graphs for g in split if g.graph_label is not None),
+                              default=0)
+    attr_dim = graphs[0][0].attr_dim
+    train_set, val_set = (_as_dataset(data, num_classes, attr_dim) for data in (train_set, val_set))
+    params = init_params(cfg.model_config(attr_dim, num_classes), rng)
     opt = Adam(params, cfg.beta1, cfg.beta2, cfg.eps)
+    pack, index = _pack(train_set, params.config)
 
     history = {"train_loss": [], "train_acc": [], "val_acc": [], "lr": [], "epoch_seconds": []}
     best_acc = -1.0
     best_epoch = -1
     best_snapshot = params.flat.copy()
 
-    order = np.arange(len(train_graphs))
+    order = np.arange(len(train_set))
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         lr = learning_rate_at(cfg, epoch)
@@ -350,9 +359,9 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng):
         losses = []
         correct = 0
         for start in range(0, len(order), cfg.batch_size):
-            batch = [train_graphs[i] for i in order[start: start + cfg.batch_size]]
+            batch = index[order[start: start + cfg.batch_size]]
             try:
-                loss, grad, batch_correct = _batch_step(batch, params, rng)
+                loss, grad, batch_correct = _batch_step(pack, batch, params, rng)
             except TrainingError as exc:
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}: {exc}"
@@ -362,9 +371,9 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng):
             opt.step(grad, lr)
             losses.append(loss)
             correct += batch_correct
-        val_acc = evaluate(params, val_graphs)
+        val_acc = evaluate(params, val_set)
         history["train_loss"].append(float(np.mean(losses)))
-        history["train_acc"].append(correct / len(train_graphs))
+        history["train_acc"].append(correct / len(train_set))
         history["val_acc"].append(val_acc)
         history["lr"].append(lr)
         history["epoch_seconds"].append(time.perf_counter() - t0)
@@ -424,13 +433,14 @@ def load_splits(path: str) -> list:
         raise ConfigError(f"{path}: expected a nonempty list of fold objects")
     splits = []
     for k, fold in enumerate(raw):
-        if not isinstance(fold, dict) or not all(
-                isinstance(fold.get(key), list)
-                and all(_is_int(i) and -2**63 <= i < 2**63 for i in fold[key])
-                for key in ("train", "test")):
-            raise ConfigError(f"{path}: fold {k} needs 'train' and 'test' lists of integers")
-        train = np.array(fold["train"], dtype=np.int64)
-        test = np.array(fold["test"], dtype=np.int64)
+        try:
+            if not isinstance(fold, dict) or not all(isinstance(fold.get(key), list)
+                                                     for key in ("train", "test")):
+                raise ConfigError("not an object of two lists")
+            train, test = (np.array([plain_value("index", i, int) for i in fold[key]], dtype=np.int64)
+                           for key in ("train", "test"))
+        except (ConfigError, OverflowError):  # past int64
+            raise ConfigError(f"{path}: fold {k} needs 'train' and 'test' lists of integers") from None
         if np.intersect1d(train, test).size:
             raise ConfigError(f"{path}: fold {k} train/test overlap")
         splits.append((train, test))
@@ -494,7 +504,7 @@ def cross_validate(ds: Dataset, grid, seed: int, n_folds: int = 10,
     Every split, or else n_folds (an integer >= 1), is checked before any
     fold trains, and a bad one raises ConfigError.
     """
-    if not _is_int(seed) or seed < 0:
+    if plain_value("seed", seed, int) < 0:
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     labels = ds.labels()
     counts = np.bincount(labels, minlength=ds.num_classes)

@@ -114,6 +114,22 @@ def assert_tensors_tile_flat(params):
             assert np.shares_memory(filt.attributes, params.flat)
 
 
+@pytest.fixture
+def stack_builds(monkeypatch):
+    """Every (graph, hops, k_max) passed to stack_subgraphs, in call order."""
+    import kergnn.model
+
+    builds = []
+    build = kergnn.model.stack_subgraphs
+
+    def counting(g, hops, k_max):
+        builds.append((g, hops, k_max))
+        return build(g, hops, k_max)
+
+    monkeypatch.setattr(kergnn.model, "stack_subgraphs", counting)
+    return builds
+
+
 def brute_force_isomorphic(g1, g2):
     """Permutation search over <= 8 node graphs, respecting node labels."""
     if g1.num_nodes != g2.num_nodes:

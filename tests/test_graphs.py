@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kergnn.graphs
-from kergnn.errors import DatasetError
+from kergnn.errors import ConfigError, DatasetError
 from kergnn.graphs import (
     Dataset,
     Graph,
@@ -461,6 +461,50 @@ def test_stack_subgraphs_argument_errors(n):
         stack_subgraphs(g, 1, 0)
     with pytest.raises(ValueError, match="hops must be >= 1"):
         stack_subgraphs(g, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Subsets
+# ---------------------------------------------------------------------------
+
+
+def four_graphs():
+    return Dataset("four", [path_graph(n, label=n % 2) for n in (2, 3, 4, 5)], 2, 1)
+
+
+@pytest.mark.parametrize("indices", [
+    [-1],  # counted from the end
+    [4],  # past the end
+    [True, False],  # graphs 1 and 0, or as a numpy index a mask
+    np.array([True, False, True, False]),
+    [1.5],  # a bare TypeError
+    np.array([1.0, 2.0]),
+    [[0, 1]],  # 2-D
+    np.int64(2),  # a scalar
+    "01",
+    [0, "1"],
+    [2**70],  # an object array
+    [[0], [1, 2]],  # ragged
+])
+def test_subset_rejects_anything_but_integers_in_range(indices):
+    with pytest.raises(ConfigError, match="subset indices"):
+        four_graphs().subset(indices)
+
+
+def test_subset_composes_indices_into_its_root():
+    # a subset keeps its root's caches and its graphs' positions in the root
+    ds = four_graphs()
+    outer = ds.subset(np.array([3, 1, 2], dtype=np.uint8), name="outer")
+    inner = outer.subset(range(3)[::-1]).subset([0, 0, 2])
+    assert outer.name == inner.name == "outer"
+    assert [g.num_nodes for g in inner.graphs] == [4, 4, 5]
+    assert inner.index.tolist() == [2, 2, 3] and inner.index.dtype == np.int64
+    assert inner.packed is outer.packed is ds.packed
+    assert not inner.index.flags.writeable
+    assert len(ds.subset([])) == 0 and ds.subset(np.zeros(0)).index.dtype == np.int64
+    # a dataset made from a subset's graphs is a root of its own
+    again = Dataset("again", inner.graphs, 2, 1)
+    assert again.packed is not ds.packed and again.index.tolist() == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------

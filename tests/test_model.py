@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kergnn.errors import CheckpointError, ConfigError
-from kergnn.graphs import Graph, extract_subgraph
+from kergnn.graphs import Dataset, Graph, extract_subgraph
 from kergnn.kernels import RWKernelConfig, rw_kernel, rw_kernel_oracle, uses_gram_form
 import kergnn.model
 from kergnn.model import (
@@ -476,12 +476,13 @@ def test_cached_maps_equal_the_stack_path(monkeypatch):
             small_config(walk_length=2, lambdas=(0.5, 0.25, 2.0)),
             small_config(walk_length=3, lambdas=(1.0, 0.1, 0.01, 0.001))]
     labels = np.array([g.graph_label for g in graphs])
+    ds = Dataset("maps", graphs, 2, 2)
     for cfg in cfgs:
         params = init_params(cfg, np.random.default_rng(cfg.walk_length))
         assert kergnn.model._layer_forms(params) == ["summed"]
-        copies = [dataclasses.replace(g) for g in graphs]
+        copies = Dataset("copies", [dataclasses.replace(g) for g in graphs], 2, 2)
         results = []
-        for batch in (graphs, copies):
+        for batch in (ds, copies):
             fwd = forward_batch(batch, params)
             dlogits = softmax_cross_entropy(fwd.logits, labels)[1]
             results.append((fwd.logits, backward_batch(fwd, dlogits, params)))
@@ -492,9 +493,9 @@ def test_cached_maps_equal_the_stack_path(monkeypatch):
         for (name, g), (_, w) in zip(named_parameters(params, got_grad),
                                      named_parameters(params, want_grad)):
             assert _rel(g, w, np.max(np.abs(w))) <= 1e-12, name
-        assert not any(c.gram_maps for c in copies)
-    # the first forward, P = 3, set the steps: one summed (P+1, d^2) entry
-    assert all(g.gram_maps[(1, 6)].shape == (4, 4) for g in graphs)
+        assert not copies.packed.maps
+    # the first forward, P = 3, set the steps: one summed (P+1, d^2) row per graph
+    assert list(ds.packed.maps) == [(1, 6)] and ds.packed.maps[(1, 6)].shape == (6, 4, 4)
 
 
 def test_summed_layer_keeps_per_node_values_for_introspection():
@@ -512,15 +513,18 @@ def test_summed_layer_keeps_per_node_values_for_introspection():
     assert _rel(feats[1].sum(axis=0), fwd.feats[1][0], np.max(np.abs(fwd.feats[1]))) <= 1e-12
 
 
-def test_model_forward_keeps_no_stack_of_a_summed_layer():
+def test_model_forward_keeps_no_stack_of_a_summed_layer(stack_builds):
     # the per-node values of a lone "summed" layer come from a stack built
-    # for the call; the graph keeps only the summed maps the packed path reads
+    # for the call, as do the summed maps its logits read: nothing is kept,
+    # not even by the dataset the graph is in
     rng = np.random.default_rng(9)
-    g = random_graph(rng, 7, 0.5, d=2)
+    ds = Dataset("one", [random_graph(rng, 7, 0.5, d=2, label=0)], 2, 2)
     params = init_params(small_config(), rng)
     assert kergnn.model._layer_forms(params) == ["summed"]
-    model_forward(g, params)
-    assert not g.stacks and list(g.gram_maps) == [(1, 6)]
+    for builds in (2, 4):
+        model_forward(ds.graphs[0], params)
+        assert len(stack_builds) == builds
+    assert not ds.packed.stacks and not ds.packed.maps
 
 
 def test_summed_layer_packs_whole_batches(monkeypatch):
@@ -594,7 +598,8 @@ def test_packed_batch_equals_batches_of_one(case):
             single_correct += int(np.argmax(fwd.logits[0]) == g.graph_label)
 
         def packed():
-            _, grad, correct = _batch_step(graphs, params, np.random.default_rng(seed))
+            pack, idx = kergnn.model._pack(graphs, params.config)
+            _, grad, correct = _batch_step(pack, idx, params, np.random.default_rng(seed))
             assert correct == single_correct
             return predict_logits(graphs, params), dict(named_parameters(params, grad))
 

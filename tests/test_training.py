@@ -267,17 +267,19 @@ def test_diverged_chunk_gets_no_backward_and_ends_the_forwards(monkeypatch):
     assert len(list(kergnn.model.packed_chunks(ds.graphs, params))) == len(ds)
 
     calls = []
+    forward, backward = kergnn.model._forward, kergnn.model.backward_batch
 
-    def recorded(name, fn):
-        def wrapper(first, *args, **kwargs):
-            calls.append((name, first))
-            return fn(first, *args, **kwargs)
-        return wrapper
+    def recorded_forward(pack, idx, *args, **kwargs):
+        calls.append(("forward", [pack.graphs[i] for i in idx]))
+        return forward(pack, idx, *args, **kwargs)
 
-    forward = recorded("forward", kergnn.model.forward_batch)
+    def recorded_backward(*args, **kwargs):
+        calls.append(("backward", None))
+        return backward(*args, **kwargs)
+
     for module in (kergnn.model, kergnn.training):
-        monkeypatch.setattr(module, "forward_batch", forward)
-    monkeypatch.setattr(kergnn.training, "backward_batch", recorded("backward", kergnn.model.backward_batch))
+        monkeypatch.setattr(module, "_forward", recorded_forward)
+    monkeypatch.setattr(kergnn.training, "backward_batch", recorded_backward)
     with pytest.raises(TrainingError, match=r"epoch 0, batch 0: layers\.0 features are the first"):
         train_fold(ds, micro_pair(), cfg, rng=0)
     names = [name for name, _ in calls]
@@ -299,7 +301,7 @@ def test_divergence_error_names_the_input_map_and_the_mlp_logits(tensor, where):
     bias = params.input_map[1] if tensor == "input_map" else params.mlp[-1][1]
     bias[0] = np.inf
     with pytest.raises(TrainingError, match=f"^{where} are the first non-finite tensor$"):
-        _batch_step(list(ds.graphs), params, np.random.default_rng(0))
+        _batch_step(ds.packed, ds.index, params, np.random.default_rng(0))
 
 
 def mixed_prediction_dataset():
@@ -330,14 +332,14 @@ def test_train_fold_forwards_each_graph_once_per_epoch(monkeypatch):
     import kergnn.training
 
     forwarded = []
-    forward = kergnn.model.forward_batch
+    forward = kergnn.model._forward
 
-    def counting(graphs, *args, **kwargs):
-        forwarded.append(len(graphs))
-        return forward(graphs, *args, **kwargs)
+    def counting(pack, idx, *args, **kwargs):
+        forwarded.append(len(idx))
+        return forward(pack, idx, *args, **kwargs)
 
-    monkeypatch.setattr(kergnn.model, "forward_batch", counting)
-    monkeypatch.setattr(kergnn.training, "forward_batch", counting)
+    monkeypatch.setattr(kergnn.model, "_forward", counting)
+    monkeypatch.setattr(kergnn.training, "_forward", counting)
     ds = mixed_prediction_dataset()
     train, val = ds.subset(range(18)), ds.subset(range(18, 24))
     cfg = tiny_cfg(epochs=3)
@@ -451,32 +453,19 @@ def two_class_dataset(n_per_class=12, seed=9):
     return Dataset("two", graphs, 2, 1)
 
 
-@pytest.fixture
-def stack_builds(monkeypatch):
-    """Every (graph, hops, k_max) passed to stack_subgraphs, in call order."""
-    import kergnn.model
-
-    builds = []
-    build = kergnn.model.stack_subgraphs
-
-    def counting(g, hops, k_max):
-        builds.append((g, hops, k_max))
-        return build(g, hops, k_max)
-
-    monkeypatch.setattr(kergnn.model, "stack_subgraphs", counting)
-    return builds
-
-
 def test_cross_validate_builds_each_stack_once(stack_builds):
-    ds = two_class_dataset()
-    # the second candidate's two layers share one (hops, k_max). The first
-    # candidate's lone layer drops its stack once its summed Gram maps exist,
-    # so the second candidate builds it once more; later folds build none
-    grid = [tiny_cfg(epochs=2, walk_length=1), tiny_cfg(epochs=2, walk_length=2, num_layers=2)]
-    cross_validate(ds, grid, seed=5, n_folds=3)
-    builds = Counter((id(g), hops, k_max) for g, hops, k_max in stack_builds)
-    assert max(builds.values()) <= len({cfg.walk_length for cfg in grid})
-    assert {key[0] for key in builds} == {id(g) for g in ds.graphs}
+    # every fold and candidate reads the root dataset's one view: one stack
+    # per graph and (hops, k_max), whether it is kept (two layers share it)
+    # or only its graph's summed Gram maps are (a lone layer; the longer walk
+    # comes first, so the shorter one reads a slice of its maps)
+    for num_layers in (1, 2):
+        ds = two_class_dataset()
+        grid = [tiny_cfg(epochs=2, walk_length=p, num_layers=num_layers) for p in (2, 1)]
+        del stack_builds[:]
+        cross_validate(ds, grid, seed=5, n_folds=3)
+        assert len(stack_builds) == len(ds)
+        assert Counter(id(g) for g, _, _ in stack_builds) == Counter(id(g) for g in ds.graphs)
+        assert {(hops, k_max) for _, hops, k_max in stack_builds} == {(1, 5)}
 
 
 def test_second_evaluate_builds_no_stacks(stack_builds):
@@ -501,69 +490,84 @@ def test_second_cross_validate_builds_no_stacks(stack_builds):
 
 
 def test_relabeled_graph_builds_its_own_stacks(stack_builds):
-    # a lone layer keeps its maps summed over the nodes, and no stack
+    # a copy put in a new Dataset is read through that dataset's own view:
+    # a lone layer keeps one summed Gram map row per graph there, and no stack
     rng = np.random.default_rng(2)
     g = random_graph(rng, 6, 0.5, d=1, label=0)
+    ds = Dataset("one", [g], 2, 1)
     params = init_params(tiny_cfg().model_config(1, 2), np.random.default_rng(0))
-    forward_batch([g], params)
-    assert list(g.gram_maps) == [(1, 5)] and not g.stacks
+    forward_batch(ds, params)
+    assert list(ds.packed.maps) == [(1, 5)] and not ds.packed.stacks
     moved = g.relabeled(rng.permutation(6))
     copied = dataclasses.replace(g, graph_label=1)
-    assert not moved.gram_maps and not copied.gram_maps
-    assert not moved.stacks and not copied.stacks
-    forward_batch([moved], params)
-    assert [b[0] for b in stack_builds] == [g, moved]
+    copies = [Dataset("moved", [moved], 2, 1), Dataset("copied", [copied], 2, 1)]
+    assert all(not c.packed.maps and not c.packed.stacks for c in copies)
+    for c in copies:
+        forward_batch(c, params)
+    assert [b[0] for b in stack_builds] == [g, moved, copied]
     own = stack_subgraphs(moved, 1, 5)
-    assert moved.gram_maps[(1, 5)].tobytes() == gram_maps(own.gather(moved.attributes),
-                                                          own.adjacency, 2).sum(axis=0).tobytes()
+    assert copies[0].packed.maps[(1, 5)][0].tobytes() == gram_maps(
+        own.gather(moved.attributes), own.adjacency, 2).sum(axis=0).tobytes()
+    # the same graph in a new Dataset is a new root too
+    forward_batch(Dataset("again", [g], 2, 1), params)
+    assert [b[0] for b in stack_builds] == [g, moved, copied, g]
 
 
 def test_longer_walk_extends_the_maps(stack_builds):
-    # maps are built from the stack, which is then dropped; a longer walk
-    # builds the stack again and extends the maps, a shorter one reads a slice
+    # maps are built from each graph's stack, which is then dropped; a longer
+    # walk builds the stacks again and extends the maps, a shorter one reads
+    # a slice; a subset reads its root's maps
     rng = np.random.default_rng(6)
-    g = random_graph(rng, 7, 0.5, d=2, label=0)
+    graphs = [random_graph(rng, n, 0.5, d=2, label=0) for n in (7, 0, 4)]
+    ds = Dataset("walks", graphs, 2, 2)
     forward = {p: init_params(tiny_cfg(walk_length=p).model_config(2, 2), np.random.default_rng(p))
                for p in (1, 2)}
-    forward_batch([g], forward[1])
-    short = g.gram_maps[(1, 5)]
-    assert short.shape == (2, 4) and not g.stacks
-    forward_batch([g], forward[2])
-    assert g.gram_maps[(1, 5)].shape == (3, 4) and not g.stacks
-    assert g.gram_maps[(1, 5)][:2].tobytes() == short.tobytes()
-    assert stack_builds == [(g, 1, 5)] * 2
-    longer = g.gram_maps[(1, 5)]
-    forward_batch([g], forward[1])
-    assert g.gram_maps[(1, 5)] is longer and len(stack_builds) == 2
+    forward_batch(ds.subset([2]), forward[1])
+    short = ds.packed.maps[(1, 5)]
+    assert short.shape == (3, 2, 4) and not ds.packed.stacks
+    forward_batch(ds, forward[2])
+    assert ds.packed.maps[(1, 5)].shape == (3, 3, 4) and not ds.packed.stacks
+    assert ds.packed.maps[(1, 5)][:, :2].tobytes() == short.tobytes()
+    assert stack_builds == [(g, 1, 5) for g in graphs] * 2
+    longer = ds.packed.maps[(1, 5)]
+    forward_batch(ds.subset([1, 0]), forward[1])
+    assert ds.packed.maps[(1, 5)] is longer and len(stack_builds) == 6
 
 
 def test_stack_kept_while_another_layer_shares_its_key(stack_builds):
-    # a two-layer plain model runs layer 1 on its stack as well: it keeps no
-    # Gram maps and builds one stack per graph, which both layers read
+    # a two-layer plain model runs layer 1 on its stack as well: the dataset
+    # keeps no Gram maps and one stack, built once per graph, which both
+    # layers read
     rng = np.random.default_rng(7)
-    graphs = [random_graph(rng, n, 0.5, d=1, label=0) for n in (7, 4)]
+    ds = Dataset("pair", [random_graph(rng, n, 0.5, d=1, label=0) for n in (7, 4)], 2, 1)
     params = init_params(tiny_cfg(num_layers=2).model_config(1, 2), np.random.default_rng(0))
     for _ in range(2):
-        fwd = forward_batch(graphs, params)
+        fwd = forward_batch(ds, params)
     assert fwd.forms == ["gram", "gram"] and fwd.stacks[0] is fwd.stacks[1]
-    assert stack_builds == [(h, 1, 5) for h in graphs]
-    assert all(list(h.stacks) == [(1, 5)] and not h.gram_maps for h in graphs)
-    # a model with an input map runs layer 1 on the stack and keeps no maps
-    moved = graphs[0].relabeled(np.arange(7))
+    assert stack_builds == [(h, 1, 5) for h in ds.graphs]
+    assert list(ds.packed.stacks) == [(1, 5)] and not ds.packed.maps
+    # a model with an input map runs layer 1 on the same stack and keeps no maps
     mapped = init_params(tiny_cfg(input_map_dim=2).model_config(1, 2), np.random.default_rng(0))
-    model_forward(moved, mapped)
-    assert list(moved.stacks) == [(1, 5)] and not moved.gram_maps
+    forward_batch(ds.subset([1]), mapped)
+    assert len(stack_builds) == 2 and list(ds.packed.stacks) == [(1, 5)] and not ds.packed.maps
 
 
-def test_layer_forward_second_call_builds_nothing(stack_builds):
-    # layer_forward takes its stack from g.stacks like the packed forward does
+def test_layer_forward_and_model_forward_keep_no_stack(stack_builds):
+    # a graph holds no cache: layer_forward and model_forward build the
+    # stacks they read for the call, and a second call builds them again
     rng = np.random.default_rng(4)
     g = random_graph(rng, 6, 0.5, d=1)
+    assert [f.name for f in dataclasses.fields(g)] == [
+        "num_nodes", "adjacency", "attributes", "graph_label", "node_labels"]
     layer = init_params(tiny_cfg().model_config(1, 2), rng).layers[0]
     first = layer_forward(g, g.attributes, layer)
     assert np.array_equal(layer_forward(g, g.attributes, layer), first)
-    assert stack_builds == [(g, layer.hops, layer.k_max)]
-    assert list(g.stacks) == [(layer.hops, layer.k_max)]
+    assert stack_builds == [(g, layer.hops, layer.k_max)] * 2
+    # two layers on one stack (test_model covers a "summed" layer)
+    params = init_params(tiny_cfg(num_layers=2).model_config(1, 2), rng)
+    logits = [model_forward(g, params)[0] for _ in range(2)]
+    assert np.array_equal(*logits)
+    assert stack_builds == [(g, 1, 5)] * 4
 
 
 def test_unlabeled_graphs_are_rejected():
