@@ -31,16 +31,17 @@ node's at once with array code and equals it per node byte for byte: hop-
 limited reachability by 0/1 matmuls with the edge indicator, a row-wise
 argsort of the key dist * n + id, and one gather of the adjacency, in blocks
 of rows so no n x n int64 matrix is formed. Its SubgraphStack keeps the padded
-adjacencies, and for the real slots only their layout and the node each holds.
+adjacencies, each subgraph's count of real slots, and the node each real
+slot holds; the slot layout is derived from the counts.
 
 A Graph is a plain immutable value and holds no cache. A Dataset made by its
 constructor is a root: it owns PackedGraphs, its graphs packed for batching,
 which builds nothing until used and then keeps what it built (node offsets,
-labels, attribute sums, and what kergnn.model puts there: one PackedStack
+labels, attribute sums, and what kergnn.model puts there: one SubgraphStack
 over all graphs per (hops, k_max), and summed Gram maps). Dataset.subset
 shares its root's view and holds an index array into it, so a subset of a
 subset, a fold or a minibatch is an index array, and every one of them
-reads the same caches. PackedStack.take gathers the stack of any index
+reads the same caches. SubgraphStack.take gathers the stack of any index
 array of graphs in one vectorised step, equal byte for byte to
 SubgraphStack.concatenate of the graphs' own stacks.
 """
@@ -63,7 +64,6 @@ __all__ = [
     "Graph",
     "Dataset",
     "PackedGraphs",
-    "PackedStack",
     "Subgraph",
     "DatasetStats",
     "load_tudataset",
@@ -228,7 +228,7 @@ class PackedGraphs:
     built on first use and then kept, since the graphs are immutable:
     offsets, labels, and attr_sums, each graph's attribute sums by
     segment_sum. kergnn.model fills the two caches by (hops, k_max): stacks,
-    one PackedStack over all graphs, and maps, the summed Gram maps that a
+    one SubgraphStack over all graphs, and maps, the summed Gram maps that a
     lone first layer reads, (G, steps, d^2).
     """
 
@@ -629,31 +629,42 @@ def extract_subgraph(g: Graph, v: int, hops: int, k_max: int) -> Subgraph:
 
 @dataclass
 class SubgraphStack:
-    """A graph's padded subgraphs of k_max slots, one per node, in node order.
+    """Padded subgraphs of k_max slots, one per node, of one graph or many in
+    order: graph i's subgraphs are rows offsets[i]:offsets[i+1].
 
-    layout (kernels.SlotLayout) lists the R real slots, a subgraph's first
-    ones, and is the only record of the padding. nodes holds the graph node of
+    Subgraph v's real slots are its first sizes[v], the only record of the
+    padding; `layout` (kernels.SlotLayout) and `real_offsets`, where graph i's
+    real slots run, are derived from it once. nodes holds the graph node of
     each real slot in layout order. `gather` turns a per-node feature matrix
     into the padded attribute tensor, `scatter` is its adjoint; both touch the
     real slots only.
     """
 
     nodes: np.ndarray  # (R,) int64
-    adjacency: np.ndarray  # (num_nodes, k_max, k_max), 0 outside the real slots
-    layout: SlotLayout
+    adjacency: np.ndarray  # (N, k_max, k_max), 0 outside the real slots
+    sizes: np.ndarray  # (N,) int64
+    offsets: np.ndarray  # (G+1,) int64
+
+    @functools.cached_property
+    def layout(self) -> SlotLayout:
+        return SlotLayout.from_sizes(self.sizes, self.adjacency.shape[1])
+
+    @functools.cached_property
+    def real_offsets(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(self.sizes)))[self.offsets]
 
     def gather(self, feats: np.ndarray) -> np.ndarray:
-        """(num_nodes, k_max, d) padded attribute tensor of per-node feats."""
+        """(N, k_max, d) padded attribute tensor of per-node feats."""
         n, k = self.adjacency.shape[:2]
         out = np.zeros((n * k, feats.shape[1]))
         out[self.layout.real] = feats[self.nodes]
         return out.reshape(n, k, feats.shape[1])
 
     def scatter(self, grad: np.ndarray) -> np.ndarray:
-        """(num_nodes, d) per-node sums of a (num_nodes, k_max, d) tensor over
-        the real slots that hold each node: the adjoint of gather. One bincount
-        over the flat entries node * d + column adds in slot order, as
-        np.add.at would, so the sums are the same bit for bit."""
+        """(N, d) per-node sums of an (N, k_max, d) tensor over the real slots
+        that hold each node: the adjoint of gather. One bincount over the flat
+        entries node * d + column adds in slot order, as np.add.at would, so
+        the sums are the same bit for bit."""
         n, d = self.adjacency.shape[0], grad.shape[2]
         flat = (self.nodes[:, None] * d + np.arange(d)).ravel()
         real = grad.reshape(-1, d)[self.layout.real]
@@ -662,67 +673,41 @@ class SubgraphStack:
     @classmethod
     def concatenate(cls, stacks, k_max: int, rows: int | None = None) -> "SubgraphStack":
         """One stack over the disjoint union of the stacks' graphs, in order.
-        A stack holds one subgraph per node, so nodes and the layout's flat
-        slot indices are offset by the subgraphs before it, and its starts by
-        the real slots before it. No stacks give an empty stack of k_max slots.
-        Given rows, the count of all their subgraphs, the stacks may be any
-        iterable: each adjacency is copied into one array of that many rows
-        as it comes, so a generator's stacks are never held all at once."""
+        A stack holds one subgraph per node, so nodes and offsets are shifted
+        by the subgraphs before it. No stacks give an empty stack of k_max
+        slots. Given rows, the count of all their subgraphs, the stacks may be
+        any iterable: each adjacency is copied into one array of that many
+        rows as it comes, so a generator's stacks are never held all at once."""
         if rows is None:
             stacks = list(stacks)
             rows = sum(len(s.adjacency) for s in stacks)
         adjacency = np.zeros((rows, k_max, k_max))
         empty = np.zeros(0, dtype=np.int64)
-        nodes, real, starts, slots = [empty], [empty], [empty], [empty]
-        row = reals = 0
+        nodes, sizes, offsets = [empty], [empty], [np.zeros(1, dtype=np.int64)]
+        row = 0
         for s in stacks:
             n = len(s.adjacency)
             adjacency[row:row + n] = s.adjacency
             nodes.append(s.nodes + row)
-            real.append(s.layout.real + row * k_max)
-            starts.append(s.layout.starts + reals)
-            slots.append(s.layout.slots)
-            row, reals = row + n, reals + len(s.nodes)
-        layout = SlotLayout(real=np.concatenate(real), starts=np.concatenate(starts),
-                            slots=np.concatenate(slots))
-        return cls(nodes=np.concatenate(nodes), adjacency=adjacency, layout=layout)
-
-
-@dataclass
-class PackedStack:
-    """One SubgraphStack over all graphs of a PackedGraphs, as
-    SubgraphStack.concatenate joins them: graph i's subgraphs are rows
-    offsets[i]:offsets[i+1], and its real slots run real_offsets[i]:
-    real_offsets[i+1] of the layout."""
-
-    stack: SubgraphStack
-    offsets: np.ndarray  # (G+1,)
-    real_offsets: np.ndarray  # (G+1,)
-
-    @classmethod
-    def build(cls, stacks, offsets: np.ndarray, k_max: int) -> "PackedStack":
-        """From each graph's own stack, an iterable consumed in order."""
-        stack = SubgraphStack.concatenate(stacks, k_max, rows=int(offsets[-1]))
-        real_offsets = np.append(stack.layout.starts, len(stack.nodes))[offsets]
-        return cls(stack=stack, offsets=offsets, real_offsets=real_offsets)
+            sizes.append(s.sizes)
+            offsets.append(s.offsets[1:] + row)
+            row += n
+        return cls(nodes=np.concatenate(nodes), adjacency=adjacency, sizes=np.concatenate(sizes),
+                   offsets=np.concatenate(offsets))
 
     def take(self, idx: np.ndarray) -> "SubgraphStack":
-        """The stack of the graphs at idx, equal byte for byte to
-        SubgraphStack.concatenate of their own stacks: one gather of each
-        graph's run of rows and of real slots, shifted to the batch's own
-        offsets."""
-        s, k = self.stack, self.stack.adjacency.shape[1]
+        """The stack of the graphs at idx, equal byte for byte to concatenate
+        of their own stacks: one gather of each graph's run of rows and of
+        real slots, its nodes shifted to the batch's own rows."""
         lo, count = self.offsets[idx], np.diff(self.offsets)[idx]
         real_lo, real_count = self.real_offsets[idx], np.diff(self.real_offsets)[idx]
-        row_shift = lo - (np.cumsum(count) - count)  # per graph, stack row minus batch row
-        real_shift = real_lo - (np.cumsum(real_count) - real_count)
-        rows = np.arange(count.sum()) + np.repeat(row_shift, count)
-        reals = np.arange(real_count.sum()) + np.repeat(real_shift, real_count)
-        node_shift = np.repeat(row_shift, real_count)
-        layout = SlotLayout(real=s.layout.real[reals] - node_shift * k,
-                            starts=s.layout.starts[rows] - np.repeat(real_shift, count),
-                            slots=s.layout.slots[reals])
-        return SubgraphStack(nodes=s.nodes[reals] - node_shift, adjacency=s.adjacency[rows], layout=layout)
+        offsets = np.concatenate(([0], np.cumsum(count)))
+        row_shift = lo - offsets[:-1]  # per graph, stack row minus batch row
+        rows = np.arange(offsets[-1]) + np.repeat(row_shift, count)
+        reals = np.arange(real_count.sum()) + np.repeat(real_lo - (np.cumsum(real_count) - real_count),
+                                                        real_count)
+        return SubgraphStack(nodes=self.nodes[reals] - np.repeat(row_shift, real_count),
+                             adjacency=self.adjacency[rows], sizes=self.sizes[rows], offsets=offsets)
 
 
 # Rows of the hop-limited reachability built at a time: the (chunk, n) key
@@ -773,8 +758,7 @@ def stack_subgraphs(g: Graph, hops: int, k_max: int) -> SubgraphStack:
         pairs = order[:, :, None] * n + order[:, None, :]
         both = real[:, :, None] & real[:, None, :]
         np.copyto(adj[block, :k, :k], a.ravel().take(pairs), where=both)
-    layout = SlotLayout.from_mask(np.arange(k_max) < sizes[:, None])
-    return SubgraphStack(nodes=np.concatenate(nodes), adjacency=adj, layout=layout)
+    return SubgraphStack(nodes=np.concatenate(nodes), adjacency=adj, sizes=sizes, offsets=np.array([0, n]))
 
 
 # ---------------------------------------------------------------------------

@@ -284,8 +284,8 @@ class SlotLayout:
     slot id j, and starts[v] the position in real of subgraph v's first one.
     Every subgraph holds a real slot (a node's subgraph holds its centre), so
     each run real[starts[v]:starts[v+1]] is nonempty and a segment sum over
-    the runs by np.add.reduceat is exact. A SubgraphStack's layout is its only
-    record of the padding.
+    the runs by np.add.reduceat is exact. A SubgraphStack derives its layout
+    from its subgraph sizes, its only record of the padding.
     """
 
     real: np.ndarray  # (R,) int64
@@ -293,14 +293,13 @@ class SlotLayout:
     slots: np.ndarray  # (R,) int64
 
     @classmethod
-    def from_mask(cls, mask) -> "SlotLayout":
-        """Layout of an (N, k) mask, nonzero at real slots."""
-        mask = np.asarray(mask) != 0
-        counts = mask.sum(axis=1)
-        if not counts.all():
+    def from_sizes(cls, sizes, k: int) -> "SlotLayout":
+        """Layout of N subgraphs whose real slots are the first sizes[v] of k."""
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if not sizes.all():
             raise ValueError("every subgraph must hold a real slot")
-        real = np.flatnonzero(mask)
-        return cls(real=real, starts=np.cumsum(counts) - counts, slots=real % mask.shape[1])
+        real = np.flatnonzero(np.arange(k) < sizes[:, None])
+        return cls(real=real, starts=np.cumsum(sizes) - sizes, slots=real % k)
 
 
 @dataclass
@@ -392,7 +391,7 @@ def stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg: RWKernelConfig, wei
         cache.v = walks
         return _gram_forward(cache, _maps(x_sub, walks)), cache
     if layout is None:
-        layout = SlotLayout.from_mask(np.ones(x_sub.shape[:2]))
+        layout = SlotLayout.from_sizes(np.full(len(x_sub), x_sub.shape[1]), x_sub.shape[1])
     return _hadamard_forward(cache, walks, layout, weights if cfg.is_deep else None), cache
 
 

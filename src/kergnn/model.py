@@ -13,7 +13,7 @@ shared by every subset of one root dataset; a list of graphs gets a view of
 its own for the call). The view keeps, per (hops, k_max), one subgraph stack
 over all its graphs, built in place graph by graph through this module's
 `stack_subgraphs` on first use (`_packed_stack`). `forward_batch` gathers
-the batch's node attributes and stack rows (`PackedStack.take`, equal byte
+the batch's node attributes and stack rows (`SubgraphStack.take`, equal byte
 for byte to concatenating the graphs' own stacks), runs every layer's kernel
 once over all of them, reads out by a segment sum per graph and applies the
 MLP to (B, width) arrays. `backward_batch` implements reverse-mode
@@ -43,7 +43,7 @@ other layer, a multi-layer model's first included, runs on its stack. The
 first layer's backward skips the subgraph-feature gradient unless an input
 map needs it. `layer_forward` always takes the stack path, and
 `model_forward` returns per-node values of every layer, those of a "summed"
-layer from a stack it builds for the call.
+layer from one stack it builds for the call, which its logits read too.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from dataclasses import dataclass, asdict, astuple
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, plain_value
-from .graphs import Dataset, Graph, PackedGraphs, PackedStack, segment_sum, stack_subgraphs
+from .graphs import Dataset, Graph, PackedGraphs, SubgraphStack, segment_sum, stack_subgraphs
 from .kernels import (
     RWKernelConfig,
     gram_maps,
@@ -304,25 +304,26 @@ _CHUNK_ENTRIES = 2**17
 
 def _pack(graphs, config: ModelConfig) -> tuple:
     """(PackedGraphs, index) of graphs: a Dataset's root view and its index
-    into it, or for a list a view made for the call, which nothing keeps."""
+    into it, or for a list a view made for the call, which nothing keeps.
+    ConfigError unless every graph has the model's attribute width."""
     if isinstance(graphs, Dataset):
         if len(graphs) and graphs.attr_dim != config.attr_dim:
-            raise ValueError(f"dataset attribute width {graphs.attr_dim} != model width {config.attr_dim}")
+            raise ConfigError(f"dataset attribute width {graphs.attr_dim} != model width {config.attr_dim}")
         return graphs.packed, graphs.index
     graphs = tuple(graphs)
     for g in graphs:
         if g.attr_dim != config.attr_dim:
-            raise ValueError(f"graph attribute width {g.attr_dim} != model width {config.attr_dim}")
+            raise ConfigError(f"graph attribute width {g.attr_dim} != model width {config.attr_dim}")
     return PackedGraphs(graphs, config.attr_dim), np.arange(len(graphs))
 
 
-def _packed_stack(pack: PackedGraphs, layer: KerGNNLayer) -> PackedStack:
+def _packed_stack(pack: PackedGraphs, layer: KerGNNLayer) -> SubgraphStack:
     """The stack of all of pack's graphs at the layer's (hops, k_max), built
     in place graph by graph on first use and kept on pack."""
     key = (layer.hops, layer.k_max)
     if key not in pack.stacks:
-        pack.stacks[key] = PackedStack.build((stack_subgraphs(g, *key) for g in pack.graphs),
-                                             pack.offsets, layer.k_max)
+        pack.stacks[key] = SubgraphStack.concatenate((stack_subgraphs(g, *key) for g in pack.graphs),
+                                                     layer.k_max, rows=int(pack.offsets[-1]))
     return pack.stacks[key]
 
 
@@ -338,9 +339,13 @@ def _summed_maps(pack: PackedGraphs, layer: KerGNNLayer) -> np.ndarray:
     if key not in pack.maps:
         pack.maps[key] = np.zeros((len(pack.graphs), steps, layer.in_dim ** 2))
         for row, g in zip(pack.maps[key], pack.graphs):
-            stack = stack_subgraphs(g, *key)
-            row[:] = gram_maps(stack.gather(g.attributes), stack.adjacency, steps - 1).sum(axis=0)
+            row[:] = _summed_row(g, stack_subgraphs(g, *key), steps)
     return pack.maps[key]
+
+
+def _summed_row(g: Graph, stack: SubgraphStack, steps: int) -> np.ndarray:
+    """(steps, d^2) unweighted Gram maps of g's raw attributes, summed over its stack."""
+    return gram_maps(stack.gather(g.attributes), stack.adjacency, steps - 1).sum(axis=0)
 
 
 def _stack_form(layer: KerGNNLayer) -> str:
@@ -582,14 +587,16 @@ def predict_logits(graphs, params: ModelParams) -> np.ndarray:
 def model_forward(g: Graph, params: ModelParams):
     """Eval-mode logits (C,) plus the per-layer node feature maps of g, for
     introspection: a batch of one, whose stacks and maps nothing keeps. A
-    "summed" layer's node values come from the stack path."""
-    fwd = forward_batch([g], params)
-    if fwd.forms != ["summed"]:
+    "summed" layer's node values and summed maps come from one stack."""
+    pack, idx = _pack([g], params.config)
+    if _layer_forms(params) != ["summed"]:
+        fwd = _forward(pack, idx, params)
         return fwd.logits[0], fwd.feats
     layer = params.layers[0]
-    values, _ = _layer_apply(layer, _stack_form(layer), stack_subgraphs(g, layer.hops, layer.k_max),
-                             g.attributes, post_relu=False)
-    return fwd.logits[0], [g.attributes, values]
+    stack = stack_subgraphs(g, layer.hops, layer.k_max)
+    pack.maps[(layer.hops, layer.k_max)] = _summed_row(g, stack, layer.kernel_cfg.P + 1)[None]
+    values, _ = _layer_apply(layer, _stack_form(layer), stack, g.attributes, post_relu=False)
+    return _forward(pack, idx, params).logits[0], [g.attributes, values]
 
 
 # ---------------------------------------------------------------------------

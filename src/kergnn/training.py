@@ -232,14 +232,21 @@ class Adam:
 
 
 def _as_dataset(data, num_classes: int, attr_dim: int) -> Dataset:
-    """data if it is a Dataset, else a root Dataset of its graphs, each of
-    which must have a graph_label."""
+    """data as a Dataset, a list's graphs in a root of their own. ConfigError
+    unless its graphs are attr_dim wide and labeled in [0, num_classes)."""
     if isinstance(data, Dataset):
+        top = int(data.labels().max(initial=0))
+        if len(data) and data.attr_dim != attr_dim or top >= num_classes:
+            raise ConfigError(f"dataset of attribute width {data.attr_dim} and labels up to {top} does "
+                              f"not fit a model of width {attr_dim} and {num_classes} classes")
         return data
     graphs = list(data)
     for i, g in enumerate(graphs):
         if g.graph_label is None:
             raise ConfigError(f"graph {i} has no graph_label")
+        if g.attr_dim != attr_dim or not 0 <= g.graph_label < num_classes:
+            raise ConfigError(f"graph {i} of attribute width {g.attr_dim} and label {g.graph_label} does "
+                              f"not fit a model of width {attr_dim} and {num_classes} classes")
     return Dataset("graphs", graphs, num_classes, attr_dim)
 
 

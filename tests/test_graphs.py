@@ -368,13 +368,14 @@ def assert_stack_matches_extract(g, hops, k_max):
     assert len(stack.nodes) == len(layout.real) == len(layout.slots)
     assert len(layout.starts) == g.num_nodes
     assert stack.adjacency.shape == (g.num_nodes, k_max, k_max)
+    assert stack.offsets.tolist() == [0, g.num_nodes] and stack.sizes.dtype == np.int64
     x_sub = stack.gather(g.attributes)
     start = 0
     for v in range(g.num_nodes):
         sub = extract_subgraph(g, v, hops, k_max)
         run = slice(start, start + sub.size)
         # subgraph v's run of real slots: its first sub.size slots, holding its nodes
-        assert layout.starts[v] == start
+        assert stack.sizes[v] == sub.size and layout.starts[v] == start
         assert tuple(stack.nodes[run]) == sub.node_ids
         assert list(layout.real[run]) == list(v * k_max + np.arange(sub.size))
         assert list(layout.slots[run]) == list(range(sub.size))

@@ -5,6 +5,7 @@ from kergnn.errors import ConfigError
 from kergnn.graphs import Graph, Subgraph, extract_subgraph
 from kergnn.kernels import (
     RWKernelConfig,
+    SlotLayout,
     direct_product_graph,
     rw_kernel,
     rw_kernel_oracle,
@@ -225,3 +226,21 @@ def test_walk_kernel_symmetric_in_arguments():
     k12 = walk_kernel(g1.adjacency, g1.attributes, g2.adjacency, g2.attributes, cfg)
     k21 = walk_kernel(g2.adjacency, g2.attributes, g1.adjacency, g1.attributes, cfg)
     assert k12 == pytest.approx(k21, rel=1e-12)
+
+
+def test_slot_layout_from_sizes():
+    # subgraph v's real slots are its first sizes[v] of k, in row-major order
+    layout = SlotLayout.from_sizes([2, 1, 3], 4)
+    assert layout.real.tolist() == [0, 1, 4, 8, 9, 10]
+    assert layout.starts.tolist() == [0, 2, 3]
+    assert layout.slots.tolist() == [0, 1, 0, 0, 1, 2]
+    assert all(a.dtype == np.int64 for a in (layout.real, layout.starts, layout.slots))
+    empty = SlotLayout.from_sizes(np.zeros(0, dtype=np.int64), 4)
+    assert empty.real.size == empty.starts.size == empty.slots.size == 0
+
+
+@pytest.mark.parametrize("sizes", [[0], [2, 0, 1], [3, 0]])
+def test_slot_layout_rejects_a_subgraph_without_a_real_slot(sizes):
+    # a segment sum by reduceat would give an empty run its neighbour's row
+    with pytest.raises(ValueError, match="every subgraph must hold a real slot"):
+        SlotLayout.from_sizes(sizes, 4)

@@ -514,14 +514,14 @@ def test_summed_layer_keeps_per_node_values_for_introspection():
 
 
 def test_model_forward_keeps_no_stack_of_a_summed_layer(stack_builds):
-    # the per-node values of a lone "summed" layer come from a stack built
-    # for the call, as do the summed maps its logits read: nothing is kept,
+    # the per-node values of a lone "summed" layer and the summed maps its
+    # logits read come from one stack built for the call: nothing is kept,
     # not even by the dataset the graph is in
     rng = np.random.default_rng(9)
     ds = Dataset("one", [random_graph(rng, 7, 0.5, d=2, label=0)], 2, 2)
     params = init_params(small_config(), rng)
     assert kergnn.model._layer_forms(params) == ["summed"]
-    for builds in (2, 4):
+    for builds in (1, 2):
         model_forward(ds.graphs[0], params)
         assert len(stack_builds) == builds
     assert not ds.packed.stacks and not ds.packed.maps

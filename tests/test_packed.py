@@ -50,8 +50,9 @@ def test_batch_stack_equals_the_concatenated_graph_stacks(case):
     want = SubgraphStack.concatenate([stack_subgraphs(g, hops, k_max) for g in batch.graphs], k_max)
     got = kergnn.model._packed_stack(ds.packed, layer_of(ds.attr_dim, hops, k_max)).take(batch.index)
     def arrays(s):
-        return {"nodes": s.nodes, "adjacency": s.adjacency, "real": s.layout.real,
-                "starts": s.layout.starts, "slots": s.layout.slots}
+        return {"nodes": s.nodes, "adjacency": s.adjacency, "sizes": s.sizes, "offsets": s.offsets,
+                "real_offsets": s.real_offsets, "real": s.layout.real, "starts": s.layout.starts,
+                "slots": s.layout.slots}
 
     for (name, a), b in zip(arrays(got).items(), arrays(want).values()):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name

@@ -627,12 +627,20 @@ def test_cross_validate_rejects_thin_classes():
 
 
 @pytest.mark.parametrize("case", ["thin-classes", "unlabeled", "empty-eval", "empty-train", "empty-grid",
-                                  "invalid-grid"])
+                                  "invalid-grid", "extra-class-dataset", "extra-class-list",
+                                  "width-forward-list", "width-forward-dataset", "width-predict-list",
+                                  "width-predict-dataset", "width-evaluate-list", "width-evaluate-dataset",
+                                  "width-train-val-list", "width-train-val-dataset"])
 def test_caller_input_errors_are_config_errors(case):
-    # each was a bare ValueError; the CLI reports ConfigError as a usage error
+    # each was a bare ValueError, or for a Dataset with a class the model
+    # lacks, an accuracy; the CLI reports ConfigError as a usage error
     ds = two_class_dataset(n_per_class=4)
     params = init_params(tiny_cfg().model_config(1, 2), np.random.default_rng(0))
     unlabeled = Graph(3, np.zeros((3, 3)), np.ones((3, 1)))
+    rng = np.random.default_rng(1)
+    three = Dataset("three", [random_graph(rng, 4, 0.5, d=1, label=c) for c in (0, 1, 2)], 3, 1)
+    wide = Dataset("wide", [random_graph(rng, 4, 0.5, d=2, label=c) for c in (0, 1, 0, 1)], 2, 2)
+    one = tiny_cfg(epochs=1)
     calls = {
         "thin-classes": (lambda: cross_validate(ds, tiny_cfg(epochs=1), seed=0, n_folds=10), "stratification"),
         "unlabeled": (lambda: evaluate(params, [unlabeled]), "graph 0 has no graph_label"),
@@ -641,6 +649,17 @@ def test_caller_input_errors_are_config_errors(case):
         "empty-grid": (lambda: cross_validate(ds, [], seed=0, n_folds=2), "at least one configuration"),
         "invalid-grid": (lambda: cross_validate(ds, [tiny_cfg(lr=-1.0)], seed=0, n_folds=2),
                          "no valid configuration"),
+        "extra-class-dataset": (lambda: evaluate(params, three), "labels up to 2 .* 2 classes"),
+        "extra-class-list": (lambda: evaluate(params, list(three.graphs)), "label 2 .* 2 classes"),
+        "width-forward-list": (lambda: forward_batch(list(wide.graphs), params), "width 2 != model width 1"),
+        "width-forward-dataset": (lambda: forward_batch(wide, params), "width 2 != model width 1"),
+        "width-predict-list": (lambda: predict_logits(list(wide.graphs), params), "width 2 != model width 1"),
+        "width-predict-dataset": (lambda: predict_logits(wide, params), "width 2 != model width 1"),
+        "width-evaluate-list": (lambda: evaluate(params, list(wide.graphs)), "width 2 .* width 1"),
+        "width-evaluate-dataset": (lambda: evaluate(params, wide), "width 2 .* width 1"),
+        "width-train-val-list": (lambda: train_fold(list(ds.graphs), list(wide.graphs), one, 0),
+                                 "width 2 .* width 1"),
+        "width-train-val-dataset": (lambda: train_fold(ds, wide, one, 0), "width 2 .* width 1"),
     }
     call, message = calls[case]
     with pytest.raises(ConfigError, match=message):
