@@ -77,8 +77,9 @@ __all__ = [
 ]
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _frozen_copy(a, dtype) -> np.ndarray:
+    """A read-only C-ordered copy of a: a graph never aliases its caller's array."""
+    a = np.array(a, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
 
@@ -90,7 +91,8 @@ class Graph:
     adjacency: (n, n) symmetric real matrix with zero diagonal, edge weights
         of either sign (load_tudataset and read_graph_file write 0/1).
     attributes: (n, d) real matrix, one row per node.
-    The arrays are read-only. A graph holds no cache: what the model builds
+    The arrays are read-only copies of those given, so writing the caller's
+    arrays later changes no graph. A graph holds no cache: what the model builds
     from it is kept by the Dataset it is in (PackedGraphs).
 
     Equality and hashing are by identity (the fields are arrays).
@@ -103,8 +105,8 @@ class Graph:
     node_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=np.float64)
-        attr = np.asarray(self.attributes, dtype=np.float64)
+        adj = _frozen_copy(self.adjacency, np.float64)
+        attr = _frozen_copy(self.attributes, np.float64)
         if adj.shape != (self.num_nodes, self.num_nodes):
             raise ValueError(f"adjacency shape {adj.shape} != ({self.num_nodes}, {self.num_nodes})")
         if attr.ndim != 2 or attr.shape[0] != self.num_nodes:
@@ -113,13 +115,12 @@ class Graph:
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(adj) != 0):
             raise ValueError("adjacency must have zero diagonal")
-        object.__setattr__(self, "adjacency", _freeze(adj))
-        object.__setattr__(self, "attributes", _freeze(attr))
+        object.__setattr__(self, "adjacency", adj)
+        object.__setattr__(self, "attributes", attr)
         if self.node_labels is not None:
-            labels = np.asarray(self.node_labels, dtype=np.int64)
+            labels = _frozen_copy(self.node_labels, np.int64)
             if labels.shape != (self.num_nodes,):
                 raise ValueError("node_labels must have one entry per node")
-            labels.setflags(write=False)
             object.__setattr__(self, "node_labels", labels)
 
     @property

@@ -9,12 +9,15 @@ mean +- std.
 Everything is driven by integer seeds through numpy SeedSequence spawning, so
 (dataset, grid, seed) fully determines the result.
 
-Folds and inner splits are subsets of the dataset, and a minibatch is an index
-array into the root dataset's packed view (graphs.PackedGraphs): subgraph
-stacks and summed Gram maps are built once per root and (hops, k_max), and
-read by every fold, candidate, epoch and evaluation after that. A model
-whose only layer is "summed" trains on graph rows alone: its training step
-runs Python per graph only to seed each graph's dropout stream.
+Labeled graphs come in as a Dataset: train_fold, grid_search and evaluate
+refuse anything else, and cross_validate checks given index splits by taking
+them as subsets (Dataset.subset). Folds and inner splits are subsets of the
+dataset, and a minibatch is an index array into the root dataset's packed
+view (graphs.PackedGraphs): subgraph stacks and summed Gram maps are built
+once per root and (hops, k_max), and read by every fold, candidate, epoch and
+evaluation after that. A model whose only layer is "summed" trains on graph
+rows alone: its training step runs Python per graph only to seed each
+graph's dropout stream.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .model import (
     ModelParams,
     _chunks,
     _forward,
-    _pack,
     _predict,
     backward_batch,
     init_params,
@@ -231,37 +233,27 @@ class Adam:
         self.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def _as_dataset(data, num_classes: int, attr_dim: int) -> Dataset:
-    """data as a Dataset, a list's graphs in a root of their own. ConfigError
-    unless its graphs are attr_dim wide and labeled in [0, num_classes)."""
-    if isinstance(data, Dataset):
-        top = int(data.labels().max(initial=0))
-        if len(data) and data.attr_dim != attr_dim or top >= num_classes:
-            raise ConfigError(f"dataset of attribute width {data.attr_dim} and labels up to {top} does "
-                              f"not fit a model of width {attr_dim} and {num_classes} classes")
-        return data
-    graphs = list(data)
-    for i, g in enumerate(graphs):
-        if g.graph_label is None:
-            raise ConfigError(f"graph {i} has no graph_label")
-        if g.attr_dim != attr_dim or not 0 <= g.graph_label < num_classes:
-            raise ConfigError(f"graph {i} of attribute width {g.attr_dim} and label {g.graph_label} does "
-                              f"not fit a model of width {attr_dim} and {num_classes} classes")
-    return Dataset("graphs", graphs, num_classes, attr_dim)
+def _check_labeled(data, use: str, config: ModelConfig | None = None):
+    """ConfigError unless data is a nonempty Dataset that a model of config,
+    if given, can read: of its attribute width, each label one of its
+    classes. `use` ("train", "validate", "evaluate", ...) names the step."""
+    if not isinstance(data, Dataset):
+        raise ConfigError(f"cannot {use} on a {type(data).__name__}: labeled graphs come as a Dataset")
+    if not len(data):
+        raise ConfigError(f"cannot {use} on an empty split")
+    top = int(data.labels().max())
+    if config is not None and (data.attr_dim != config.attr_dim or top >= config.num_classes):
+        raise ConfigError(f"dataset of attribute width {data.attr_dim} and labels up to {top} does not "
+                          f"fit a model of width {config.attr_dim} and {config.num_classes} classes")
 
 
-def evaluate(params: ModelParams, graphs) -> float:
-    """Eval-mode accuracy over labeled graphs, a list or a Dataset. A Dataset's
-    stacks and summed maps are built once for its root and kept there
-    (PackedGraphs), so a second evaluate of it, or of another subset of the
-    same root, builds none; a list's are built for the call."""
-    cfg = params.config
-    ds = _as_dataset(graphs, cfg.num_classes, cfg.attr_dim)
-    if not len(ds):
-        raise ConfigError("cannot evaluate on an empty split")
-    pack, idx = _pack(ds, cfg)
-    predicted = np.argmax(_predict(pack, idx, params), axis=1)
-    return int(np.count_nonzero(predicted == pack.labels[idx])) / len(idx)
+def evaluate(params: ModelParams, ds: Dataset) -> float:
+    """Eval-mode accuracy over a Dataset. Its stacks and summed maps are built
+    once for its root and kept there (PackedGraphs), so a second evaluate of
+    it, or of another subset of the same root, builds none."""
+    _check_labeled(ds, "evaluate", params.config)
+    predicted = np.argmax(_predict(ds.packed, ds.index, params), axis=1)
+    return int(np.count_nonzero(predicted == ds.labels())) / len(ds)
 
 
 def _batch_step(pack, idx, params, rng):
@@ -326,32 +318,25 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng):
                      parameters updated batch by batch);
       val_acc        eval-mode accuracy on val_set after the epoch;
       lr, epoch_seconds  learning rate and wall time of the epoch.
-    Either set is a Dataset or a list of labeled graphs, which is packed into
-    a Dataset of its own. A minibatch is an index array into the root
-    dataset's packed view (graphs.PackedGraphs), whose subgraph stacks, or a
-    lone "summed" layer's Gram maps summed over each graph's nodes (one
-    (P+1) d^2 row per graph, model._layer_forms), are built once for the
-    root, so later epochs, candidates and folds reuse them. A minibatch whose
-    loss is not finite raises TrainingError naming the epoch, the batch and
-    the first non-finite tensor (_batch_step).
+    Both sets are nonempty Datasets, and the model takes the training set's
+    attribute width and class count; anything else raises ConfigError before
+    any epoch. A minibatch is an index array into the root dataset's packed
+    view (graphs.PackedGraphs), whose subgraph stacks, or a lone "summed"
+    layer's Gram maps summed over each graph's nodes (one (P+1) d^2 row per
+    graph, model._layer_forms), are built once for the root, so later epochs,
+    candidates and folds reuse them. A minibatch whose loss is not finite
+    raises TrainingError naming the epoch, the batch and the first
+    non-finite tensor (_batch_step).
     """
     cfg.validate()
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    train_set, val_set = (data if isinstance(data, Dataset) else list(data) for data in (train_set, val_set))
-    graphs = [data.graphs if isinstance(data, Dataset) else data for data in (train_set, val_set)]
-    if not all(graphs):
-        raise ConfigError("train and validation splits must be nonempty")
-    if isinstance(train_set, Dataset):
-        num_classes = train_set.num_classes
-    else:  # _as_dataset rejects an unlabeled graph
-        num_classes = 1 + max((g.graph_label for split in graphs for g in split if g.graph_label is not None),
-                              default=0)
-    attr_dim = graphs[0][0].attr_dim
-    train_set, val_set = (_as_dataset(data, num_classes, attr_dim) for data in (train_set, val_set))
-    params = init_params(cfg.model_config(attr_dim, num_classes), rng)
+    _check_labeled(train_set, "train")
+    model_cfg = cfg.model_config(train_set.attr_dim, train_set.num_classes)
+    _check_labeled(val_set, "validate", model_cfg)
+    params = init_params(model_cfg, rng)
     opt = Adam(params, cfg.beta1, cfg.beta2, cfg.eps)
-    pack, index = _pack(train_set, params.config)
+    pack, index = train_set.packed, train_set.index
 
     history = {"train_loss": [], "train_acc": [], "val_acc": [], "lr": [], "epoch_seconds": []}
     best_acc = -1.0
@@ -395,42 +380,57 @@ def train_fold(train_set, val_set, cfg: TrainConfig, rng):
     return params, history
 
 
-def _grid_candidates(grid) -> list:
-    if isinstance(grid, TrainConfig):
-        return [grid]
-    return list(grid)
-
-
-def _grid_search_full(train_set, val_set, grid, rng):
-    candidates = _grid_candidates(grid)
+def _listed_grid(grid) -> list:
+    """grid, a TrainConfig or an iterable of them, as a list with None in
+    place of each candidate that fails validate; ConfigError if it lists no
+    valid one, or something other than a TrainConfig."""
+    try:
+        candidates = [grid] if isinstance(grid, TrainConfig) else list(grid)
+    except TypeError:
+        raise ConfigError(f"grid must be a TrainConfig or an iterable of them, got {grid!r}") from None
     if not candidates:
         raise ConfigError("grid must contain at least one configuration")
-    seeds = rng.integers(0, 2**63 - 1, size=len(candidates))
-    best = None
-    for cfg, seed in zip(candidates, seeds):
+    listed = []
+    for k, cfg in enumerate(candidates):
+        if not isinstance(cfg, TrainConfig):
+            raise ConfigError(f"grid candidate {k} is not a TrainConfig: {cfg!r}")
         try:
             cfg.validate()
         except ConfigError:
+            cfg = None
+        listed.append(cfg)
+    if all(cfg is None for cfg in listed):
+        raise ConfigError("no valid configuration in grid")
+    return listed
+
+
+def _grid_search_full(train_set, val_set, candidates: list, rng):
+    """(config, params, score, history) of the best of _listed_grid's
+    candidates; one seed is drawn per candidate, invalid ones included."""
+    seeds = rng.integers(0, 2**63 - 1, size=len(candidates))
+    best = None
+    for cfg, seed in zip(candidates, seeds):
+        if cfg is None:
             continue
         params, history = train_fold(train_set, val_set, cfg, int(seed))
         score = history["best_val_acc"]
         if best is None or score > best[2]:
             best = (cfg, params, score, history)
-    if best is None:
-        raise ConfigError("no valid configuration in grid")
     return best
 
 
 def grid_search(train_set, val_set, grid, rng) -> TrainConfig:
-    """Candidate with the best validation accuracy; ties keep grid order."""
+    """Candidate with the best validation accuracy; ties keep grid order.
+    Invalid candidates are skipped; both sets are Datasets (train_fold)."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    return _grid_search_full(train_set, val_set, grid, rng)[0]
+    return _grid_search_full(train_set, val_set, _listed_grid(grid), rng)[0]
 
 
 def load_splits(path: str) -> list:
     """Fold indices from a JSON file: [{"train": [...], "test": [...]}, ...],
-    each index list a flat list of JSON integers in the int64 range."""
+    each index list a flat list of JSON integers in the int64 range. What
+    the indices pick is checked by cross_validate, which takes the splits."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -448,8 +448,6 @@ def load_splits(path: str) -> list:
                            for key in ("train", "test"))
         except (ConfigError, OverflowError):  # past int64
             raise ConfigError(f"{path}: fold {k} needs 'train' and 'test' lists of integers") from None
-        if np.intersect1d(train, test).size:
-            raise ConfigError(f"{path}: fold {k} train/test overlap")
         splits.append((train, test))
     return splits
 
@@ -481,97 +479,92 @@ def stratified_split(labels: np.ndarray, holdout_frac: float, rng: np.random.Gen
     return np.array(sorted(train), dtype=np.int64), np.array(sorted(hold), dtype=np.int64)
 
 
-def _checked_split(k: int, split) -> tuple:
-    """(train, test) of a given split as arrays, each nonempty, 1-D and of an
-    integer dtype (bool would mask, float would not index)."""
+def _split_subsets(ds: Dataset, splits) -> list:
+    """Each given (train, test) pair of index arrays as a pair of ds's subsets
+    (Dataset.subset checks the indices), or ConfigError naming the split."""
     try:
-        train_idx, test_idx = split
-        arrays = (np.asarray(train_idx), np.asarray(test_idx))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"split {k}: expected a (train, test) pair of index arrays") from exc
-    for name, idx in zip(("train", "test"), arrays):
-        if idx.ndim != 1 or idx.size == 0:
-            raise ConfigError(f"split {k}: {name} indices must be a nonempty 1-D array, "
-                              f"got shape {idx.shape}")
-        if idx.dtype.kind not in "iu":
-            raise ConfigError(f"split {k}: {name} indices must be integers, got dtype {idx.dtype}")
-    return arrays
+        splits = list(splits)
+    except TypeError:
+        raise ConfigError(f"splits must be a list of (train, test) pairs, got {splits!r}") from None
+    if not splits:
+        raise ConfigError("splits must hold at least one (train, test) pair")
+    pairs = []
+    for k, split in enumerate(splits):
+        try:
+            train_idx, test_idx = split
+        except (TypeError, ValueError):
+            raise ConfigError(f"split {k}: expected a (train, test) pair of index arrays") from None
+        pair = []
+        for name, idx in (("train", train_idx), ("test", test_idx)):
+            try:
+                part = ds.subset(idx)
+            except ConfigError as exc:
+                raise ConfigError(f"split {k}: {name} {exc}") from None
+            if not len(part):
+                raise ConfigError(f"split {k}: {name} indices must be nonempty")
+            if np.unique(part.index).size < len(part):
+                raise ConfigError(f"split {k}: {name} indices repeat a graph")
+            pair.append(part)
+        train, test = pair
+        if np.intersect1d(train.index, test.index).size:
+            raise ConfigError(f"split {k}: train/test overlap")
+        # the inner split holds out at least one graph of each class
+        if np.all(np.bincount(train.labels()) < 2):
+            raise ConfigError(f"split {k}: the inner validation split would take every "
+                              f"training graph; some class needs 2 training graphs")
+        pairs.append((train, test))
+    return pairs
 
 
 def cross_validate(ds: Dataset, grid, seed: int, n_folds: int = 10,
                    out_dir: str | None = None, splits: list | None = None) -> CVResult:
     """Stratified n-fold assessment with inner 90/10 holdout model selection.
 
-    `grid` is a TrainConfig or a list of them. With n_folds=1 a single
-    stratified 90/10 train/test holdout is evaluated. Pre-computed splits
-    (list of (train_indices, test_indices) pairs) override fold generation;
-    each side must be a nonempty 1-D integer array with indices in
-    [0, len(ds)), train and test must not overlap, and some class must have
-    two training graphs, so that the inner split leaves one to train on.
-    Every split, or else n_folds (an integer >= 1), is checked before any
-    fold trains, and a bad one raises ConfigError.
+    `grid` is a TrainConfig or an iterable of them, listed once: a generator
+    serves every fold. With n_folds=1 a single stratified 90/10 train/test
+    holdout is evaluated. Pre-computed splits (a list of (train_indices,
+    test_indices) pairs) override fold generation. Each side is taken as
+    ds.subset, which checks that its indices are 1-D integers in
+    [0, len(ds)); it must be nonempty and name no graph twice, train and
+    test must not overlap, and some class must have two training graphs, so
+    that the inner split leaves one to train on. The grid (nonempty, some
+    candidate valid) and every split, or else n_folds (an integer >= 1), are
+    checked before any fold trains, and a bad one raises ConfigError.
     """
+    _check_labeled(ds, "cross-validate")
     if plain_value("seed", seed, int) < 0:
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    labels = ds.labels()
-    counts = np.bincount(labels, minlength=ds.num_classes)
+    candidates = _listed_grid(grid)
+    ss = np.random.SeedSequence(seed)
+    fold_rng = np.random.default_rng(ss.spawn(1)[0])  # spawned with splits too: per-fold seeds follow it
     if splits is not None:
-        try:
-            splits = list(splits)
-        except TypeError as exc:
-            raise ConfigError(f"splits must be a list of (train, test) pairs, got {splits!r}") from exc
-        if not splits:
-            raise ConfigError("splits must hold at least one (train, test) pair")
-        splits = [_checked_split(k, split) for k, split in enumerate(splits)]
-        for k, (train_idx, test_idx) in enumerate(splits):
-            both = np.concatenate([train_idx, test_idx])
-            if np.any((both < 0) | (both >= len(ds))):
-                raise ConfigError(f"split {k}: indices must lie in [0, {len(ds)})")
-            if np.intersect1d(train_idx, test_idx).size:
-                raise ConfigError(f"split {k}: train/test overlap")
-            # the inner split holds out at least one graph of each class
-            if np.all(np.bincount(labels[train_idx]) < 2):
-                raise ConfigError(f"split {k}: the inner validation split would take every "
-                                  f"training graph; some class needs 2 training graphs")
+        folds = _split_subsets(ds, splits)
     else:
         n_folds = plain_value("n_folds", n_folds, int)
         if n_folds < 1:
             raise ConfigError(f"n_folds must be >= 1, got {n_folds}")
+        labels = ds.labels()
+        counts = np.bincount(labels, minlength=ds.num_classes)
         if np.any(counts < max(n_folds, 2)):
             raise ConfigError(
                 f"stratification needs at least {max(n_folds, 2)} graphs per class, got {counts.tolist()}"
             )
-
-    ss = np.random.SeedSequence(seed)
-    fold_ss = ss.spawn(1)[0]
-    if splits is None:
-        fold_rng = np.random.default_rng(fold_ss)
         if n_folds == 1:
-            train_idx, test_idx = stratified_split(labels, 0.1, fold_rng)
-            splits = [(train_idx, test_idx)]
+            index_pairs = [stratified_split(labels, 0.1, fold_rng)]
         else:
-            folds = stratified_kfold(labels, n_folds, fold_rng)
-            all_idx = np.arange(len(ds))
-            splits = [
-                (np.setdiff1d(all_idx, fold), fold) for fold in folds
-            ]
+            index_pairs = [(np.setdiff1d(np.arange(len(ds)), fold), fold)
+                           for fold in stratified_kfold(labels, n_folds, fold_rng)]
+        folds = [(ds.subset(train_idx), ds.subset(test_idx)) for train_idx, test_idx in index_pairs]
 
     accuracies, selected, epoch_seconds, histories = [], [], [], []
-    per_fold_ss = ss.spawn(len(splits))
-    for k, (train_idx, test_idx) in enumerate(splits):
+    per_fold_ss = ss.spawn(len(folds))
+    for k, (train, test) in enumerate(folds):
         inner_ss, cand_ss = per_fold_ss[k].spawn(2)
-        inner_rng = np.random.default_rng(inner_ss)
-        inner_labels = labels[train_idx]
-        tr, va = stratified_split(inner_labels, 0.1, inner_rng)
-        inner_train = ds.subset(train_idx[tr])
-        inner_val = ds.subset(train_idx[va])
-
+        tr, va = stratified_split(train.labels(), 0.1, np.random.default_rng(inner_ss))
         cfg, params, _, history = _grid_search_full(
-            inner_train, inner_val, grid, np.random.default_rng(cand_ss)
+            train.subset(tr), train.subset(va), candidates, np.random.default_rng(cand_ss)
         )
-        test_graphs = ds.subset(test_idx)
-        acc = evaluate(params, test_graphs)
-        accuracies.append(float(acc))
+        accuracies.append(float(evaluate(params, test)))
         selected.append(cfg.to_dict())
         epoch_seconds.append(float(np.mean(history["epoch_seconds"])))
         histories.append(

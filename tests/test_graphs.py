@@ -57,6 +57,25 @@ def test_graph_arrays_are_immutable():
         g.adjacency[0, 1] = 5.0
 
 
+def test_graph_owns_its_arrays():
+    # a graph built from views of its caller's arrays changed when they were
+    # written, past the symmetry and diagonal checks and under the caches its
+    # dataset keeps; and a caller's own float64 array was made read-only
+    adj = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    attr = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+    labels = np.array([0, 1, 0])
+    g = Graph(3, adj[:], attr[:], 1, labels[:])
+    adj[0, 0] = adj[0, 2] = 7.0
+    attr[:] = -1.0
+    labels[:] = 5
+    assert np.array_equal(g.adjacency, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    assert np.array_equal(g.attributes, np.arange(6.0).reshape(3, 2))
+    assert np.array_equal(g.node_labels, [0, 1, 0])
+    assert all(a.flags.writeable for a in (adj, attr, labels))
+    assert all(a.flags.c_contiguous and not a.flags.writeable
+               for a in (g.adjacency, g.attributes, g.node_labels))
+
+
 # ---------------------------------------------------------------------------
 # TUDataset loading
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ raise the package's own DatasetError, never a numpy, Unicode or memory error.
 A mutated dataset directory loads to the same graphs, or the same error, as
 a load that leaves every file to the line parser.
 
-Given cross-validation splits of the wrong kind, and an n_folds that is not
-an integer >= 1, raise ConfigError before any fold trains. A kernel config
-with a walk length, weight or variant of the wrong type raises ConfigError. A
-checkpoint whose config fields, seed or extra have the wrong type raises
-CheckpointError, and numpy-scalar configs write checkpoints that load back.
+Given cross-validation splits of the wrong kind, an n_folds that is not an
+integer >= 1, and a grid with no valid candidate raise ConfigError before any
+fold trains. A kernel config with a walk length, weight or variant of the
+wrong type raises ConfigError. A checkpoint whose config fields, seed or
+extra have the wrong type raises CheckpointError, and numpy-scalar configs
+write checkpoints that load back.
 """
 
 import json
@@ -198,8 +199,11 @@ def twelve_graphs() -> Dataset:
     (np.arange(8),),  # not a pair
     None,
     ([0, 1], [8, 9]),  # one graph per class: the inner split would take both
+    (np.tile(np.arange(8), 2), np.arange(8, 12)),  # trained: inner validation graphs in inner training
+    (np.arange(8), np.array([8, 9, 9, 10])),
 ], ids=["float-train", "float-test", "bool", "empty-test", "empty-train", "empty-lists",
-        "2d", "scalar", "strings", "ragged", "one-array", "none", "inner-train-empty"])
+        "2d", "scalar", "strings", "ragged", "one-array", "none", "inner-train-empty",
+        "repeat-train", "repeat-test"])
 def test_bad_split_raises_config_error_before_training(monkeypatch, split):
     def no_training(*args, **kwargs):
         raise AssertionError("a fold trained before the splits were checked")
@@ -207,6 +211,27 @@ def test_bad_split_raises_config_error_before_training(monkeypatch, split):
     monkeypatch.setattr(kergnn.training, "train_fold", no_training)
     with pytest.raises(ConfigError, match="split 1"):
         cross_validate(twelve_graphs(), TrainConfig(epochs=1), seed=0, splits=[VALID_SPLIT, split])
+
+
+@pytest.mark.parametrize("grid,message", [
+    ([], "at least one configuration"),
+    (iter([]), "at least one configuration"),
+    ([TrainConfig(epochs=0), TrainConfig(lr=-1.0)], "no valid configuration"),
+    ((TrainConfig(epochs=0) for _ in range(2)), "no valid configuration"),
+    (5, "grid must be a TrainConfig or an iterable"),
+    ([TrainConfig(epochs=1), {"epochs": 1}], "grid candidate 1 is not a TrainConfig"),
+], ids=["empty", "empty-iterator", "all-invalid", "all-invalid-generator", "not-iterable", "not-a-config"])
+def test_bad_grid_raises_config_error_before_training(monkeypatch, grid, message):
+    # the grid was listed in each fold, after its inner split: an empty or
+    # all-invalid one raised there, and a generator trained fold 0 and then
+    # was empty. It is now checked before any fold starts
+    def no_fold(*args, **kwargs):
+        raise AssertionError("a fold started before the grid was checked")
+
+    for name in ("train_fold", "stratified_split"):
+        monkeypatch.setattr(kergnn.training, name, no_fold)
+    with pytest.raises(ConfigError, match=message):
+        cross_validate(twelve_graphs(), grid, seed=0, n_folds=3)
 
 
 @pytest.mark.parametrize("n_folds", [2.5, "3", np.float64(3.0), True, 0, -1])

@@ -572,17 +572,21 @@ def test_layer_forward_and_model_forward_keep_no_stack(stack_builds):
 
 def test_unlabeled_graphs_are_rejected():
     # evaluate counted an unlabeled graph as misclassified and train_fold
-    # failed with a TypeError from max()
+    # failed with a TypeError from max(). Labeled graphs reach training only
+    # in a Dataset, whose constructor refuses an unlabeled one, and a list is
+    # refused whatever it holds
     ds = two_class_dataset()
     unlabeled = Graph(3, np.zeros((3, 3)), np.ones((3, 1)))
     graphs = [ds.graphs[0], unlabeled, ds.graphs[1]]
+    with pytest.raises(ValueError, match="graph labels"):
+        Dataset("unlabeled", graphs, 2, 1)
     params = init_params(tiny_cfg().model_config(1, 2), np.random.default_rng(0))
-    with pytest.raises(ValueError, match="graph 1 has no graph_label"):
+    with pytest.raises(ConfigError, match="cannot evaluate on a list"):
         evaluate(params, graphs)
-    with pytest.raises(ValueError, match="graph 1 has no graph_label"):
-        train_fold(graphs, list(ds.graphs), tiny_cfg(epochs=1), 0)
-    with pytest.raises(ValueError, match="graph 0 has no graph_label"):
-        train_fold(list(ds.graphs), [unlabeled], tiny_cfg(epochs=1), 0)
+    with pytest.raises(ConfigError, match="cannot train on a list"):
+        train_fold(graphs, ds, tiny_cfg(epochs=1), 0)
+    with pytest.raises(ConfigError, match="cannot validate on a list"):
+        train_fold(ds, [unlabeled], tiny_cfg(epochs=1), 0)
 
 
 def test_cross_validate_constant_labels_is_perfect():
@@ -626,39 +630,43 @@ def test_cross_validate_rejects_thin_classes():
         cross_validate(ds, tiny_cfg(epochs=1), seed=0, n_folds=10)
 
 
-@pytest.mark.parametrize("case", ["thin-classes", "unlabeled", "empty-eval", "empty-train", "empty-grid",
-                                  "invalid-grid", "extra-class-dataset", "extra-class-list",
+@pytest.mark.parametrize("case", ["thin-classes", "list-evaluate", "list-train-fold", "list-grid-search",
+                                  "list-cross-validate", "empty-eval", "empty-train", "empty-validate",
+                                  "empty-grid", "invalid-grid", "extra-class-dataset",
                                   "width-forward-list", "width-forward-dataset", "width-predict-list",
-                                  "width-predict-dataset", "width-evaluate-list", "width-evaluate-dataset",
-                                  "width-train-val-list", "width-train-val-dataset"])
+                                  "width-predict-dataset", "width-evaluate-dataset",
+                                  "width-train-val-dataset"])
 def test_caller_input_errors_are_config_errors(case):
     # each was a bare ValueError, or for a Dataset with a class the model
-    # lacks, an accuracy; the CLI reports ConfigError as a usage error
+    # lacks, an accuracy; the CLI reports ConfigError as a usage error.
+    # Labeled graphs come as a Dataset: a list goes only to the unlabeled
+    # forwards (forward_batch, predict_logits)
     ds = two_class_dataset(n_per_class=4)
     params = init_params(tiny_cfg().model_config(1, 2), np.random.default_rng(0))
-    unlabeled = Graph(3, np.zeros((3, 3)), np.ones((3, 1)))
+    empty = Dataset("empty", [], 2, 1)
     rng = np.random.default_rng(1)
     three = Dataset("three", [random_graph(rng, 4, 0.5, d=1, label=c) for c in (0, 1, 2)], 3, 1)
     wide = Dataset("wide", [random_graph(rng, 4, 0.5, d=2, label=c) for c in (0, 1, 0, 1)], 2, 2)
     one = tiny_cfg(epochs=1)
     calls = {
         "thin-classes": (lambda: cross_validate(ds, tiny_cfg(epochs=1), seed=0, n_folds=10), "stratification"),
-        "unlabeled": (lambda: evaluate(params, [unlabeled]), "graph 0 has no graph_label"),
-        "empty-eval": (lambda: evaluate(params, []), "empty split"),
-        "empty-train": (lambda: train_fold([], list(ds.graphs), tiny_cfg(epochs=1), 0), "nonempty"),
+        "list-evaluate": (lambda: evaluate(params, list(ds.graphs)), "cannot evaluate on a list"),
+        "list-train-fold": (lambda: train_fold(list(ds.graphs), ds, one, 0), "cannot train on a list"),
+        "list-grid-search": (lambda: grid_search(ds, list(ds.graphs), [one], 0), "cannot validate on a list"),
+        "list-cross-validate": (lambda: cross_validate(list(ds.graphs), one, seed=0, n_folds=2),
+                                "cannot cross-validate on a list"),
+        "empty-eval": (lambda: evaluate(params, empty), "cannot evaluate on an empty split"),
+        "empty-train": (lambda: train_fold(empty, ds, one, 0), "cannot train on an empty split"),
+        "empty-validate": (lambda: train_fold(ds, empty, one, 0), "cannot validate on an empty split"),
         "empty-grid": (lambda: cross_validate(ds, [], seed=0, n_folds=2), "at least one configuration"),
         "invalid-grid": (lambda: cross_validate(ds, [tiny_cfg(lr=-1.0)], seed=0, n_folds=2),
                          "no valid configuration"),
         "extra-class-dataset": (lambda: evaluate(params, three), "labels up to 2 .* 2 classes"),
-        "extra-class-list": (lambda: evaluate(params, list(three.graphs)), "label 2 .* 2 classes"),
         "width-forward-list": (lambda: forward_batch(list(wide.graphs), params), "width 2 != model width 1"),
         "width-forward-dataset": (lambda: forward_batch(wide, params), "width 2 != model width 1"),
         "width-predict-list": (lambda: predict_logits(list(wide.graphs), params), "width 2 != model width 1"),
         "width-predict-dataset": (lambda: predict_logits(wide, params), "width 2 != model width 1"),
-        "width-evaluate-list": (lambda: evaluate(params, list(wide.graphs)), "width 2 .* width 1"),
         "width-evaluate-dataset": (lambda: evaluate(params, wide), "width 2 .* width 1"),
-        "width-train-val-list": (lambda: train_fold(list(ds.graphs), list(wide.graphs), one, 0),
-                                 "width 2 .* width 1"),
         "width-train-val-dataset": (lambda: train_fold(ds, wide, one, 0), "width 2 .* width 1"),
     }
     call, message = calls[case]
@@ -673,6 +681,32 @@ def test_cross_validate_accepts_explicit_splits():
     splits = [(np.arange(n - 4), np.arange(n - 4, n))]
     result = cross_validate(ds, cfg, seed=3, splits=splits)
     assert len(result.fold_accuracies) == 1
+
+
+def test_given_splits_reproduce_the_generated_folds():
+    # cross_validate's own 3 folds, given back as splits, select and train
+    # the same: the given path takes the same seeds and the same subsets
+    ds = two_class_dataset()
+    grid = [tiny_cfg(epochs=3, num_filters=2, walk_length=p) for p in (1, 2)]
+    seed = 5
+    folds = stratified_kfold(ds.labels(), 3, np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]))
+    splits = [(np.setdiff1d(np.arange(len(ds)), fold), fold) for fold in folds]
+    generated = cross_validate(ds, grid, seed, n_folds=3)
+    given = cross_validate(ds, grid, seed, splits=splits)
+    assert given.fold_accuracies == generated.fold_accuracies
+    assert given.histories == generated.histories
+    assert given.selected_configs == generated.selected_configs
+
+
+def test_cross_validate_lists_a_generator_grid_once():
+    # each fold listed the grid again, so a generator was used up by fold 0
+    ds = two_class_dataset()
+    grid = [tiny_cfg(epochs=0), tiny_cfg(epochs=2, num_filters=2, walk_length=1),
+            tiny_cfg(epochs=2, num_filters=2, walk_length=2)]
+    listed = cross_validate(ds, grid, seed=6, n_folds=3)
+    generated = cross_validate(ds, (cfg for cfg in grid), seed=6, n_folds=3)
+    assert generated.to_dict() == listed.to_dict()
+    assert generated.histories == listed.histories
 
 
 @pytest.mark.parametrize("train,test,message", [
@@ -701,9 +735,12 @@ def test_load_splits_file(tmp_path):
     assert len(splits) == 2
     assert splits[0][1].tolist() == [4, 5]
 
-    path.write_text(json.dumps([{"train": [0, 1], "test": [1, 2]}]))
-    with pytest.raises(ConfigError, match="overlap"):
-        load_splits(str(path))
+    # load_splits only parses: cross_validate checks what the indices pick
+    ds = two_class_dataset()
+    path.write_text(json.dumps([{"train": list(range(12)), "test": [11, 12]}]))
+    splits = load_splits(str(path))
+    with pytest.raises(ConfigError, match="split 0: train/test overlap"):
+        cross_validate(ds, tiny_cfg(epochs=1), seed=0, splits=splits)
     path.write_text("[]")
     with pytest.raises(ConfigError):
         load_splits(str(path))
