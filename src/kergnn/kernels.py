@@ -52,10 +52,18 @@ subgraphs is the value of their summed maps (the model keeps a lone first
 layer's maps summed over each graph's subgraphs).
 `stacked_kernel_backward(..., need_x=False)` skips the subgraph-feature
 gradient, which a layer reading raw attributes has no use for.
+
+What the forward reads of the filters alone, their walks and the
+lambda-weighted walks or maps made from them (a FilterSide, from
+filter_side), changes only with the filters. A caller that cuts one batch
+into chunks builds it once and passes it to every chunk's forward; the
+chunks' backwards sum their gradients with respect to it, and the last one
+takes the sum to the filter gradients, which are linear in it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +83,8 @@ __all__ = [
     "gram_maps",
     "gram_maps_forward",
     "StackedKernelCache",
+    "FilterSide",
+    "filter_side",
     "SlotLayout",
     "uses_gram_form",
 ]
@@ -291,6 +301,16 @@ class SlotLayout:
     real: np.ndarray  # (R,) int64
     starts: np.ndarray  # (N,) int64
     slots: np.ndarray  # (R,) int64
+    k: int
+
+    @functools.cached_property
+    def one_hot(self) -> np.ndarray:
+        """(k, R), 1 where row r holds slot id j: its product with (R, .) rows
+        sums them by slot id. Built once per layout, for every deep layer's
+        backward on it."""
+        one_hot = np.zeros((self.k, len(self.slots)))
+        one_hot[self.slots, np.arange(len(self.slots))] = 1.0
+        return one_hot
 
     @classmethod
     def from_sizes(cls, sizes, k: int) -> "SlotLayout":
@@ -299,19 +319,65 @@ class SlotLayout:
         if not sizes.all():
             raise ValueError("every subgraph must hold a real slot")
         real = np.flatnonzero(np.arange(k) < sizes[:, None])
-        return cls(real=real, starts=np.cumsum(sizes) - sizes, slots=real % k)
+        return cls(real=real, starts=np.cumsum(sizes) - sizes, slots=real % k, k=k)
+
+
+@dataclass
+class FilterSide:
+    """What a stacked kernel layer's forward reads of its filters alone, shared
+    by the chunks of one batch, and the sums of their gradients with respect
+    to it.
+
+    u holds the walks U_p = A_H U_{p-1}, U_0 = X_H, and maps phi_h
+    (f, P+1, d*d), X_H^T U_p flattened, for the Gram form, or u_cat
+    (f n, (P+1) d), [lambda_0 U_0 | .. | lambda_P U_P], for the Hadamard
+    form. They go stale when the filters change (an optimizer step), so a
+    FilterSide lives no longer than its batch. For chunks > 1, each backward
+    adds its chunk's gradient with respect to maps into d_maps, and in the
+    Hadamard form the gradient with respect to X_H through S into d_direct.
+    The filter gradients are linear in these, so the last chunk's backward
+    takes them once, from the sums: the Horner sum for d_attr_h and the
+    adjacency split sum.
+    """
+
+    gram: bool
+    u: list
+    maps: np.ndarray
+    chunks: int = 1  # backward passes that share it
+    done: int = 0  # backward passes taken
+    d_maps: np.ndarray | None = None
+    d_direct: np.ndarray | None = None  # Hadamard: (f, n, d)
+
+
+def filter_side(attr_h, adj_h, cfg: RWKernelConfig, gram: bool, chunks: int = 1) -> FilterSide:
+    """The FilterSide of filters attr_h (f, n, d) and adj_h (f, n, n) in the
+    Gram or the Hadamard form, for `chunks` backward passes."""
+    if cfg.is_deep and gram:
+        raise ValueError("the deep variant has no Gram form")
+    return FilterSide(gram, *_filter_arrays(attr_h, adj_h, cfg, gram), chunks=chunks)
+
+
+def _filter_arrays(attr_h, adj_h, cfg: RWKernelConfig, gram: bool) -> tuple:
+    """(u, maps) of FilterSide: the filter walks, and phi_h or u_cat."""
+    u = _walks(attr_h, adj_h, cfg.P)
+    if gram:
+        return u, _maps(attr_h, u)
+    f, n, d = attr_h.shape
+    return u, (np.stack(u, axis=2) * np.asarray(cfg.lambdas)[:, None]).reshape(f * n, len(u) * d)
 
 
 @dataclass
 class StackedKernelCache:
     """Intermediates saved by stacked_kernel_forward for the backward pass.
 
-    The Gram form keeps the padded subgraph walks v and the per-step feature
-    maps phi_h/phi_g. The Hadamard form keeps (R, f n) tensors, one row per
-    real slot of its layout, the walks of both sides side by side (the
-    subgraphs' at the real slots only), and the deep variant's weights. A
-    forward from given maps (gram_maps_forward) has no subgraph tensors: x_sub
-    and adj_g are None, and only need_x=False backward is possible.
+    Both forms keep the filter walks u and maps, phi_h or u_cat, as a
+    FilterSide holds them, and shared, the FilterSide the forward read, if
+    it was given one. The Gram form keeps the padded subgraph walks v and
+    the weighted subgraph maps phi_g. The Hadamard form keeps (R, f n)
+    tensors, one row per real slot of its layout, the subgraphs' walks side
+    by side at the real slots, and the deep variant's weights. A forward
+    from given maps (gram_maps_forward) has no subgraph tensors: x_sub and
+    adj_g are None, and only need_x=False backward is possible.
     """
 
     cfg: RWKernelConfig
@@ -320,11 +386,11 @@ class StackedKernelCache:
     x_sub: np.ndarray | None  # (N, k, d)
     adj_g: np.ndarray | None  # (N, k, k)
     u: list  # U_p = A_H U_{p-1}, U_0 = X_H, (f, n, d)
+    maps: np.ndarray  # Gram: phi_h (f, P+1, d*d); Hadamard: u_cat (f n, (P+1) d)
+    shared: FilterSide | None = None
     v: list | None = None  # Gram: V_p = A_G V_{p-1}, V_0 = X_G, (N, k, d)
-    phi_h: np.ndarray | None = None  # Gram: (f, P+1, d*d), X_H^T U_p flattened
     phi_g: np.ndarray | None = None  # Gram: (N, P+1, d*d), lambda_p X_G^T V_p flattened
     layout: SlotLayout | None = None  # Hadamard: the real slots of x_sub
-    u_cat: np.ndarray | None = None  # Hadamard: (f n, (P+1) d), [lambda_0 U_0 | .. | lambda_P U_P]
     v_cat: np.ndarray | None = None  # Hadamard: (R, (P+1) d), [V_0 | .. | V_P] at real slots
     s: np.ndarray | None = None  # Hadamard: (R, f n), S^T = X_G X_H^T at real slots
     msum: np.ndarray | None = None  # Hadamard: (R, f n), sum_p lambda_p V_p U_p^T at real slots
@@ -368,7 +434,8 @@ def gram_maps(x_sub, adj_g, P: int) -> np.ndarray:
 
 
 def stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg: RWKernelConfig, weights=None,
-                           gram: bool | None = None, *, layout: SlotLayout | None = None):
+                           gram: bool | None = None, *, layout: SlotLayout | None = None,
+                           filters: FilterSide | None = None):
     """Kernel values (N, f) of all subgraphs against all filters.
 
     Same argument order as walk_kernel, stacked: attr_h (f, n, d) and adj_h
@@ -379,13 +446,23 @@ def stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg: RWKernelConfig, wei
     U_p = A_H^p X_H and V_p = A_G^p X_G are built by repeated products with
     the adjacencies; no matrix power is formed. gram picks the form; None
     applies uses_gram_form.
+
+    The filter side (U_p and what the form reads of them) is per batch: a
+    caller that forwards one batch in chunks builds it once with filter_side,
+    in the form it picks, and passes it as filters to every chunk's call;
+    then gram is not read. Without filters the call computes the filter side
+    for itself and its own backward. The subgraph side is per call.
     """
     if cfg.is_deep and weights is None:
         raise ValueError("deep variant requires pair weights")
-    if gram is None:
-        gram = uses_gram_form(cfg, *attr_h.shape, x_sub.shape[1])
-    cache = StackedKernelCache(cfg=cfg, attr_h=attr_h, adj_h=adj_h, x_sub=x_sub, adj_g=adj_g,
-                               u=_walks(attr_h, adj_h, cfg.P))
+    if filters is not None:
+        gram, u, maps = filters.gram, filters.u, filters.maps
+    else:
+        if gram is None:
+            gram = uses_gram_form(cfg, *attr_h.shape, x_sub.shape[1])
+        u, maps = _filter_arrays(attr_h, adj_h, cfg, gram)
+    cache = StackedKernelCache(cfg=cfg, attr_h=attr_h, adj_h=adj_h, x_sub=x_sub, adj_g=adj_g, u=u,
+                               maps=maps, shared=filters)
     walks = _walks(x_sub, adj_g, cfg.P)
     if gram:
         cache.v = walks
@@ -395,16 +472,21 @@ def stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg: RWKernelConfig, wei
     return _hadamard_forward(cache, walks, layout, weights if cfg.is_deep else None), cache
 
 
-def gram_maps_forward(attr_h, adj_h, maps, cfg: RWKernelConfig):
+def gram_maps_forward(attr_h, adj_h, maps, cfg: RWKernelConfig, *, filters: FilterSide | None = None):
     """Gram-form kernel values (N, f) from the subgraphs' unweighted maps
     (N, >= P+1, d*d), as gram_maps gives them, or from sums of them, whose
     values are the sums of the subgraphs' values; steps past P are ignored.
-    Equal byte for byte to stacked_kernel_forward on the subgraphs themselves.
+    Equal byte for byte to stacked_kernel_forward on the subgraphs themselves,
+    and takes filters, a Gram-form filter_side, as it does.
     The cache serves stacked_kernel_backward with need_x=False only."""
     if cfg.is_deep:
         raise ValueError("the deep variant has no Gram form")
-    cache = StackedKernelCache(cfg=cfg, attr_h=attr_h, adj_h=adj_h, x_sub=None, adj_g=None,
-                               u=_walks(attr_h, adj_h, cfg.P))
+    if filters is not None:
+        u, phi_h = filters.u, filters.maps
+    else:
+        u, phi_h = _filter_arrays(attr_h, adj_h, cfg, gram=True)
+    cache = StackedKernelCache(cfg=cfg, attr_h=attr_h, adj_h=adj_h, x_sub=None, adj_g=None, u=u,
+                               maps=phi_h, shared=filters)
     return _gram_forward(cache, maps[:, :cfg.P + 1]), cache
 
 
@@ -415,15 +497,59 @@ def stacked_kernel_backward(cache: StackedKernelCache, gout, need_x: bool = True
     with a zero diagonal, d_weights is None for the plain variant. need_x=False
     skips the subgraph-feature gradient and returns None for d_x_sub; the
     filter gradients are the same bit for bit.
+
+    d_weights and d_x_sub are per call. The filter gradients are per batch:
+    when the forward read a FilterSide built for c > 1 chunks, each of their
+    backwards adds its gradients with respect to the filter side into it,
+    and only the c-th returns d_attr_h and d_adj_h, those of all c chunks,
+    taken through the Horner and adjacency split sums once; the others return
+    None for both. Without a FilterSide, or with one for a single chunk,
+    nothing is kept, and a cache may be taken backward again.
     """
     if need_x and cache.x_sub is None:
         raise ValueError("a forward from given Gram maps has no subgraph-feature gradient")
     if cache.phi_g is None:
-        d_xh, d_xsub, d_weights, zu = _hadamard_backward(cache, gout, need_x)
+        d_maps, d_direct, d_weights, d_xsub = _hadamard_backward(cache, gout, need_x)
     else:
-        d_xh, d_xsub, zu = _gram_backward(cache, gout, need_x)
-        d_weights = None
-    return d_xh, _adjacency_grad(cache, zu), d_weights, d_xsub
+        d_maps, d_xsub = _gram_backward(cache, gout, need_x)
+        d_direct = d_weights = None
+    fs = cache.shared
+    if fs is not None and fs.chunks > 1:
+        if fs.done == fs.chunks:
+            raise ValueError(f"all {fs.chunks} chunks of these filters have had their backward")
+        if fs.done:
+            fs.d_maps += d_maps
+            if d_direct is not None:
+                fs.d_direct += d_direct
+        else:
+            fs.d_maps, fs.d_direct = d_maps, d_direct
+        fs.done += 1
+        if fs.done < fs.chunks:
+            return None, None, d_weights, d_xsub
+        d_maps, d_direct = fs.d_maps, fs.d_direct
+    return (*_filter_grads(cache, d_maps, d_direct), d_weights, d_xsub)
+
+
+def _filter_grads(cache: StackedKernelCache, d_maps, d_direct):
+    """(d_attr_h, d_adj_h) from the gradients with respect to the filter side:
+    d_maps, of phi_h (Gram, (f, (P+1) d*d)) or u_cat (Hadamard), and the
+    Hadamard form's d_direct. For the Gram form, with G_p the gradient of
+    phi_h's step p and symmetric adjacencies, dX_H = sum_p U_p (G_p^T + G_p)
+    and dK/dU_p = X_H G_p; for the Hadamard form dK/dU_p is lambda_p times
+    u_cat's block p, and dX_H = d_direct + sum_p A_H^p dK/dU_p."""
+    f, n, d = cache.attr_h.shape
+    steps = len(cache.u)
+    if cache.phi_g is not None:
+        gam = d_maps.reshape(f, steps, d, d)
+        gam_sym = gam + gam.transpose(0, 1, 3, 2)
+        d_xh = sum(u_p @ gam_sym[:, p] for p, u_p in enumerate(cache.u))
+        zu = [cache.attr_h @ gam[:, p] for p in range(1, steps)]
+    else:
+        zu = d_maps.reshape(f, n, steps, d) * np.asarray(cache.cfg.lambdas)[:, None]
+        zu = [zu[:, :, p] for p in range(steps)]
+        d_xh = d_direct + _horner(cache.adj_h, zu)
+        zu = zu[1:]
+    return d_xh, _adjacency_grad(cache, zu)
 
 
 def _gram_forward(cache: StackedKernelCache, maps) -> np.ndarray:
@@ -435,36 +561,31 @@ def _gram_forward(cache: StackedKernelCache, maps) -> np.ndarray:
     """
     f, _, d = cache.attr_h.shape
     big_n = maps.shape[0]
-    cache.phi_h = _maps(cache.attr_h, cache.u)
     cache.phi_g = maps * np.asarray(cache.cfg.lambdas)[:, None]
     width = len(cache.u) * d * d  # explicit: a -1 cannot be inferred when N = 0
-    return cache.phi_g.reshape(big_n, width) @ cache.phi_h.reshape(f, width).T
+    return cache.phi_g.reshape(big_n, width) @ cache.maps.reshape(f, width).T
 
 
 def _gram_backward(cache: StackedKernelCache, gout, need_x: bool):
-    """(d_attr_h, d_x_sub or None, [dK/dU_1..dK/dU_P]) of the Gram form.
+    """(gradient with respect to phi_h, d_x_sub or None) of the Gram form.
 
     The gradients of sum gout * K with respect to the maps are
     G_p[f] = lambda_p sum_v gout[v,f] X_G^T V_p (phi_g carries lambda_p) and
     D_p[v] = lambda_p sum_f gout[v,f] X_H^T U_p. With symmetric adjacencies
-    dX_H = sum_p U_p (G_p^T + G_p), dX_G = sum_p V_p (D_p^T + D_p), and
-    dK/dU_p = X_H G_p feeds the adjacency split sum.
+    dX_G = sum_p V_p (D_p^T + D_p); _filter_grads takes the G_p on to X_H.
     """
     f, _, d = cache.attr_h.shape
     big_n = cache.phi_g.shape[0]
     steps = len(cache.u)
-    gam = (gout.T @ cache.phi_g.reshape(big_n, steps * d * d)).reshape(f, steps, d, d)
-    gam_sym = gam + gam.transpose(0, 1, 3, 2)
-    d_xh = sum(u_p @ gam_sym[:, p] for p, u_p in enumerate(cache.u))
-    zu = [cache.attr_h @ gam[:, p] for p in range(1, cache.cfg.P + 1)]
+    d_maps = gout.T @ cache.phi_g.reshape(big_n, steps * d * d)
     d_xsub = None
     if need_x:
         lam = np.asarray(cache.cfg.lambdas)[:, None]
-        dlt = ((gout @ cache.phi_h.reshape(f, steps * d * d)).reshape(big_n, steps, d * d)
+        dlt = ((gout @ cache.maps.reshape(f, steps * d * d)).reshape(big_n, steps, d * d)
                * lam).reshape(big_n, steps, d, d)
         dlt_sym = dlt + dlt.transpose(0, 1, 3, 2)
         d_xsub = sum(v_p @ dlt_sym[:, p] for p, v_p in enumerate(cache.v))
-    return d_xh, d_xsub, zu
+    return d_maps, d_xsub
 
 
 def _hadamard_forward(cache: StackedKernelCache, walks, layout: SlotLayout, weights) -> np.ndarray:
@@ -477,21 +598,22 @@ def _hadamard_forward(cache: StackedKernelCache, walks, layout: SlotLayout, weig
     f, n, d = cache.attr_h.shape
     big_n, k, _ = cache.x_sub.shape
     steps = len(walks)
-    lam = np.asarray(cache.cfg.lambdas)[:, None]
     cache.layout, cache.weights = layout, weights
-    cache.u_cat = (np.stack(cache.u, axis=2) * lam).reshape(f * n, steps * d)
     cache.v_cat = np.concatenate(walks, axis=2).reshape(big_n * k, steps * d)[layout.real]
     cache.s = cache.v_cat[:, :d] @ cache.attr_h.reshape(f * n, d).T
-    cache.msum = cache.v_cat @ cache.u_cat.T
-    t = cache.s if weights is None else cache.s * weights.reshape(f * n, k).T[layout.slots]
+    cache.msum = cache.v_cat @ cache.maps.T
+    t = cache.s
+    if weights is not None:
+        t = t * np.take(weights.reshape(f * n, k).T, layout.slots, axis=0)
     per_slot = np.einsum("rfn,rfn->rf", t.reshape(-1, f, n), cache.msum.reshape(-1, f, n))
     return np.add.reduceat(per_slot, layout.starts, axis=0)
 
 
 def _hadamard_backward(cache: StackedKernelCache, gout, need_x: bool):
-    """(d_attr_h, d_x_sub or None, d_weights, [dK/dU_1..dK/dU_P]) of the
-    Hadamard form; d_weights is None for plain and 0 at slots no subgraph
-    fills. d_x_sub has x_sub's shape and is 0 at padded slots."""
+    """(gradient with respect to u_cat, gradient with respect to X_H through
+    S, d_weights, d_x_sub or None) of the Hadamard form; d_weights is None
+    for plain and 0 at slots no subgraph fills. d_x_sub has x_sub's shape
+    and is 0 at padded slots."""
     layout = cache.layout
     f, n, d = cache.attr_h.shape
     big_n, k, _ = cache.x_sub.shape
@@ -501,26 +623,22 @@ def _hadamard_backward(cache: StackedKernelCache, gout, need_x: bool):
     if cache.weights is None:
         gsg, tg, d_weights = msum * g, s * g, None
     else:
-        wg = cache.weights.reshape(f * n, k).T[layout.slots].reshape(-1, f, n) * g
+        wg = np.take(cache.weights.reshape(f * n, k).T, layout.slots, axis=0).reshape(-1, f, n) * g
         gsg, tg = msum * wg, s * wg
-        by_slot = np.zeros((k, len(layout.slots)))
-        by_slot[layout.slots, np.arange(len(layout.slots))] = 1.0
-        d_weights = (by_slot @ (s * msum * g).reshape(-1, f * n)).T.reshape(f, n, k)
+        d_weights = (layout.one_hot @ (s * msum * g).reshape(-1, f * n)).T.reshape(f, n, k)
     gsg2, tg2 = gsg.reshape(-1, f * n), tg.reshape(-1, f * n)
 
-    lam = np.asarray(cache.cfg.lambdas)[:, None]
-    zu = (tg2.T @ cache.v_cat).reshape(f, n, steps, d) * lam
-    zu = [zu[:, :, p] for p in range(steps)]
-    d_xh = (gsg2.T @ cache.v_cat[:, :d]).reshape(f, n, d) + _horner(cache.adj_h, zu)
+    d_maps = tg2.T @ cache.v_cat
+    d_direct = (gsg2.T @ cache.v_cat[:, :d]).reshape(f, n, d)
     d_xsub = None
     if need_x:
-        zv_real = tg2 @ cache.u_cat  # [lambda_0 tg U_0 | .. | lambda_P tg U_P]
+        zv_real = tg2 @ cache.maps  # [lambda_0 tg U_0 | .. | lambda_P tg U_P]
         zv_real[:, :d] += gsg2 @ cache.attr_h.reshape(f * n, d)
         zv = np.zeros((big_n * k, steps * d))
         zv[layout.real] = zv_real
         zv = zv.reshape(big_n, k, steps, d)
         d_xsub = _horner(cache.adj_g, [zv[:, :, p] for p in range(steps)])
-    return d_xh, d_xsub, d_weights, zu[1:]
+    return d_maps, d_direct, d_weights, d_xsub
 
 
 def _adjacency_grad(cache: StackedKernelCache, zu) -> np.ndarray:

@@ -24,6 +24,19 @@ consecutive chunks whose kernel caches stay under `_CHUNK_ENTRIES` float64
 entries, counting only the real subgraph slots of a Hadamard-form layer,
 since its tensors hold no padded slot, and one row per graph of a "summed"
 layer; the cuts come from a cumulative sum of the graphs' costs.
+
+What a layer's kernel reads of its filters alone (kernels.FilterSide: the
+filter walks A_H^p X_H and the lambda-weighted walks or maps built from
+them) changes only at the optimizer step, so it is per batch: a training
+step cut into several chunks (training._batch_step), and a predict_logits
+pass, build each layer's once (`_filter_sides`) and every chunk's forward
+reads it. Each chunk's backward adds its gradient with respect to the filter
+side into it, and the last chunk's takes the sum through the Horner and
+adjacency split sums to the filter gradients, once per batch; the earlier
+chunks return zeros for them. The subgraph side, the kernel values, the
+deep weights' gradient and the gradient passed to the layer's input are per
+chunk. In a batch of one chunk, and in `forward_batch`, each kernel call
+computes its filter side itself and keeps nothing across calls.
 `model_forward` and `layer_forward` are batches of one, and keep nothing.
 
 `_layer_forms` decides once per layer how it runs: "hadamard" or "gram" on
@@ -59,6 +72,7 @@ from .errors import CheckpointError, ConfigError, plain_value
 from .graphs import Dataset, Graph, PackedGraphs, SubgraphStack, segment_sum, stack_subgraphs
 from .kernels import (
     RWKernelConfig,
+    filter_side,
     gram_maps,
     gram_maps_forward,
     stacked_kernel_backward,
@@ -364,12 +378,23 @@ def _layer_forms(params: ModelParams) -> list:
     return forms
 
 
-def _layer_apply(layer: KerGNNLayer, form: str, source, feats: np.ndarray, post_relu: bool):
+def _filter_sides(params: ModelParams, chunks: int = 1) -> list:
+    """Every layer's kernels.FilterSide in its form (_layer_forms), for
+    `chunks` backward passes: built once for a batch of that many chunks, or
+    for a prediction pass, and read by each chunk's forward."""
+    return [filter_side(layer.attributes, layer.adjacency, layer.kernel_cfg, form != "hadamard", chunks)
+            for layer, form in zip(params.layers, _layer_forms(params))]
+
+
+def _layer_apply(layer: KerGNNLayer, form: str, source, feats: np.ndarray, post_relu: bool,
+                 filters=None):
     """Kernel values of one layer and its backward cache. source is the packed
     SubgraphStack, or for form "summed" the graphs' summed maps (feats is then
-    unused)."""
+    unused). filters is the layer's FilterSide, or None to build one for
+    this call alone."""
     if form == "summed":
-        values, cache = gram_maps_forward(layer.attributes, layer.adjacency, source, layer.kernel_cfg)
+        values, cache = gram_maps_forward(layer.attributes, layer.adjacency, source, layer.kernel_cfg,
+                                          filters=filters)
     else:
         expected = (source.adjacency.shape[0], layer.in_dim)
         if feats.shape != expected:
@@ -380,7 +405,7 @@ def _layer_apply(layer: KerGNNLayer, form: str, source, feats: np.ndarray, post_
         weights = layer.deep_weights if layer.kernel_cfg.is_deep else None
         values, cache = stacked_kernel_forward(layer.attributes, layer.adjacency, source.gather(feats),
                                                source.adjacency, layer.kernel_cfg, weights,
-                                               gram=form == "gram", layout=source.layout)
+                                               gram=form == "gram", layout=source.layout, filters=filters)
     pre = values
     if post_relu:
         values = np.maximum(values, 0.0)
@@ -467,8 +492,10 @@ class BatchForward:
 
 
 def _forward(pack: PackedGraphs, idx: np.ndarray, params: ModelParams,
-             dropout_rngs: list | None = None) -> BatchForward:
-    """forward_batch of the graphs of pack at idx."""
+             dropout_rngs: list | None = None, filters: list | None = None) -> BatchForward:
+    """forward_batch of the graphs of pack at idx, reading the layers' filter
+    sides `filters` (_filter_sides); without them each layer's kernel call
+    builds its own, for one backward."""
     cfg = params.config
     forms = _layer_forms(params)
     offsets = attributes = None
@@ -477,7 +504,7 @@ def _forward(pack: PackedGraphs, idx: np.ndarray, params: ModelParams,
         # their graph sums, so the whole batch is graph rows
         layer = params.layers[0]
         maps = _summed_maps(pack, layer)[idx, :layer.kernel_cfg.P + 1]
-        values, cache = _layer_apply(layer, "summed", maps, None, cfg.post_relu)
+        values, cache = _layer_apply(layer, "summed", maps, None, cfg.post_relu, filters and filters[0])
         feats, stacks, layer_caches = [pack.attr_sums[idx], values], [None], [cache]
         h = np.concatenate(feats, axis=1)
     else:
@@ -488,12 +515,13 @@ def _forward(pack: PackedGraphs, idx: np.ndarray, params: ModelParams,
             w, b = params.input_map
             feats0 = feats0 @ w + b
         feats, stacks, layer_caches, packed = [feats0], [], [], {}
-        for layer, form in zip(params.layers, forms):
+        for l, (layer, form) in enumerate(zip(params.layers, forms)):
             key = (layer.hops, layer.k_max)
             if key not in packed:
                 packed[key] = _packed_stack(pack, layer).take(idx)
             stacks.append(packed[key])
-            values, cache = _layer_apply(layer, form, packed[key], feats[-1], cfg.post_relu)
+            values, cache = _layer_apply(layer, form, packed[key], feats[-1], cfg.post_relu,
+                                         filters and filters[l])
             layer_caches.append(cache)
             feats.append(values)
         h = segment_sum(np.concatenate(feats, axis=1), offsets)
@@ -529,7 +557,10 @@ def forward_batch(graphs, params: ModelParams, dropout_rngs: list | None = None)
 def backward_batch(fwd: BatchForward, dlogits: np.ndarray, params: ModelParams) -> np.ndarray:
     """Gradient of sum(dlogits * logits), summed over the batch inside the
     matmuls, as one vector laid out like params.flat: named_parameters(params,
-    grad) names its views."""
+    grad) names its views. When fwd read filter sides that c chunks of one
+    batch share (_filter_sides), the filter adjacency and attribute
+    gradients of all c come with the c-th chunk's backward, and are zero in
+    the others'."""
     # MLP head; parts gathers the gradients in named_parameters order
     parts = []
     dh = dlogits
@@ -556,6 +587,9 @@ def backward_batch(fwd: BatchForward, dlogits: np.ndarray, params: ModelParams) 
             gout = gout * (pre > 0)
         need_x = l > 0 or params.input_map is not None
         d_xh, d_adj, d_w, d_xsub = stacked_kernel_backward(cache, gout, need_x)
+        if d_xh is None:  # the batch's last chunk returns its filter gradients
+            layer = params.layers[l]
+            d_xh, d_adj = np.zeros(layer.attributes.shape), np.zeros(layer.adjacency.shape)
         parts[:0] = [d_adj, d_xh] if d_w is None else [d_adj, d_xh, d_w]
         if need_x:
             dnodes[l] = dnodes[l] + fwd.stacks[l].scatter(d_xsub)
@@ -568,12 +602,14 @@ def backward_batch(fwd: BatchForward, dlogits: np.ndarray, params: ModelParams) 
 def _predict(pack: PackedGraphs, idx: np.ndarray, params: ModelParams) -> np.ndarray:
     """predict_logits of the graphs of pack at idx."""
     logits = []
-    for start, stop in _chunks(pack, idx, params):
+    chunks = _chunks(pack, idx, params)
+    filters = _filter_sides(params) if len(chunks) > 1 else None  # a lone chunk builds its own
+    for start, stop in chunks:
         # fwd holds the last chunk's arrays until the next forward returns: freed
         # at once, they let malloc trim the heap and fault it in again for every
         # chunk (4.7-6.2x the minor page faults, ~1.5x the time, of an evaluate
         # of the mutag-deep benchmark graphs, 1.4 graphs per chunk)
-        fwd = _forward(pack, idx[start:stop], params)
+        fwd = _forward(pack, idx[start:stop], params, filters=filters)
         logits.append(fwd.logits)
     return _concat(logits, (0, params.config.num_classes))
 

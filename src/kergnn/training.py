@@ -37,6 +37,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     _chunks,
+    _filter_sides,
     _forward,
     _predict,
     backward_batch,
@@ -276,11 +277,14 @@ def _batch_step(pack, idx, params, rng):
     total = np.zeros_like(params.flat)
     loss = 0.0
     correct = 0
-    for start, stop in _chunks(pack, idx, params):
+    chunks = _chunks(pack, idx, params)
+    # the chunks share each layer's filter side; a lone chunk's forward builds its own
+    filters = _filter_sides(params, len(chunks)) if len(chunks) > 1 else None
+    for start, stop in chunks:
         rngs = None
         if params.config.dropout > 0:
             rngs = [np.random.default_rng(seed) for seed in seeds[start:stop]]
-        fwd = _forward(pack, idx[start:stop], params, rngs)
+        fwd = _forward(pack, idx[start:stop], params, rngs, filters)
         losses, dlogits = softmax_cross_entropy(fwd.logits, labels[start:stop])
         if not np.isfinite(losses).all():
             # without an input map, feats[0] is the raw attributes and is not named
@@ -520,18 +524,22 @@ def cross_validate(ds: Dataset, grid, seed: int, n_folds: int = 10,
                    out_dir: str | None = None, splits: list | None = None) -> CVResult:
     """Stratified n-fold assessment with inner 90/10 holdout model selection.
 
-    `grid` is a TrainConfig or an iterable of them, listed once: a generator
-    serves every fold. With n_folds=1 a single stratified 90/10 train/test
-    holdout is evaluated. Pre-computed splits (a list of (train_indices,
-    test_indices) pairs) override fold generation. Each side is taken as
+    ds holds each graph of its root at most once. `grid` is a TrainConfig
+    or an iterable of them, listed once: a generator serves every fold. With
+    n_folds=1 a single stratified 90/10 train/test holdout is evaluated.
+    Pre-computed splits (a list of (train_indices, test_indices) pairs)
+    override fold generation. Each side is taken as
     ds.subset, which checks that its indices are 1-D integers in
     [0, len(ds)); it must be nonempty and name no graph twice, train and
     test must not overlap, and some class must have two training graphs, so
-    that the inner split leaves one to train on. The grid (nonempty, some
+    that the inner split leaves one to train on. ds, the grid (nonempty, some
     candidate valid) and every split, or else n_folds (an integer >= 1), are
     checked before any fold trains, and a bad one raises ConfigError.
     """
     _check_labeled(ds, "cross-validate")
+    if np.unique(ds.index).size < len(ds):
+        # folds split by position, so one graph at two positions could be trained and tested on
+        raise ConfigError("the dataset holds a graph more than once (a subset with repeated indices)")
     if plain_value("seed", seed, int) < 0:
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     candidates = _listed_grid(grid)

@@ -130,6 +130,24 @@ def stack_builds(monkeypatch):
     return builds
 
 
+@pytest.fixture
+def filter_builds(monkeypatch):
+    """The filter attributes of every filter side the kernel builds, in call
+    order: for a batch (kernels.filter_side) or within a kernel call that was
+    given none; both go through kernels._filter_arrays."""
+    import kergnn.kernels
+
+    builds = []
+    build = kergnn.kernels._filter_arrays
+
+    def counting(attr_h, *args, **kwargs):
+        builds.append(attr_h)
+        return build(attr_h, *args, **kwargs)
+
+    monkeypatch.setattr(kergnn.kernels, "_filter_arrays", counting)
+    return builds
+
+
 def brute_force_isomorphic(g1, g2):
     """Permutation search over <= 8 node graphs, respecting node labels."""
     if g1.num_nodes != g2.num_nodes:

@@ -270,6 +270,48 @@ def test_skipping_the_x_sub_gradient_keeps_every_filter_gradient(variant, d, p_s
         assert (want is None and got is None) or want.tobytes() == got.tobytes()
 
 
+@pytest.mark.parametrize("variant,gram", [("plain", True), ("plain", False), ("deep", False)])
+def test_chunks_sharing_a_filter_side_sum_its_gradients(variant, gram):
+    # a stack cut into three chunks that read one FilterSide: each backward
+    # returns its own chunk's d_weights and d_x_sub, and only the third the
+    # filter gradients, those of the whole stack, summed before the Horner
+    # and split sums (another summation order, so to 1e-12); a fourth raises
+    from kergnn.kernels import filter_side, stacked_kernel_backward, stacked_kernel_forward
+
+    rng = np.random.default_rng(31)
+    f, n, d, big_n, k = 3, 4, 2, 9, 5
+    cfg = RWKernelConfig(3, variant=variant)
+    attr_h, x_sub = rng.normal(size=(f, n, d)), rng.normal(size=(big_n, k, d))
+    adj_h = rng.random((f, n, n))
+    adj_h = adj_h + adj_h.transpose(0, 2, 1)
+    adj_g = (rng.random((big_n, k, k)) < 0.4).astype(float)
+    adj_g = np.triu(adj_g, 1) + np.triu(adj_g, 1).transpose(0, 2, 1)
+    weights = rng.random((f, n, k)) if cfg.is_deep else None
+    gout = rng.normal(size=(big_n, f))
+    _, cache = stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg, weights, gram)
+    whole = stacked_kernel_backward(cache, gout)
+
+    shared = filter_side(attr_h, adj_h, cfg, gram, chunks=3)
+    cuts = [(0, 2), (2, 7), (7, 9)]
+    for c, (lo, hi) in enumerate(cuts):
+        _, cache = stacked_kernel_forward(attr_h, adj_h, x_sub[lo:hi], adj_g[lo:hi], cfg, weights,
+                                          filters=shared)
+        assert cache.shared is shared
+        d_xh, d_adj, d_w, d_xsub = stacked_kernel_backward(cache, gout[lo:hi])
+        assert np.allclose(d_xsub, whole[3][lo:hi], rtol=1e-12, atol=1e-12)
+        if cfg.is_deep:
+            _, _, want_w, _ = stacked_kernel_backward(
+                stacked_kernel_forward(attr_h, adj_h, x_sub[lo:hi], adj_g[lo:hi], cfg, weights)[1],
+                gout[lo:hi])
+            assert d_w.tobytes() == want_w.tobytes()
+        if c < len(cuts) - 1:
+            assert d_xh is None and d_adj is None
+    for got, want in zip((d_xh, d_adj), whole[:2]):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    with pytest.raises(ValueError, match="all 3 chunks"):
+        stacked_kernel_backward(cache, gout[7:9])
+
+
 def test_gram_maps_forward_equals_the_stacked_forward():
     # one map array of walk length 3 serves every P <= 3 and any lambdas,
     # with values and filter gradients equal to the stacked forward's bit for bit

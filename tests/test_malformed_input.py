@@ -213,6 +213,19 @@ def test_bad_split_raises_config_error_before_training(monkeypatch, split):
         cross_validate(twelve_graphs(), TrainConfig(epochs=1), seed=0, splits=[VALID_SPLIT, split])
 
 
+@pytest.mark.parametrize("n_folds", [3, 1])
+def test_dataset_holding_a_graph_twice_raises_before_training(monkeypatch, n_folds):
+    # generated folds split by position: a graph at two positions sat in
+    # train and test of one fold (8, 4 and 6 graphs in the three folds)
+    def no_training(*args, **kwargs):
+        raise AssertionError("a fold trained on a dataset holding a graph twice")
+
+    monkeypatch.setattr(kergnn.training, "train_fold", no_training)
+    doubled = twelve_graphs().subset(np.repeat(np.arange(12), 2))
+    with pytest.raises(ConfigError, match="holds a graph more than once"):
+        cross_validate(doubled, TrainConfig(epochs=1), seed=0, n_folds=n_folds)
+
+
 @pytest.mark.parametrize("grid,message", [
     ([], "at least one configuration"),
     (iter([]), "at least one configuration"),

@@ -619,6 +619,34 @@ def test_packed_batch_equals_batches_of_one(case):
     check()
 
 
+@pytest.mark.parametrize("case", [*sorted(BATCH_CASES), "summed"])
+def test_a_batch_builds_each_filter_side_once(case, filter_builds, monkeypatch):
+    # every graph a chunk of its own: one training step, and one
+    # predict_logits pass, build each layer's filter side once and read it
+    # in every chunk; the step's gradient is the one-chunk step's to 1e-12
+    rng = np.random.default_rng(23)
+    cfg = small_config(**BATCH_CASES.get(case, {}))
+    graphs = [random_graph(rng, n, 0.5, d=cfg.attr_dim, label=b % 2) for b, n in enumerate((4, 7, 5, 6))]
+    ds = Dataset("chunks", graphs, 2, cfg.attr_dim)
+    params = init_params(cfg, rng)
+    assert (kergnn.model._layer_forms(params) == ["summed"]) == (case == "summed")
+    layers = [layer.attributes for layer in params.layers]
+    _, one_chunk, _ = _batch_step(ds.packed, ds.index, params, np.random.default_rng(0))
+    monkeypatch.setattr(kergnn.model, "_CHUNK_ENTRIES", 0)
+    assert len(packed_chunks(ds, params)) == len(graphs)
+
+    for run in (lambda: _batch_step(ds.packed, ds.index, params, np.random.default_rng(0))[1],
+                lambda: predict_logits(ds, params)):
+        del filter_builds[:]
+        run()
+        assert len(filter_builds) == len(layers)
+        assert all(got is want for got, want in zip(filter_builds, layers))
+    chunked = _batch_step(ds.packed, ds.index, params, np.random.default_rng(0))[1]
+    for (name, got), (_, want) in zip(named_parameters(params, chunked),
+                                      named_parameters(params, one_chunk)):
+        assert _rel(got, want, np.max(np.abs(want))) <= 1e-12, name
+
+
 @pytest.mark.parametrize("variant", ["plain", "deep"])
 def test_chunks_keep_real_slot_entries_under_the_bound(monkeypatch, variant):
     # a chunk of several graphs holds under _CHUNK_ENTRIES float64 entries:
