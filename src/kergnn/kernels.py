@@ -29,10 +29,15 @@ Tests pin them to the scalar functions. Two forms serve them:
 * Hadamard form over the real subgraph slots only. A SlotLayout lists the R
   real slots of the N padded subgraphs; S and the walk sum are (R, f n)
   arrays, one row per real slot, each a single matmul (the walk sum of the
-  side-by-side walks [V_0 .. V_P] with [lambda_0 U_0 .. lambda_P U_P]), and a
-  kernel value is a segment sum over its subgraph's rows. The deep variant
+  side-by-side walks [V_0 .. V_P] with [lambda_0 U_0 .. lambda_P U_P]). A
+  row's per-filter sums are one matmul with a (f n, f) 0/1 block matrix, and
+  a kernel value is a segment sum over its subgraph's rows. The deep variant
   always takes this form, since its per-pair weights do not factor; they are
-  read, and their gradient summed, by slot id.
+  read, and their gradient summed, by slot id. What a forward keeps for its
+  backward is S, the walk sum and the walks at the real slots, 2 f n +
+  (P+1) d entries per real slot, and the subgraph adjacencies; the backward
+  works on (R, f n) rows in two buffers, and runs its Horner sum on
+  step-major, contiguous walk gradients.
 
 The plain variant takes whichever form has fewer entries per subgraph:
 (P+1) d^2 for the Gram maps, f n k for the Hadamard tensors. Both paths are
@@ -357,6 +362,15 @@ def filter_side(attr_h, adj_h, cfg: RWKernelConfig, gram: bool, chunks: int = 1)
     return FilterSide(gram, *_filter_arrays(attr_h, adj_h, cfg, gram), chunks=chunks)
 
 
+@functools.lru_cache(maxsize=16)  # one per layer shape in use
+def _filter_block(f: int, n: int) -> np.ndarray:
+    """(f n, f) 0/1 matrix whose column i is 1 on filter i's n rows: an
+    (R, f n) array's product with it sums each filter's n columns."""
+    block = np.kron(np.eye(f), np.ones((n, 1)))
+    block.flags.writeable = False
+    return block
+
+
 def _filter_arrays(attr_h, adj_h, cfg: RWKernelConfig, gram: bool) -> tuple:
     """(u, maps) of FilterSide: the filter walks, and phi_h or u_cat."""
     u = _walks(attr_h, adj_h, cfg.P)
@@ -372,25 +386,27 @@ class StackedKernelCache:
 
     Both forms keep the filter walks u and maps, phi_h or u_cat, as a
     FilterSide holds them, and shared, the FilterSide the forward read, if
-    it was given one. The Gram form keeps the padded subgraph walks v and
-    the weighted subgraph maps phi_g. The Hadamard form keeps (R, f n)
-    tensors, one row per real slot of its layout, the subgraphs' walks side
-    by side at the real slots, and the deep variant's weights. A forward
-    from given maps (gram_maps_forward) has no subgraph tensors: x_sub and
-    adj_g are None, and only need_x=False backward is possible.
+    it was given one. Both keep the subgraph adjacencies adj_g. The Gram form
+    keeps the padded subgraph walks v, whose first is the padded features,
+    and the weighted subgraph maps phi_g. The Hadamard form keeps no padded
+    feature array: it keeps two (R, f n) tensors, one row per real slot of
+    its layout, the subgraphs' walks side by side at the real slots (whose
+    first block is the features of the real slots), and the deep variant's
+    weights; that is 2 f n + (P+1) d entries per real slot. A
+    forward from given maps (gram_maps_forward) has no subgraph tensors:
+    adj_g is None, and only need_x=False backward is possible.
     """
 
     cfg: RWKernelConfig
     attr_h: np.ndarray  # (f, n, d)
     adj_h: np.ndarray  # (f, n, n)
-    x_sub: np.ndarray | None  # (N, k, d)
     adj_g: np.ndarray | None  # (N, k, k)
     u: list  # U_p = A_H U_{p-1}, U_0 = X_H, (f, n, d)
     maps: np.ndarray  # Gram: phi_h (f, P+1, d*d); Hadamard: u_cat (f n, (P+1) d)
     shared: FilterSide | None = None
     v: list | None = None  # Gram: V_p = A_G V_{p-1}, V_0 = X_G, (N, k, d)
     phi_g: np.ndarray | None = None  # Gram: (N, P+1, d*d), lambda_p X_G^T V_p flattened
-    layout: SlotLayout | None = None  # Hadamard: the real slots of x_sub
+    layout: SlotLayout | None = None  # Hadamard: the real slots of the subgraphs
     v_cat: np.ndarray | None = None  # Hadamard: (R, (P+1) d), [V_0 | .. | V_P] at real slots
     s: np.ndarray | None = None  # Hadamard: (R, f n), S^T = X_G X_H^T at real slots
     msum: np.ndarray | None = None  # Hadamard: (R, f n), sum_p lambda_p V_p U_p^T at real slots
@@ -401,7 +417,8 @@ def _horner(adj, zs) -> np.ndarray:
     """sum_p A^p zs[p] by Horner's rule: zs[0] + A (zs[1] + A (zs[2] + ...))."""
     acc = zs[-1]
     for z in reversed(zs[:-1]):
-        acc = z + adj @ acc
+        acc = adj @ acc
+        acc += z
     return acc
 
 
@@ -445,7 +462,8 @@ def stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg: RWKernelConfig, wei
     Hadamard form runs over; None takes every slot as real. The walks
     U_p = A_H^p X_H and V_p = A_G^p X_G are built by repeated products with
     the adjacencies; no matrix power is formed. gram picks the form; None
-    applies uses_gram_form.
+    applies uses_gram_form, and the deep variant has no Gram form
+    (ValueError).
 
     The filter side (U_p and what the form reads of them) is per batch: a
     caller that forwards one batch in chunks builds it once with filter_side,
@@ -455,14 +473,16 @@ def stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg: RWKernelConfig, wei
     """
     if cfg.is_deep and weights is None:
         raise ValueError("deep variant requires pair weights")
+    if cfg.is_deep and gram:
+        raise ValueError("the deep variant has no Gram form")
     if filters is not None:
         gram, u, maps = filters.gram, filters.u, filters.maps
     else:
         if gram is None:
             gram = uses_gram_form(cfg, *attr_h.shape, x_sub.shape[1])
         u, maps = _filter_arrays(attr_h, adj_h, cfg, gram)
-    cache = StackedKernelCache(cfg=cfg, attr_h=attr_h, adj_h=adj_h, x_sub=x_sub, adj_g=adj_g, u=u,
-                               maps=maps, shared=filters)
+    cache = StackedKernelCache(cfg=cfg, attr_h=attr_h, adj_h=adj_h, adj_g=adj_g, u=u, maps=maps,
+                               shared=filters)
     walks = _walks(x_sub, adj_g, cfg.P)
     if gram:
         cache.v = walks
@@ -485,8 +505,8 @@ def gram_maps_forward(attr_h, adj_h, maps, cfg: RWKernelConfig, *, filters: Filt
         u, phi_h = filters.u, filters.maps
     else:
         u, phi_h = _filter_arrays(attr_h, adj_h, cfg, gram=True)
-    cache = StackedKernelCache(cfg=cfg, attr_h=attr_h, adj_h=adj_h, x_sub=None, adj_g=None, u=u,
-                               maps=phi_h, shared=filters)
+    cache = StackedKernelCache(cfg=cfg, attr_h=attr_h, adj_h=adj_h, adj_g=None, u=u, maps=phi_h,
+                               shared=filters)
     return _gram_forward(cache, maps[:, :cfg.P + 1]), cache
 
 
@@ -506,7 +526,7 @@ def stacked_kernel_backward(cache: StackedKernelCache, gout, need_x: bool = True
     None for both. Without a FilterSide, or with one for a single chunk,
     nothing is kept, and a cache may be taken backward again.
     """
-    if need_x and cache.x_sub is None:
+    if need_x and cache.adj_g is None:
         raise ValueError("a forward from given Gram maps has no subgraph-feature gradient")
     if cache.phi_g is None:
         d_maps, d_direct, d_weights, d_xsub = _hadamard_backward(cache, gout, need_x)
@@ -592,52 +612,66 @@ def _hadamard_forward(cache: StackedKernelCache, walks, layout: SlotLayout, weig
     """sum_ij [(W (.) S) (.) sum_p lambda_p U_p V_p^T]_ij over the real slots j
     of each subgraph, from (R, f n) tensors, one row per real slot: S is one
     matmul of the real rows of X_G with X_H, the walk sum one matmul of [V_p]
-    with [lambda_p U_p], and each value a segment sum over its subgraph's run
-    of rows. Weights W is None for plain and is read by slot id; with a row
-    per slot that read is a row gather, so its result stays C-ordered."""
+    with [lambda_p U_p], each row's per-filter sum one matmul with
+    _filter_block, and each value a segment sum over its subgraph's run of
+    rows. Weights W is None for plain and is read by slot id, a row gather
+    into the one (R, f n) product array."""
     f, n, d = cache.attr_h.shape
-    big_n, k, _ = cache.x_sub.shape
+    big_n, k = cache.adj_g.shape[:2]
     steps = len(walks)
     cache.layout, cache.weights = layout, weights
     cache.v_cat = np.concatenate(walks, axis=2).reshape(big_n * k, steps * d)[layout.real]
     cache.s = cache.v_cat[:, :d] @ cache.attr_h.reshape(f * n, d).T
     cache.msum = cache.v_cat @ cache.maps.T
-    t = cache.s
-    if weights is not None:
-        t = t * np.take(weights.reshape(f * n, k).T, layout.slots, axis=0)
-    per_slot = np.einsum("rfn,rfn->rf", t.reshape(-1, f, n), cache.msum.reshape(-1, f, n))
-    return np.add.reduceat(per_slot, layout.starts, axis=0)
+    if weights is None:
+        t = cache.s * cache.msum
+    else:
+        t = np.take(weights.reshape(f * n, k).T, layout.slots, axis=0)
+        t *= cache.s
+        t *= cache.msum
+    return np.add.reduceat(t @ _filter_block(f, n), layout.starts, axis=0)
 
 
 def _hadamard_backward(cache: StackedKernelCache, gout, need_x: bool):
     """(gradient with respect to u_cat, gradient with respect to X_H through
     S, d_weights, d_x_sub or None) of the Hadamard form; d_weights is None
-    for plain and 0 at slots no subgraph fills. d_x_sub has x_sub's shape
-    and is 0 at padded slots."""
+    for plain and 0 at slots no subgraph fills. d_x_sub is (N, k, d) and 0
+    at padded slots.
+
+    Every product is of same-shape (R, f n) rows, in two buffers: g, gout of
+    each row's subgraph repeated over each filter's n nodes, and b. With
+    weights, b is first s msum g, summed by slot id to d_weights, then the
+    gathered W rows, and g becomes W g; then b = msum g (the gradient through
+    S) and g = s g (through the walk sum)."""
     layout = cache.layout
     f, n, d = cache.attr_h.shape
-    big_n, k, _ = cache.x_sub.shape
+    big_n, k = cache.adj_g.shape[:2]
     steps = len(cache.u)
-    g = gout[layout.real // k][:, :, None]  # (R, f, 1): gout of each real slot's subgraph
-    s, msum = cache.s.reshape(-1, f, n), cache.msum.reshape(-1, f, n)
+    s, msum = cache.s, cache.msum
+    g = np.repeat(np.take(gout, layout.real // k, axis=0), n, axis=1)
+    d_weights = None
     if cache.weights is None:
-        gsg, tg, d_weights = msum * g, s * g, None
+        b = msum * g
     else:
-        wg = np.take(cache.weights.reshape(f * n, k).T, layout.slots, axis=0).reshape(-1, f, n) * g
-        gsg, tg = msum * wg, s * wg
-        d_weights = (layout.one_hot @ (s * msum * g).reshape(-1, f * n)).T.reshape(f, n, k)
-    gsg2, tg2 = gsg.reshape(-1, f * n), tg.reshape(-1, f * n)
+        b = s * msum
+        b *= g
+        d_weights = (layout.one_hot @ b).T.reshape(f, n, k)
+        # slots are in range; the default mode="raise" would gather through a buffer
+        np.take(cache.weights.reshape(f * n, k).T, layout.slots, axis=0, out=b, mode="clip")
+        g *= b
+        np.multiply(msum, g, out=b)
+    g *= s
 
-    d_maps = tg2.T @ cache.v_cat
-    d_direct = (gsg2.T @ cache.v_cat[:, :d]).reshape(f, n, d)
+    d_maps = g.T @ cache.v_cat
+    d_direct = (b.T @ cache.v_cat[:, :d]).reshape(f, n, d)
     d_xsub = None
     if need_x:
-        zv_real = tg2 @ cache.maps  # [lambda_0 tg U_0 | .. | lambda_P tg U_P]
-        zv_real[:, :d] += gsg2 @ cache.attr_h.reshape(f * n, d)
-        zv = np.zeros((big_n * k, steps * d))
-        zv[layout.real] = zv_real
-        zv = zv.reshape(big_n, k, steps, d)
-        d_xsub = _horner(cache.adj_g, [zv[:, :, p] for p in range(steps)])
+        zv_real = g @ cache.maps  # [lambda_0 g U_0 | .. | lambda_P g U_P]
+        zv_real[:, :d] += b @ cache.attr_h.reshape(f * n, d)
+        del g, b
+        zv = np.zeros((steps, big_n * k, d))
+        zv[:, layout.real] = zv_real.reshape(-1, steps, d).transpose(1, 0, 2)
+        d_xsub = _horner(cache.adj_g, zv.reshape(steps, big_n, k, d))
     return d_maps, d_direct, d_weights, d_xsub
 
 

@@ -21,9 +21,12 @@ differentiation through the MLP, the readout, and every kernel layer back to
 the filter parameters and the optional input linear map; the kernel's
 matmuls sum the batch's gradients. `packed_chunks` cuts a batch into
 consecutive chunks whose kernel caches stay under `_CHUNK_ENTRIES` float64
-entries, counting only the real subgraph slots of a Hadamard-form layer,
-since its tensors hold no padded slot, and one row per graph of a "summed"
-layer; the cuts come from a cumulative sum of the graphs' costs.
+entries, counting what each layer's cache keeps: only the real subgraph
+slots of a Hadamard-form layer (S, the walk sum and the walks), since its
+tensors hold no padded slot, and one row per graph of a "summed" layer; the
+cuts come from a cumulative sum of the graphs' costs. A training step frees
+each chunk's forward before the next chunk's starts, and a predict_logits
+pass keeps no kernel cache (`_forward(..., caches=False)`).
 
 What a layer's kernel reads of its filters alone (kernels.FilterSide: the
 filter walks A_H^p X_H and the lambda-weighted walks or maps built from
@@ -309,11 +312,15 @@ def named_parameters(params: ModelParams, vector: np.ndarray | None = None) -> l
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-# Float64 entries that one packed chunk's layer intermediates may hold. Every
+# Float64 entries that one packed chunk's layer caches may hold. Every
 # layer's kernel cache lives until backward, so a packed node costs the sum
-# over layers (see _chunk_costs); a batch is cut into consecutive chunks
-# of graphs under this bound, and a graph larger than it is a chunk alone.
-_CHUNK_ENTRIES = 2**17
+# over layers of what each keeps (see _chunk_costs); a batch is cut into
+# consecutive chunks of graphs under this bound, and a graph larger than it
+# is a chunk alone. A deep training step peaks at about 1.6 times the bound
+# (8 bytes an entry): the caches, then two (R, f n) backward buffers. Set by
+# the mutag-deep benchmark: 3 chunks of its 8-graph batches, against 5 at
+# 2^17, cut fold_s by a quarter for 1-2% more peak RSS.
+_CHUNK_ENTRIES = 5 * 2**16
 
 
 def _pack(graphs, config: ModelConfig) -> tuple:
@@ -426,14 +433,14 @@ def _chunk_costs(params: ModelParams) -> tuple:
     the kernel caches of all layers: per_graph for the graph, (P+1) d^2 for
     the summed maps of a "summed" layer; per_node for each of its nodes,
     (P+1)(d^2 + k d) + k^2 per "gram" layer for the maps, walks and subgraph
-    adjacency; and (layer, 2 f n) per real slot of the layer's stack for each
-    Hadamard-form layer."""
+    adjacency; and (layer, 2 f n + (P+1) d) per real slot of the layer's stack
+    for each Hadamard-form layer, for S, the walk sum and the walks."""
     per_graph, per_node, per_real = 0, 0, []
     for layer, form in zip(params.layers, _layer_forms(params)):
         f, n, d = layer.attributes.shape
         steps = layer.kernel_cfg.P + 1
         if form == "hadamard":
-            per_real.append((layer, 2 * f * n))
+            per_real.append((layer, 2 * f * n + steps * d))
         elif form == "summed":
             per_graph += steps * d * d
         else:
@@ -485,17 +492,20 @@ class BatchForward:
     forms: list  # _layer_forms of the layers
     stacks: list  # packed SubgraphStack of each layer, None for a "summed" layer
     feats: list  # packed feats_0..feats_L, each (nodes, d_l), or (B, d_l) graph sums
-    layer_caches: list  # hold the layer tensors themselves: backward before they change
+    layer_caches: list | None  # hold the layer tensors themselves: backward before they change;
+    # None for a forward that keeps no caches (a prediction)
     mlp_inputs: list  # (B, width) each
     gates: list  # (B, width) ReLU gate times dropout mask of each hidden layer
     logits: np.ndarray  # (B, C)
 
 
 def _forward(pack: PackedGraphs, idx: np.ndarray, params: ModelParams,
-             dropout_rngs: list | None = None, filters: list | None = None) -> BatchForward:
+             dropout_rngs: list | None = None, filters: list | None = None,
+             caches: bool = True) -> BatchForward:
     """forward_batch of the graphs of pack at idx, reading the layers' filter
     sides `filters` (_filter_sides); without them each layer's kernel call
-    builds its own, for one backward."""
+    builds its own, for one backward. caches=False keeps no layer cache, each
+    dropped before the next layer's forward, for a pass with no backward."""
     cfg = params.config
     forms = _layer_forms(params)
     offsets = attributes = None
@@ -505,7 +515,7 @@ def _forward(pack: PackedGraphs, idx: np.ndarray, params: ModelParams,
         layer = params.layers[0]
         maps = _summed_maps(pack, layer)[idx, :layer.kernel_cfg.P + 1]
         values, cache = _layer_apply(layer, "summed", maps, None, cfg.post_relu, filters and filters[0])
-        feats, stacks, layer_caches = [pack.attr_sums[idx], values], [None], [cache]
+        feats, stacks, layer_caches = [pack.attr_sums[idx], values], [None], [cache] if caches else None
         h = np.concatenate(feats, axis=1)
     else:
         offsets = np.concatenate(([0], np.cumsum(pack.sizes[idx])))
@@ -514,7 +524,7 @@ def _forward(pack: PackedGraphs, idx: np.ndarray, params: ModelParams,
         if params.input_map is not None:
             w, b = params.input_map
             feats0 = feats0 @ w + b
-        feats, stacks, layer_caches, packed = [feats0], [], [], {}
+        feats, stacks, layer_caches, packed = [feats0], [], [] if caches else None, {}
         for l, (layer, form) in enumerate(zip(params.layers, forms)):
             key = (layer.hops, layer.k_max)
             if key not in packed:
@@ -522,7 +532,9 @@ def _forward(pack: PackedGraphs, idx: np.ndarray, params: ModelParams,
             stacks.append(packed[key])
             values, cache = _layer_apply(layer, form, packed[key], feats[-1], cfg.post_relu,
                                          filters and filters[l])
-            layer_caches.append(cache)
+            if caches:
+                layer_caches.append(cache)
+            del cache
             feats.append(values)
         h = segment_sum(np.concatenate(feats, axis=1), offsets)
 
@@ -605,12 +617,7 @@ def _predict(pack: PackedGraphs, idx: np.ndarray, params: ModelParams) -> np.nda
     chunks = _chunks(pack, idx, params)
     filters = _filter_sides(params) if len(chunks) > 1 else None  # a lone chunk builds its own
     for start, stop in chunks:
-        # fwd holds the last chunk's arrays until the next forward returns: freed
-        # at once, they let malloc trim the heap and fault it in again for every
-        # chunk (4.7-6.2x the minor page faults, ~1.5x the time, of an evaluate
-        # of the mutag-deep benchmark graphs, 1.4 graphs per chunk)
-        fwd = _forward(pack, idx[start:stop], params, filters=filters)
-        logits.append(fwd.logits)
+        logits.append(_forward(pack, idx[start:stop], params, filters=filters, caches=False).logits)
     return _concat(logits, (0, params.config.num_classes))
 
 

@@ -297,6 +297,7 @@ def _batch_step(pack, idx, params, rng):
         loss += float(losses.sum())
         correct += int(np.count_nonzero(np.argmax(fwd.logits, axis=1) == labels[start:stop]))
         total += backward_batch(fwd, dlogits, params)
+        del fwd  # free this chunk's caches before the next chunk's forward
     scale = 1.0 / len(idx)
     total *= scale
     return loss * scale, total, correct

@@ -7,8 +7,10 @@ from kergnn.kernels import (
     RWKernelConfig,
     SlotLayout,
     direct_product_graph,
+    filter_side,
     rw_kernel,
     rw_kernel_oracle,
+    stacked_kernel_forward,
     walk_kernel,
 )
 
@@ -172,6 +174,27 @@ def test_deep_variant_requires_weights():
         rw_kernel(sub, filt, RWKernelConfig(1, variant="deep"))
     with pytest.raises(ValueError):
         rw_kernel(sub, filt, RWKernelConfig(1, variant="deep"), np.ones((2, 2)))
+
+
+def test_deep_variant_has_no_gram_form():
+    # asked for the Gram form, the stacked forward refuses the deep variant,
+    # as filter_side does, rather than return the plain kernel without the
+    # pair weights; left to choose, it takes the Hadamard form
+    rng = np.random.default_rng(13)
+    f, n, d, big_n, k = 2, 3, 2, 4, 5
+    cfg = RWKernelConfig(1, variant="deep")
+    attr_h, x_sub = rng.normal(size=(f, n, d)), rng.normal(size=(big_n, k, d))
+    adj_h = np.ones((f, n, n)) - np.eye(n)
+    adj_g = np.ones((big_n, k, k)) - np.eye(k)
+    weights = rng.random((f, n, k))
+    with pytest.raises(ValueError, match="no Gram form"):
+        stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg, weights, gram=True)
+    with pytest.raises(ValueError, match="no Gram form"):
+        filter_side(attr_h, adj_h, cfg, gram=True)
+    chosen, cache = stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg, weights)
+    assert cache.phi_g is None
+    hadamard, _ = stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg, weights, gram=False)
+    assert chosen.tobytes() == hadamard.tobytes()
 
 
 def test_deep_weights_modulate_pairs():

@@ -650,7 +650,8 @@ def test_a_batch_builds_each_filter_side_once(case, filter_builds, monkeypatch):
 @pytest.mark.parametrize("variant", ["plain", "deep"])
 def test_chunks_keep_real_slot_entries_under_the_bound(monkeypatch, variant):
     # a chunk of several graphs holds under _CHUNK_ENTRIES float64 entries:
-    # the (R, f n) tensors its Hadamard layers keep, 2 f n per real slot, plus
+    # what its Hadamard layers keep, the (R, f n) tensors S and msum and the
+    # (R, (P+1) d) walks v_cat, 2 f n + (P+1) d per real slot, plus
     # (P+1)(d^2 + k d) + k^2 per node of a Gram layer; one more graph would
     # reach the bound, so padded slots are not counted
     monkeypatch.setattr(kergnn.model, "_CHUNK_ENTRIES", 3000)
@@ -668,7 +669,8 @@ def test_chunks_keep_real_slot_entries_under_the_bound(monkeypatch, variant):
             f, n, d = layer.attributes.shape
             if form == "hadamard":
                 assert cache.s.shape == cache.msum.shape == (len(stack.nodes), f * n)
-                total += cache.s.size + cache.msum.size
+                assert cache.v_cat.shape == (len(stack.nodes), (layer.kernel_cfg.P + 1) * d)
+                total += cache.s.size + cache.msum.size + cache.v_cat.size
             else:
                 k, steps = layer.k_max, layer.kernel_cfg.P + 1
                 total += fwd.offsets[-1] * (steps * (d * d + k * d) + k * k)
@@ -683,6 +685,74 @@ def test_chunks_keep_real_slot_entries_under_the_bound(monkeypatch, variant):
             assert entries(graphs[start:stop]) < kergnn.model._CHUNK_ENTRIES
         if stop < len(graphs):
             assert entries(graphs[start:stop + 1]) >= kergnn.model._CHUNK_ENTRIES
+
+
+def deep_chunked_case():
+    """Three deep layers of the mutag-deep benchmark's shape (16 filters of 6
+    nodes, 2-hop subgraphs of <= 12 slots, P = 3) and 48 sparse molecule-sized
+    graphs of 7 features, one batch that _CHUNK_ENTRIES = 2^20 cuts into
+    several chunks."""
+    rng = np.random.default_rng(41)
+    graphs = [random_graph(rng, n, 2.2 / n, d=7, label=b % 2)
+              for b, n in enumerate(rng.integers(12, 25, size=48))]
+    ds = Dataset("deep", graphs, 2, 7)
+    cfg = small_config(attr_dim=7, kernel_variant="deep", walk_length=3, lambdas=(1e-3,) * 4,
+                       layers=(LayerSpec(16, 6, 12, 2),) * 3, mlp_hidden=(32,))
+    params = init_params(cfg, rng)
+    return ds, params
+
+
+def traced_peak(run) -> int:
+    """Bytes of the largest live total of Python and numpy allocations that
+    run() makes, by tracemalloc."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_deep_step_peaks_near_its_chunk_bound(monkeypatch):
+    # what a chunk holds is what the bound counts, each chunk's forward is
+    # freed before the next one's, and the backward adds two (R, f n)
+    # buffers: a step of several chunks peaks under twice the bound. The
+    # step's fixed costs (gradient vectors, filter sides), measured on a
+    # one-node graph, stay under 10% of it
+    bound = 2**20
+    monkeypatch.setattr(kergnn.model, "_CHUNK_ENTRIES", bound)
+    ds, params = deep_chunked_case()
+    lone = Dataset("lone", [random_graph(np.random.default_rng(0), 1, d=7, label=0)], 2, 7)
+
+    def step(data):
+        return _batch_step(data.packed, data.index, params, np.random.default_rng(0))
+
+    assert len(packed_chunks(ds, params)) >= 3
+    step(ds), step(lone)  # stacks and filter blocks are built once, outside the steps measured
+    assert traced_peak(lambda: step(lone)) < 0.1 * 8 * bound
+    assert traced_peak(lambda: step(ds)) < 2 * 8 * bound
+
+
+def test_predictions_keep_no_layer_caches(monkeypatch):
+    # predict_logits forwards have no backward, so each chunk's BatchForward
+    # holds no kernel cache, in one chunk and in several
+    ds, params = deep_chunked_case()
+    forwards = []
+    forward = kergnn.model._forward
+
+    def recorded(*args, **kwargs):
+        forwards.append(forward(*args, **kwargs))
+        return forwards[-1]
+
+    monkeypatch.setattr(kergnn.model, "_forward", recorded)
+    for bound in (2**20, 2**40):
+        monkeypatch.setattr(kergnn.model, "_CHUNK_ENTRIES", bound)
+        del forwards[:]
+        predict_logits(ds, params)
+        assert len(forwards) == len(packed_chunks(ds, params))
+        assert all(fwd.layer_caches is None for fwd in forwards)
 
 
 # ---------------------------------------------------------------------------
