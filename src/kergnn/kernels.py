@@ -60,10 +60,11 @@ gradient, which a layer reading raw attributes has no use for.
 
 What the forward reads of the filters alone, their walks and the
 lambda-weighted walks or maps made from them (a FilterSide, from
-filter_side), changes only with the filters. A caller that cuts one batch
-into chunks builds it once and passes it to every chunk's forward; the
-chunks' backwards sum their gradients with respect to it, and the last one
-takes the sum to the filter gradients, which are linear in it.
+filter_side), changes only with the filters, so a caller builds it once per
+batch and passes it to the forward of each of the batch's chunks. Every
+backward adds its gradients with respect to the side into the side, and
+filter_grads takes the sums to the filter gradients, which are linear in
+them, once.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ __all__ = [
     "StackedKernelCache",
     "FilterSide",
     "filter_side",
+    "filter_grads",
     "SlotLayout",
     "uses_gram_form",
 ]
@@ -329,37 +331,31 @@ class SlotLayout:
 
 @dataclass
 class FilterSide:
-    """What a stacked kernel layer's forward reads of its filters alone, shared
-    by the chunks of one batch, and the sums of their gradients with respect
-    to it.
+    """What a stacked kernel layer's forward reads of its filters alone, built
+    once per batch from the filters attr_h (f, n, d) and adj_h (f, n, n) for
+    cfg in one form: the walks u, U_p = A_H U_{p-1}, U_0 = X_H, and maps,
+    phi_h (f, P+1, d*d), X_H^T U_p flattened (Gram), or u_cat (f n, (P+1) d),
+    [lambda_0 U_0 | .. | lambda_P U_P] (Hadamard). It goes stale when the
+    filters change, so it lives no longer than its batch. Each backward adds
+    its gradient with respect to maps into d_maps, and in the Hadamard form
+    the one with respect to X_H through S into d_direct."""
 
-    u holds the walks U_p = A_H U_{p-1}, U_0 = X_H, and maps phi_h
-    (f, P+1, d*d), X_H^T U_p flattened, for the Gram form, or u_cat
-    (f n, (P+1) d), [lambda_0 U_0 | .. | lambda_P U_P], for the Hadamard
-    form. They go stale when the filters change (an optimizer step), so a
-    FilterSide lives no longer than its batch. For chunks > 1, each backward
-    adds its chunk's gradient with respect to maps into d_maps, and in the
-    Hadamard form the gradient with respect to X_H through S into d_direct.
-    The filter gradients are linear in these, so the last chunk's backward
-    takes them once, from the sums: the Horner sum for d_attr_h and the
-    adjacency split sum.
-    """
-
+    attr_h: np.ndarray
+    adj_h: np.ndarray
+    cfg: RWKernelConfig
     gram: bool
     u: list
     maps: np.ndarray
-    chunks: int = 1  # backward passes that share it
-    done: int = 0  # backward passes taken
     d_maps: np.ndarray | None = None
     d_direct: np.ndarray | None = None  # Hadamard: (f, n, d)
 
 
-def filter_side(attr_h, adj_h, cfg: RWKernelConfig, gram: bool, chunks: int = 1) -> FilterSide:
+def filter_side(attr_h, adj_h, cfg: RWKernelConfig, gram: bool) -> FilterSide:
     """The FilterSide of filters attr_h (f, n, d) and adj_h (f, n, n) in the
-    Gram or the Hadamard form, for `chunks` backward passes."""
-    if cfg.is_deep and gram:
+    Gram or the Hadamard form; the deep variant has no Gram form (ValueError)."""
+    if gram and cfg.is_deep:
         raise ValueError("the deep variant has no Gram form")
-    return FilterSide(gram, *_filter_arrays(attr_h, adj_h, cfg, gram), chunks=chunks)
+    return FilterSide(attr_h, adj_h, cfg, gram, *_filter_arrays(attr_h, adj_h, cfg, gram))
 
 
 @functools.lru_cache(maxsize=16)  # one per layer shape in use
@@ -384,26 +380,20 @@ def _filter_arrays(attr_h, adj_h, cfg: RWKernelConfig, gram: bool) -> tuple:
 class StackedKernelCache:
     """Intermediates saved by stacked_kernel_forward for the backward pass.
 
-    Both forms keep the filter walks u and maps, phi_h or u_cat, as a
-    FilterSide holds them, and shared, the FilterSide the forward read, if
-    it was given one. Both keep the subgraph adjacencies adj_g. The Gram form
-    keeps the padded subgraph walks v, whose first is the padded features,
-    and the weighted subgraph maps phi_g. The Hadamard form keeps no padded
-    feature array: it keeps two (R, f n) tensors, one row per real slot of
-    its layout, the subgraphs' walks side by side at the real slots (whose
-    first block is the features of the real slots), and the deep variant's
-    weights; that is 2 f n + (P+1) d entries per real slot. A
-    forward from given maps (gram_maps_forward) has no subgraph tensors:
-    adj_g is None, and only need_x=False backward is possible.
+    Both forms keep filters, the FilterSide the forward read, and the
+    subgraph adjacencies adj_g. The Gram form keeps the padded subgraph walks
+    v, whose first is the padded features, and the weighted subgraph maps
+    phi_g. The Hadamard form keeps no padded feature array: it keeps two
+    (R, f n) tensors, one row per real slot of its layout, the subgraphs'
+    walks side by side at the real slots (whose first block is the features
+    of the real slots), and the deep variant's weights; that is
+    2 f n + (P+1) d entries per real slot. A forward from given maps
+    (gram_maps_forward) has no subgraph tensors: adj_g is None, and only
+    need_x=False backward is possible. spent marks the one backward taken.
     """
 
-    cfg: RWKernelConfig
-    attr_h: np.ndarray  # (f, n, d)
-    adj_h: np.ndarray  # (f, n, n)
+    filters: FilterSide
     adj_g: np.ndarray | None  # (N, k, k)
-    u: list  # U_p = A_H U_{p-1}, U_0 = X_H, (f, n, d)
-    maps: np.ndarray  # Gram: phi_h (f, P+1, d*d); Hadamard: u_cat (f n, (P+1) d)
-    shared: FilterSide | None = None
     v: list | None = None  # Gram: V_p = A_G V_{p-1}, V_0 = X_G, (N, k, d)
     phi_g: np.ndarray | None = None  # Gram: (N, P+1, d*d), lambda_p X_G^T V_p flattened
     layout: SlotLayout | None = None  # Hadamard: the real slots of the subgraphs
@@ -411,6 +401,7 @@ class StackedKernelCache:
     s: np.ndarray | None = None  # Hadamard: (R, f n), S^T = X_G X_H^T at real slots
     msum: np.ndarray | None = None  # Hadamard: (R, f n), sum_p lambda_p V_p U_p^T at real slots
     weights: np.ndarray | None = None  # (f, n, k), None for plain
+    spent: bool = False
 
 
 def _horner(adj, zs) -> np.ndarray:
@@ -450,9 +441,8 @@ def gram_maps(x_sub, adj_g, P: int) -> np.ndarray:
     return _maps(x_sub, _walks(x_sub, adj_g, P))
 
 
-def stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg: RWKernelConfig, weights=None,
-                           gram: bool | None = None, *, layout: SlotLayout | None = None,
-                           filters: FilterSide | None = None):
+def stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg: RWKernelConfig, weights=None, *,
+                           layout: SlotLayout | None = None, filters: FilterSide | None = None):
     """Kernel values (N, f) of all subgraphs against all filters.
 
     Same argument order as walk_kernel, stacked: attr_h (f, n, d) and adj_h
@@ -461,30 +451,24 @@ def stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg: RWKernelConfig, wei
     Padded slots are zero in x_sub and adj_g. layout lists the real slots the
     Hadamard form runs over; None takes every slot as real. The walks
     U_p = A_H^p X_H and V_p = A_G^p X_G are built by repeated products with
-    the adjacencies; no matrix power is formed. gram picks the form; None
-    applies uses_gram_form, and the deep variant has no Gram form
-    (ValueError).
+    the adjacencies; no matrix power is formed.
 
-    The filter side (U_p and what the form reads of them) is per batch: a
-    caller that forwards one batch in chunks builds it once with filter_side,
-    in the form it picks, and passes it as filters to every chunk's call;
-    then gram is not read. Without filters the call computes the filter side
-    for itself and its own backward. The subgraph side is per call.
+    The filter side (U_p and what the form reads of them) is per batch:
+    filters is the FilterSide that filter_side built of attr_h and adj_h for
+    cfg, and its form is the call's. None builds one for the call, in the form
+    uses_gram_form picks. A side built of other arrays than these attr_h and
+    adj_h or for another cfg, or a Gram-form one on the deep variant, raises
+    ValueError. The subgraph side is per call.
     """
     if cfg.is_deep and weights is None:
         raise ValueError("deep variant requires pair weights")
-    if cfg.is_deep and gram:
-        raise ValueError("the deep variant has no Gram form")
-    if filters is not None:
-        gram, u, maps = filters.gram, filters.u, filters.maps
+    if filters is None:
+        filters = filter_side(attr_h, adj_h, cfg, uses_gram_form(cfg, *attr_h.shape, x_sub.shape[1]))
     else:
-        if gram is None:
-            gram = uses_gram_form(cfg, *attr_h.shape, x_sub.shape[1])
-        u, maps = _filter_arrays(attr_h, adj_h, cfg, gram)
-    cache = StackedKernelCache(cfg=cfg, attr_h=attr_h, adj_h=adj_h, adj_g=adj_g, u=u, maps=maps,
-                               shared=filters)
+        _check_side(filters, attr_h, adj_h, cfg)
+    cache = StackedKernelCache(filters=filters, adj_g=adj_g)
     walks = _walks(x_sub, adj_g, cfg.P)
-    if gram:
+    if filters.gram:
         cache.v = walks
         return _gram_forward(cache, _maps(x_sub, walks)), cache
     if layout is None:
@@ -497,79 +481,85 @@ def gram_maps_forward(attr_h, adj_h, maps, cfg: RWKernelConfig, *, filters: Filt
     (N, >= P+1, d*d), as gram_maps gives them, or from sums of them, whose
     values are the sums of the subgraphs' values; steps past P are ignored.
     Equal byte for byte to stacked_kernel_forward on the subgraphs themselves,
-    and takes filters, a Gram-form filter_side, as it does.
+    and takes filters, a Gram-form FilterSide or None, as it does.
     The cache serves stacked_kernel_backward with need_x=False only."""
-    if cfg.is_deep:
-        raise ValueError("the deep variant has no Gram form")
-    if filters is not None:
-        u, phi_h = filters.u, filters.maps
-    else:
-        u, phi_h = _filter_arrays(attr_h, adj_h, cfg, gram=True)
-    cache = StackedKernelCache(cfg=cfg, attr_h=attr_h, adj_h=adj_h, adj_g=None, u=u, maps=phi_h,
-                               shared=filters)
+    if filters is None:
+        filters = filter_side(attr_h, adj_h, cfg, gram=True)
+    _check_side(filters, attr_h, adj_h, cfg)
+    if not filters.gram:
+        raise ValueError("a forward from Gram maps reads a Gram-form filter side")
+    cache = StackedKernelCache(filters=filters, adj_g=None)
     return _gram_forward(cache, maps[:, :cfg.P + 1]), cache
+
+
+def _check_side(filters: FilterSide, attr_h, adj_h, cfg: RWKernelConfig):
+    """ValueError unless filters were built of attr_h and adj_h (the arrays
+    themselves or views of their memory) and serve a forward of cfg."""
+    if not (_same_array(filters.attr_h, attr_h) and _same_array(filters.adj_h, adj_h)):
+        raise ValueError("filter side built of other filter arrays")
+    if filters.gram and cfg.is_deep:
+        raise ValueError("the deep variant has no Gram form")
+    if filters.cfg is not cfg and filters.cfg != cfg:
+        raise ValueError(f"filter side built for {filters.cfg}, not {cfg}")
+
+
+def _same_array(a, b) -> bool:
+    """a and b are one array, or views of the same memory in one layout."""
+    return a is b or (a.shape == b.shape and a.strides == b.strides and a.dtype == b.dtype
+                      and a.ctypes.data == b.ctypes.data)
 
 
 def stacked_kernel_backward(cache: StackedKernelCache, gout, need_x: bool = True):
     """Gradients of sum_{v,i} gout[v,i] * K[v,i].
 
-    Returns (d_attr_h, d_adj_h, d_weights, d_x_sub); d_adj_h is symmetrized
-    with a zero diagonal, d_weights is None for the plain variant. need_x=False
-    skips the subgraph-feature gradient and returns None for d_x_sub; the
-    filter gradients are the same bit for bit.
-
-    d_weights and d_x_sub are per call. The filter gradients are per batch:
-    when the forward read a FilterSide built for c > 1 chunks, each of their
-    backwards adds its gradients with respect to the filter side into it,
-    and only the c-th returns d_attr_h and d_adj_h, those of all c chunks,
-    taken through the Horner and adjacency split sums once; the others return
-    None for both. Without a FilterSide, or with one for a single chunk,
-    nothing is kept, and a cache may be taken backward again.
+    Returns (d_weights, d_x_sub); d_weights is None for the plain variant,
+    and need_x=False skips d_x_sub (None). The gradients with respect to the
+    filter side are added into cache.filters, for filter_grads. A second
+    backward of one cache raises ValueError: it would add into the side twice.
     """
     if need_x and cache.adj_g is None:
         raise ValueError("a forward from given Gram maps has no subgraph-feature gradient")
+    if cache.spent:
+        raise ValueError("this forward has had its backward")
     if cache.phi_g is None:
         d_maps, d_direct, d_weights, d_xsub = _hadamard_backward(cache, gout, need_x)
     else:
         d_maps, d_xsub = _gram_backward(cache, gout, need_x)
         d_direct = d_weights = None
-    fs = cache.shared
-    if fs is not None and fs.chunks > 1:
-        if fs.done == fs.chunks:
-            raise ValueError(f"all {fs.chunks} chunks of these filters have had their backward")
-        if fs.done:
-            fs.d_maps += d_maps
-            if d_direct is not None:
-                fs.d_direct += d_direct
-        else:
-            fs.d_maps, fs.d_direct = d_maps, d_direct
-        fs.done += 1
-        if fs.done < fs.chunks:
-            return None, None, d_weights, d_xsub
-        d_maps, d_direct = fs.d_maps, fs.d_direct
-    return (*_filter_grads(cache, d_maps, d_direct), d_weights, d_xsub)
+    cache.spent = True
+    fs = cache.filters
+    if fs.d_maps is None:
+        fs.d_maps, fs.d_direct = d_maps, d_direct
+    else:
+        fs.d_maps += d_maps
+        if d_direct is not None:
+            fs.d_direct += d_direct
+    return d_weights, d_xsub
 
 
-def _filter_grads(cache: StackedKernelCache, d_maps, d_direct):
-    """(d_attr_h, d_adj_h) from the gradients with respect to the filter side:
+def filter_grads(side: FilterSide) -> tuple:
+    """(d_attr_h, d_adj_h) of the gradients the backwards of side's forwards
+    added into it; d_adj_h is symmetrized with a zero diagonal. The sums are
     d_maps, of phi_h (Gram, (f, (P+1) d*d)) or u_cat (Hadamard), and the
     Hadamard form's d_direct. For the Gram form, with G_p the gradient of
     phi_h's step p and symmetric adjacencies, dX_H = sum_p U_p (G_p^T + G_p)
     and dK/dU_p = X_H G_p; for the Hadamard form dK/dU_p is lambda_p times
     u_cat's block p, and dX_H = d_direct + sum_p A_H^p dK/dU_p."""
-    f, n, d = cache.attr_h.shape
-    steps = len(cache.u)
-    if cache.phi_g is not None:
-        gam = d_maps.reshape(f, steps, d, d)
+    if side.d_maps is None:
+        raise ValueError("no backward has added into this filter side")
+    f, n, d = side.attr_h.shape
+    steps = len(side.u)
+    if side.gram:
+        gam = side.d_maps.reshape(f, steps, d, d)
         gam_sym = gam + gam.transpose(0, 1, 3, 2)
-        d_xh = sum(u_p @ gam_sym[:, p] for p, u_p in enumerate(cache.u))
-        zu = [cache.attr_h @ gam[:, p] for p in range(1, steps)]
+        d_xh = sum(u_p @ gam_sym[:, p] for p, u_p in enumerate(side.u))
+        zu = [side.attr_h @ gam[:, p] for p in range(1, steps)]
     else:
-        zu = d_maps.reshape(f, n, steps, d) * np.asarray(cache.cfg.lambdas)[:, None]
+        zu = side.d_maps.reshape(f, n, steps, d) * np.asarray(side.cfg.lambdas)[:, None]
         zu = [zu[:, :, p] for p in range(steps)]
-        d_xh = d_direct + _horner(cache.adj_h, zu)
+        d_xh = side.d_direct + _horner(side.adj_h, zu)
         zu = zu[1:]
-    return d_xh, _adjacency_grad(cache, zu)
+    return d_xh, _adjacency_grad(side, zu)
 
 
 def _gram_forward(cache: StackedKernelCache, maps) -> np.ndarray:
@@ -579,11 +569,12 @@ def _gram_forward(cache: StackedKernelCache, maps) -> np.ndarray:
     Frobenius product of the d x d maps X_H^T U_p and X_G^T V_p; maps holds
     the unweighted subgraph maps (N, P+1, d*d).
     """
-    f, _, d = cache.attr_h.shape
+    fs = cache.filters
+    f, _, d = fs.attr_h.shape
     big_n = maps.shape[0]
-    cache.phi_g = maps * np.asarray(cache.cfg.lambdas)[:, None]
-    width = len(cache.u) * d * d  # explicit: a -1 cannot be inferred when N = 0
-    return cache.phi_g.reshape(big_n, width) @ cache.maps.reshape(f, width).T
+    cache.phi_g = maps * np.asarray(fs.cfg.lambdas)[:, None]
+    width = len(fs.u) * d * d  # explicit: a -1 cannot be inferred when N = 0
+    return cache.phi_g.reshape(big_n, width) @ fs.maps.reshape(f, width).T
 
 
 def _gram_backward(cache: StackedKernelCache, gout, need_x: bool):
@@ -592,16 +583,17 @@ def _gram_backward(cache: StackedKernelCache, gout, need_x: bool):
     The gradients of sum gout * K with respect to the maps are
     G_p[f] = lambda_p sum_v gout[v,f] X_G^T V_p (phi_g carries lambda_p) and
     D_p[v] = lambda_p sum_f gout[v,f] X_H^T U_p. With symmetric adjacencies
-    dX_G = sum_p V_p (D_p^T + D_p); _filter_grads takes the G_p on to X_H.
+    dX_G = sum_p V_p (D_p^T + D_p); filter_grads takes the G_p on to X_H.
     """
-    f, _, d = cache.attr_h.shape
+    fs = cache.filters
+    f, _, d = fs.attr_h.shape
     big_n = cache.phi_g.shape[0]
-    steps = len(cache.u)
+    steps = len(fs.u)
     d_maps = gout.T @ cache.phi_g.reshape(big_n, steps * d * d)
     d_xsub = None
     if need_x:
-        lam = np.asarray(cache.cfg.lambdas)[:, None]
-        dlt = ((gout @ cache.maps.reshape(f, steps * d * d)).reshape(big_n, steps, d * d)
+        lam = np.asarray(fs.cfg.lambdas)[:, None]
+        dlt = ((gout @ fs.maps.reshape(f, steps * d * d)).reshape(big_n, steps, d * d)
                * lam).reshape(big_n, steps, d, d)
         dlt_sym = dlt + dlt.transpose(0, 1, 3, 2)
         d_xsub = sum(v_p @ dlt_sym[:, p] for p, v_p in enumerate(cache.v))
@@ -616,13 +608,14 @@ def _hadamard_forward(cache: StackedKernelCache, walks, layout: SlotLayout, weig
     _filter_block, and each value a segment sum over its subgraph's run of
     rows. Weights W is None for plain and is read by slot id, a row gather
     into the one (R, f n) product array."""
-    f, n, d = cache.attr_h.shape
+    fs = cache.filters
+    f, n, d = fs.attr_h.shape
     big_n, k = cache.adj_g.shape[:2]
     steps = len(walks)
     cache.layout, cache.weights = layout, weights
     cache.v_cat = np.concatenate(walks, axis=2).reshape(big_n * k, steps * d)[layout.real]
-    cache.s = cache.v_cat[:, :d] @ cache.attr_h.reshape(f * n, d).T
-    cache.msum = cache.v_cat @ cache.maps.T
+    cache.s = cache.v_cat[:, :d] @ fs.attr_h.reshape(f * n, d).T
+    cache.msum = cache.v_cat @ fs.maps.T
     if weights is None:
         t = cache.s * cache.msum
     else:
@@ -643,10 +636,10 @@ def _hadamard_backward(cache: StackedKernelCache, gout, need_x: bool):
     weights, b is first s msum g, summed by slot id to d_weights, then the
     gathered W rows, and g becomes W g; then b = msum g (the gradient through
     S) and g = s g (through the walk sum)."""
-    layout = cache.layout
-    f, n, d = cache.attr_h.shape
+    layout, fs = cache.layout, cache.filters
+    f, n, d = fs.attr_h.shape
     big_n, k = cache.adj_g.shape[:2]
-    steps = len(cache.u)
+    steps = len(fs.u)
     s, msum = cache.s, cache.msum
     g = np.repeat(np.take(gout, layout.real // k, axis=0), n, axis=1)
     d_weights = None
@@ -666,8 +659,8 @@ def _hadamard_backward(cache: StackedKernelCache, gout, need_x: bool):
     d_direct = (b.T @ cache.v_cat[:, :d]).reshape(f, n, d)
     d_xsub = None
     if need_x:
-        zv_real = g @ cache.maps  # [lambda_0 g U_0 | .. | lambda_P g U_P]
-        zv_real[:, :d] += b @ cache.attr_h.reshape(f * n, d)
+        zv_real = g @ fs.maps  # [lambda_0 g U_0 | .. | lambda_P g U_P]
+        zv_real[:, :d] += b @ fs.attr_h.reshape(f * n, d)
         del g, b
         zv = np.zeros((steps, big_n * k, d))
         zv[:, layout.real] = zv_real.reshape(-1, steps, d).transpose(1, 0, 2)
@@ -675,17 +668,17 @@ def _hadamard_backward(cache: StackedKernelCache, gout, need_x: bool):
     return d_maps, d_direct, d_weights, d_xsub
 
 
-def _adjacency_grad(cache: StackedKernelCache, zu) -> np.ndarray:
+def _adjacency_grad(side: FilterSide, zu) -> np.ndarray:
     """Filter adjacency gradient from zu = [dK/dU_1..dK/dU_P], symmetrized with
     a zero diagonal. With M_p = Z_p X_H^T it is the split sum
     sum_{p, q<p} A^q M_p A^(p-1-q) = sum_q A^q W_q, W_q = sum_r M_(q+1+r) A^r,
     taken in 2(P-1) matmuls by two coupled Horner recursions from W_(P-1) = M_P:
     W_q = M_(q+1) + W_(q+1) A and T = W_q + A T."""
-    f, n, _ = cache.attr_h.shape
+    f, n, _ = side.attr_h.shape
     if not zu:
         return np.zeros((f, n, n))
-    xh_t = cache.attr_h.transpose(0, 2, 1)
-    adj = cache.adj_h
+    xh_t = side.attr_h.transpose(0, 2, 1)
+    adj = side.adj_h
     w = t = zu[-1] @ xh_t
     for z in reversed(zu[:-1]):
         w = z @ xh_t + w @ adj

@@ -28,19 +28,12 @@ cuts come from a cumulative sum of the graphs' costs. A training step frees
 each chunk's forward before the next chunk's starts, and a predict_logits
 pass keeps no kernel cache (`_forward(..., caches=False)`).
 
-What a layer's kernel reads of its filters alone (kernels.FilterSide: the
-filter walks A_H^p X_H and the lambda-weighted walks or maps built from
-them) changes only at the optimizer step, so it is per batch: a training
-step cut into several chunks (training._batch_step), and a predict_logits
-pass, build each layer's once (`_filter_sides`) and every chunk's forward
-reads it. Each chunk's backward adds its gradient with respect to the filter
-side into it, and the last chunk's takes the sum through the Horner and
-adjacency split sums to the filter gradients, once per batch; the earlier
-chunks return zeros for them. The subgraph side, the kernel values, the
-deep weights' gradient and the gradient passed to the layer's input are per
-chunk. In a batch of one chunk, and in `forward_batch`, each kernel call
-computes its filter side itself and keeps nothing across calls.
-`model_forward` and `layer_forward` are batches of one, and keep nothing.
+What a layer's kernel reads of its filters alone (kernels.FilterSide)
+changes only at the optimizer step, so every batch or prediction pass builds
+each layer's once (`_filter_sides`), and the forward of each of its chunks
+reads it. Each chunk's backward adds into it, and the filter gradients are
+taken from the sums once per batch (kernels.filter_grads). `model_forward`
+and `layer_forward` are batches of one, and keep nothing.
 
 `_layer_forms` decides once per layer how it runs: "hadamard" or "gram" on
 the packed subgraph stack, or "summed" for a first layer in the Gram form
@@ -75,6 +68,7 @@ from .errors import CheckpointError, ConfigError, plain_value
 from .graphs import Dataset, Graph, PackedGraphs, SubgraphStack, segment_sum, stack_subgraphs
 from .kernels import (
     RWKernelConfig,
+    filter_grads,
     filter_side,
     gram_maps,
     gram_maps_forward,
@@ -385,20 +379,18 @@ def _layer_forms(params: ModelParams) -> list:
     return forms
 
 
-def _filter_sides(params: ModelParams, chunks: int = 1) -> list:
-    """Every layer's kernels.FilterSide in its form (_layer_forms), for
-    `chunks` backward passes: built once for a batch of that many chunks, or
-    for a prediction pass, and read by each chunk's forward."""
-    return [filter_side(layer.attributes, layer.adjacency, layer.kernel_cfg, form != "hadamard", chunks)
-            for layer, form in zip(params.layers, _layer_forms(params))]
+def _filter_sides(params: ModelParams, forms: list) -> list:
+    """Every layer's kernels.FilterSide in its form (forms, the _layer_forms
+    of params), built once per batch or prediction pass: every chunk's
+    forward reads it and every chunk's backward adds into it."""
+    return [filter_side(layer.attributes, layer.adjacency, layer.kernel_cfg, form != "hadamard")
+            for layer, form in zip(params.layers, forms)]
 
 
-def _layer_apply(layer: KerGNNLayer, form: str, source, feats: np.ndarray, post_relu: bool,
-                 filters=None):
+def _layer_apply(layer: KerGNNLayer, form: str, source, feats: np.ndarray, post_relu: bool, filters):
     """Kernel values of one layer and its backward cache. source is the packed
     SubgraphStack, or for form "summed" the graphs' summed maps (feats is then
-    unused). filters is the layer's FilterSide, or None to build one for
-    this call alone."""
+    unused). filters is the layer's FilterSide in that form."""
     if form == "summed":
         values, cache = gram_maps_forward(layer.attributes, layer.adjacency, source, layer.kernel_cfg,
                                           filters=filters)
@@ -412,7 +404,7 @@ def _layer_apply(layer: KerGNNLayer, form: str, source, feats: np.ndarray, post_
         weights = layer.deep_weights if layer.kernel_cfg.is_deep else None
         values, cache = stacked_kernel_forward(layer.attributes, layer.adjacency, source.gather(feats),
                                                source.adjacency, layer.kernel_cfg, weights,
-                                               gram=form == "gram", layout=source.layout, filters=filters)
+                                               layout=source.layout, filters=filters)
     pre = values
     if post_relu:
         values = np.maximum(values, 0.0)
@@ -423,12 +415,14 @@ def layer_forward(g: Graph, feats: np.ndarray, layer: KerGNNLayer,
                   post_relu: bool = False) -> np.ndarray:
     """Per-node kernel values (num_nodes, d_l) against every filter, on a
     subgraph stack built for the call."""
-    values, _ = _layer_apply(layer, _stack_form(layer), stack_subgraphs(g, layer.hops, layer.k_max),
-                             np.asarray(feats, dtype=np.float64), post_relu)
+    form = _stack_form(layer)
+    side = filter_side(layer.attributes, layer.adjacency, layer.kernel_cfg, form == "gram")
+    values, _ = _layer_apply(layer, form, stack_subgraphs(g, layer.hops, layer.k_max),
+                             np.asarray(feats, dtype=np.float64), post_relu, side)
     return values
 
 
-def _chunk_costs(params: ModelParams) -> tuple:
+def _chunk_costs(params: ModelParams, forms: list) -> tuple:
     """(per_graph, per_node, per_real) of the float64 entries a graph adds to
     the kernel caches of all layers: per_graph for the graph, (P+1) d^2 for
     the summed maps of a "summed" layer; per_node for each of its nodes,
@@ -436,7 +430,7 @@ def _chunk_costs(params: ModelParams) -> tuple:
     adjacency; and (layer, 2 f n + (P+1) d) per real slot of the layer's stack
     for each Hadamard-form layer, for S, the walk sum and the walks."""
     per_graph, per_node, per_real = 0, 0, []
-    for layer, form in zip(params.layers, _layer_forms(params)):
+    for layer, form in zip(params.layers, forms):
         f, n, d = layer.attributes.shape
         steps = layer.kernel_cfg.P + 1
         if form == "hadamard":
@@ -449,12 +443,12 @@ def _chunk_costs(params: ModelParams) -> tuple:
     return per_graph, per_node, per_real
 
 
-def _chunks(pack: PackedGraphs, idx: np.ndarray, params: ModelParams) -> list:
+def _chunks(pack: PackedGraphs, idx: np.ndarray, params: ModelParams, forms: list) -> list:
     """(start, stop) of consecutive runs of idx whose packed intermediates stay
-    under _CHUNK_ENTRIES; every run holds at least one graph. A run ends before
-    the first graph that brings its entries to the bound, found by searchsorted
-    in the cumulative sum of the graphs' costs."""
-    per_graph, per_node, per_real = _chunk_costs(params)
+    under _CHUNK_ENTRIES, for layers in forms; every run holds at least one
+    graph. A run ends before the first graph that brings its entries to the
+    bound, found by searchsorted in the cumulative sum of the graphs' costs."""
+    per_graph, per_node, per_real = _chunk_costs(params, forms)
     costs = per_graph + pack.sizes[idx] * per_node
     for layer, cost in per_real:
         costs = costs + cost * np.diff(_packed_stack(pack, layer).real_offsets)[idx]
@@ -472,7 +466,7 @@ def packed_chunks(graphs, params: ModelParams) -> list:
     """(start, stop) of consecutive runs of graphs (a list or a Dataset) whose
     packed intermediates stay under _CHUNK_ENTRIES; every run holds at least
     one graph."""
-    return _chunks(*_pack(graphs, params.config), params)
+    return _chunks(*_pack(graphs, params.config), params, _layer_forms(params))
 
 
 def _concat(arrays: list, empty_shape: tuple) -> np.ndarray:
@@ -490,6 +484,7 @@ class BatchForward:
     offsets: np.ndarray | None  # (B+1,)
     attributes: np.ndarray | None  # raw packed attributes, (nodes, attr_dim)
     forms: list  # _layer_forms of the layers
+    filters: list  # the layers' FilterSides, which the backward adds into
     stacks: list  # packed SubgraphStack of each layer, None for a "summed" layer
     feats: list  # packed feats_0..feats_L, each (nodes, d_l), or (B, d_l) graph sums
     layer_caches: list | None  # hold the layer tensors themselves: backward before they change;
@@ -499,22 +494,20 @@ class BatchForward:
     logits: np.ndarray  # (B, C)
 
 
-def _forward(pack: PackedGraphs, idx: np.ndarray, params: ModelParams,
-             dropout_rngs: list | None = None, filters: list | None = None,
-             caches: bool = True) -> BatchForward:
-    """forward_batch of the graphs of pack at idx, reading the layers' filter
-    sides `filters` (_filter_sides); without them each layer's kernel call
-    builds its own, for one backward. caches=False keeps no layer cache, each
-    dropped before the next layer's forward, for a pass with no backward."""
+def _forward(pack: PackedGraphs, idx: np.ndarray, params: ModelParams, forms: list, filters: list,
+             dropout_rngs: list | None = None, caches: bool = True) -> BatchForward:
+    """forward_batch of the graphs of pack at idx, with the layers in forms
+    (_layer_forms) reading their filter sides filters (_filter_sides).
+    caches=False keeps no layer cache, each dropped before the next layer's
+    forward, for a pass with no backward."""
     cfg = params.config
-    forms = _layer_forms(params)
     offsets = attributes = None
     if forms == ["summed"]:
         # the readout of a lone "summed" layer's input, the raw attributes, is
         # their graph sums, so the whole batch is graph rows
         layer = params.layers[0]
         maps = _summed_maps(pack, layer)[idx, :layer.kernel_cfg.P + 1]
-        values, cache = _layer_apply(layer, "summed", maps, None, cfg.post_relu, filters and filters[0])
+        values, cache = _layer_apply(layer, "summed", maps, None, cfg.post_relu, filters[0])
         feats, stacks, layer_caches = [pack.attr_sums[idx], values], [None], [cache] if caches else None
         h = np.concatenate(feats, axis=1)
     else:
@@ -530,8 +523,7 @@ def _forward(pack: PackedGraphs, idx: np.ndarray, params: ModelParams,
             if key not in packed:
                 packed[key] = _packed_stack(pack, layer).take(idx)
             stacks.append(packed[key])
-            values, cache = _layer_apply(layer, form, packed[key], feats[-1], cfg.post_relu,
-                                         filters and filters[l])
+            values, cache = _layer_apply(layer, form, packed[key], feats[-1], cfg.post_relu, filters[l])
             if caches:
                 layer_caches.append(cache)
             del cache
@@ -554,8 +546,9 @@ def _forward(pack: PackedGraphs, idx: np.ndarray, params: ModelParams,
             z = z * mask
         gates.append(gate)
         h = z
-    return BatchForward(offsets=offsets, attributes=attributes, forms=forms, stacks=stacks, feats=feats,
-                        layer_caches=layer_caches, mlp_inputs=mlp_inputs, gates=gates, logits=h)
+    return BatchForward(offsets=offsets, attributes=attributes, forms=forms, filters=filters, stacks=stacks,
+                        feats=feats, layer_caches=layer_caches, mlp_inputs=mlp_inputs, gates=gates,
+                        logits=h)
 
 
 def forward_batch(graphs, params: ModelParams, dropout_rngs: list | None = None) -> BatchForward:
@@ -563,16 +556,21 @@ def forward_batch(graphs, params: ModelParams, dropout_rngs: list | None = None)
     kernel runs once on the batch's subgraph stack, gathered from the view the
     graphs are packed in. dropout_rngs, one per graph, switch on the
     configured dropout; graph b's masks are drawn from dropout_rngs[b] alone."""
-    return _forward(*_pack(graphs, params.config), params, dropout_rngs)
+    forms = _layer_forms(params)
+    return _forward(*_pack(graphs, params.config), params, forms, _filter_sides(params, forms), dropout_rngs)
 
 
 def backward_batch(fwd: BatchForward, dlogits: np.ndarray, params: ModelParams) -> np.ndarray:
     """Gradient of sum(dlogits * logits), summed over the batch inside the
     matmuls, as one vector laid out like params.flat: named_parameters(params,
-    grad) names its views. When fwd read filter sides that c chunks of one
-    batch share (_filter_sides), the filter adjacency and attribute
-    gradients of all c come with the c-th chunk's backward, and are zero in
-    the others'."""
+    grad) names its views. A forward has one backward (ValueError after)."""
+    return _backward(fwd, dlogits, params, last_chunk=True)
+
+
+def _backward(fwd: BatchForward, dlogits: np.ndarray, params: ModelParams, last_chunk: bool) -> np.ndarray:
+    """backward_batch of one chunk of a batch whose chunks share filter sides:
+    the last chunk's gradient holds the filter gradients of them all, taken
+    from the sums (kernels.filter_grads), and the others' hold zeros."""
     # MLP head; parts gathers the gradients in named_parameters order
     parts = []
     dh = dlogits
@@ -598,8 +596,10 @@ def backward_batch(fwd: BatchForward, dlogits: np.ndarray, params: ModelParams) 
         if params.config.post_relu:
             gout = gout * (pre > 0)
         need_x = l > 0 or params.input_map is not None
-        d_xh, d_adj, d_w, d_xsub = stacked_kernel_backward(cache, gout, need_x)
-        if d_xh is None:  # the batch's last chunk returns its filter gradients
+        d_w, d_xsub = stacked_kernel_backward(cache, gout, need_x)
+        if last_chunk:
+            d_xh, d_adj = filter_grads(fwd.filters[l])
+        else:
             layer = params.layers[l]
             d_xh, d_adj = np.zeros(layer.attributes.shape), np.zeros(layer.adjacency.shape)
         parts[:0] = [d_adj, d_xh] if d_w is None else [d_adj, d_xh, d_w]
@@ -614,10 +614,10 @@ def backward_batch(fwd: BatchForward, dlogits: np.ndarray, params: ModelParams) 
 def _predict(pack: PackedGraphs, idx: np.ndarray, params: ModelParams) -> np.ndarray:
     """predict_logits of the graphs of pack at idx."""
     logits = []
-    chunks = _chunks(pack, idx, params)
-    filters = _filter_sides(params) if len(chunks) > 1 else None  # a lone chunk builds its own
-    for start, stop in chunks:
-        logits.append(_forward(pack, idx[start:stop], params, filters=filters, caches=False).logits)
+    forms = _layer_forms(params)
+    filters = _filter_sides(params, forms)
+    for start, stop in _chunks(pack, idx, params, forms):
+        logits.append(_forward(pack, idx[start:stop], params, forms, filters, caches=False).logits)
     return _concat(logits, (0, params.config.num_classes))
 
 
@@ -632,14 +632,17 @@ def model_forward(g: Graph, params: ModelParams):
     introspection: a batch of one, whose stacks and maps nothing keeps. A
     "summed" layer's node values and summed maps come from one stack."""
     pack, idx = _pack([g], params.config)
-    if _layer_forms(params) != ["summed"]:
-        fwd = _forward(pack, idx, params)
+    forms = _layer_forms(params)
+    filters = _filter_sides(params, forms)
+    if forms != ["summed"]:
+        fwd = _forward(pack, idx, params, forms, filters)
         return fwd.logits[0], fwd.feats
     layer = params.layers[0]
     stack = stack_subgraphs(g, layer.hops, layer.k_max)
     pack.maps[(layer.hops, layer.k_max)] = _summed_row(g, stack, layer.kernel_cfg.P + 1)[None]
-    values, _ = _layer_apply(layer, _stack_form(layer), stack, g.attributes, post_relu=False)
-    return _forward(pack, idx, params).logits[0], [g.attributes, values]
+    # the Gram-form side of the "summed" layer serves its stack too
+    values, _ = _layer_apply(layer, "gram", stack, g.attributes, False, filters[0])
+    return _forward(pack, idx, params, forms, filters).logits[0], [g.attributes, values]
 
 
 # ---------------------------------------------------------------------------

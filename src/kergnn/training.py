@@ -36,11 +36,12 @@ from .model import (
     LayerSpec,
     ModelConfig,
     ModelParams,
+    _backward,
     _chunks,
     _filter_sides,
     _forward,
+    _layer_forms,
     _predict,
-    backward_batch,
     init_params,
     save_checkpoint,
 )
@@ -260,8 +261,10 @@ def evaluate(params: ModelParams, ds: Dataset) -> float:
 def _batch_step(pack, idx, params, rng):
     """(mean loss, mean gradient vector, correct predictions) of the minibatch of
     pack's graphs at idx, by one packed forward and backward per chunk
-    (model.packed_chunks); chunks add up in order. A graph counts as correct
-    when the argmax of the logits its loss is taken of is its label.
+    (model.packed_chunks); chunks add up in order, and the filter gradients
+    are taken once, at the last chunk, from the filter sides they share. A
+    graph counts as correct when the argmax of the logits its loss is taken
+    of is its label.
 
     The first chunk whose losses are not all finite raises TrainingError
     before its backward, and no later chunk is forwarded. The error names the
@@ -277,14 +280,13 @@ def _batch_step(pack, idx, params, rng):
     total = np.zeros_like(params.flat)
     loss = 0.0
     correct = 0
-    chunks = _chunks(pack, idx, params)
-    # the chunks share each layer's filter side; a lone chunk's forward builds its own
-    filters = _filter_sides(params, len(chunks)) if len(chunks) > 1 else None
-    for start, stop in chunks:
+    forms = _layer_forms(params)
+    filters = _filter_sides(params, forms)
+    for start, stop in _chunks(pack, idx, params, forms):
         rngs = None
         if params.config.dropout > 0:
             rngs = [np.random.default_rng(seed) for seed in seeds[start:stop]]
-        fwd = _forward(pack, idx[start:stop], params, rngs, filters)
+        fwd = _forward(pack, idx[start:stop], params, forms, filters, rngs)
         losses, dlogits = softmax_cross_entropy(fwd.logits, labels[start:stop])
         if not np.isfinite(losses).all():
             # without an input map, feats[0] is the raw attributes and is not named
@@ -296,7 +298,7 @@ def _batch_step(pack, idx, params, rng):
             raise TrainingError(f"{where} are the first non-finite tensor")
         loss += float(losses.sum())
         correct += int(np.count_nonzero(np.argmax(fwd.logits, axis=1) == labels[start:stop]))
-        total += backward_batch(fwd, dlogits, params)
+        total += _backward(fwd, dlogits, params, last_chunk=stop == len(idx))
         del fwd  # free this chunk's caches before the next chunk's forward
     scale = 1.0 / len(idx)
     total *= scale

@@ -133,8 +133,9 @@ def stack_builds(monkeypatch):
 @pytest.fixture
 def filter_builds(monkeypatch):
     """The filter attributes of every filter side the kernel builds, in call
-    order: for a batch (kernels.filter_side) or within a kernel call that was
-    given none; both go through kernels._filter_arrays."""
+    order: each kernels.filter_side call, the model's once per batch and a
+    kernel call's own when it was given none, goes through
+    kernels._filter_arrays."""
     import kergnn.kernels
 
     builds = []

@@ -181,7 +181,7 @@ def test_stacked_backward_matches_scalar_gradients(variant, d, p_steps):
     # sum of per-(subgraph, filter) scalar gradients, for the filter side and
     # for x_sub, the gradient passed on to the previous layer's features
     from kergnn.graphs import extract_subgraph, stack_subgraphs
-    from kergnn.kernels import stacked_kernel_backward, stacked_kernel_forward
+    from kergnn.kernels import filter_grads, stacked_kernel_backward, stacked_kernel_forward
     from kergnn.model import KerGNNLayer
 
     from conftest import random_graph
@@ -198,7 +198,8 @@ def test_stacked_backward_matches_scalar_gradients(variant, d, p_steps):
     x_sub = stack.gather(g.attributes)
     values, cache = stacked_kernel_forward(attr_h, adj_h, x_sub, stack.adjacency, cfg, w_stack)
     gout = rng.normal(size=values.shape)
-    d_xh, d_adj, d_w, d_xsub = stacked_kernel_backward(cache, gout)
+    d_w, d_xsub = stacked_kernel_backward(cache, gout)
+    d_xh, d_adj = filter_grads(cache.filters)
 
     want_xsub = np.zeros_like(x_sub)
     for i, filt in enumerate(filters):
@@ -249,8 +250,9 @@ def test_plain_stacked_kernel_keeps_the_smaller_intermediate(d, gram):
 @pytest.mark.parametrize("variant,d,p_steps", STACKED_CASES)
 def test_skipping_the_x_sub_gradient_keeps_every_filter_gradient(variant, d, p_steps):
     # need_x=False drops the Gram form's dlt sum and the Hadamard form's zv
-    # Horner sum; the filter-side gradients must stay the same bit for bit
-    from kergnn.kernels import stacked_kernel_backward, stacked_kernel_forward
+    # Horner sum; the filter-side gradients must stay the same bit for bit.
+    # A forward has one backward, so each backward gets a forward of its own
+    from kergnn.kernels import filter_grads, stacked_kernel_backward, stacked_kernel_forward
 
     rng = np.random.default_rng(5)
     f, n, big_n, k = 3, 4, 6, 7
@@ -261,62 +263,106 @@ def test_skipping_the_x_sub_gradient_keeps_every_filter_gradient(variant, d, p_s
     adj_g = (rng.random((big_n, k, k)) < 0.4).astype(float)
     adj_g = np.triu(adj_g, 1) + np.triu(adj_g, 1).transpose(0, 2, 1)
     weights = rng.random((f, n, k)) if cfg.is_deep else None
-    values, cache = stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg, weights)
-    gout = rng.normal(size=values.shape)
-    full = stacked_kernel_backward(cache, gout)
-    skipped = stacked_kernel_backward(cache, gout, need_x=False)
+    gout = rng.normal(size=(big_n, f))
+
+    def backward(need_x):
+        _, cache = stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg, weights)
+        d_w, d_xsub = stacked_kernel_backward(cache, gout, need_x)
+        return (*filter_grads(cache.filters), d_w, d_xsub)
+
+    full = backward(True)
+    skipped = backward(False)
     assert skipped[3] is None and full[3].shape == x_sub.shape
     for want, got in zip(full[:3], skipped[:3]):
         assert (want is None and got is None) or want.tobytes() == got.tobytes()
 
 
-@pytest.mark.parametrize("variant,gram", [("plain", True), ("plain", False), ("deep", False)])
-def test_chunks_sharing_a_filter_side_sum_its_gradients(variant, gram):
-    # a stack cut into three chunks that read one FilterSide: each backward
-    # returns its own chunk's d_weights and d_x_sub, and only the third the
-    # filter gradients, those of the whole stack, summed before the Horner
-    # and split sums (another summation order, so to 1e-12); a fourth raises
-    from kergnn.kernels import filter_side, stacked_kernel_backward, stacked_kernel_forward
-
-    rng = np.random.default_rng(31)
-    f, n, d, big_n, k = 3, 4, 2, 9, 5
-    cfg = RWKernelConfig(3, variant=variant)
+def _random_stack(rng, variant, f=3, n=4, d=2, big_n=9, k=5, p_steps=3):
+    """(attr_h, adj_h, x_sub, adj_g, cfg, weights) of random symmetric filters
+    and padded subgraphs; weights is None for the plain variant."""
+    cfg = RWKernelConfig(p_steps, variant=variant)
     attr_h, x_sub = rng.normal(size=(f, n, d)), rng.normal(size=(big_n, k, d))
     adj_h = rng.random((f, n, n))
     adj_h = adj_h + adj_h.transpose(0, 2, 1)
     adj_g = (rng.random((big_n, k, k)) < 0.4).astype(float)
     adj_g = np.triu(adj_g, 1) + np.triu(adj_g, 1).transpose(0, 2, 1)
     weights = rng.random((f, n, k)) if cfg.is_deep else None
-    gout = rng.normal(size=(big_n, f))
-    _, cache = stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg, weights, gram)
-    whole = stacked_kernel_backward(cache, gout)
+    return attr_h, adj_h, x_sub, adj_g, cfg, weights
 
-    shared = filter_side(attr_h, adj_h, cfg, gram, chunks=3)
-    cuts = [(0, 2), (2, 7), (7, 9)]
-    for c, (lo, hi) in enumerate(cuts):
+
+@pytest.mark.parametrize("variant,gram", [("plain", True), ("plain", False), ("deep", False)])
+def test_chunks_sharing_a_filter_side_sum_its_gradients(variant, gram):
+    # a stack cut into three chunks that read one FilterSide: each backward
+    # returns its own chunk's d_weights and d_x_sub and adds into the side,
+    # whose filter gradients are those of the whole stack, summed before the
+    # Horner and split sums (another summation order, so to 1e-12)
+    from kergnn.kernels import filter_grads, filter_side, stacked_kernel_backward, stacked_kernel_forward
+
+    rng = np.random.default_rng(31)
+    attr_h, adj_h, x_sub, adj_g, cfg, weights = _random_stack(rng, variant)
+    gout = rng.normal(size=(len(x_sub), len(attr_h)))
+    _, cache = stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg, weights,
+                                      filters=filter_side(attr_h, adj_h, cfg, gram))
+    whole_w, whole_xsub = stacked_kernel_backward(cache, gout)
+    whole = filter_grads(cache.filters)
+
+    shared = filter_side(attr_h, adj_h, cfg, gram)
+    for lo, hi in [(0, 2), (2, 7), (7, 9)]:
         _, cache = stacked_kernel_forward(attr_h, adj_h, x_sub[lo:hi], adj_g[lo:hi], cfg, weights,
                                           filters=shared)
-        assert cache.shared is shared
-        d_xh, d_adj, d_w, d_xsub = stacked_kernel_backward(cache, gout[lo:hi])
-        assert np.allclose(d_xsub, whole[3][lo:hi], rtol=1e-12, atol=1e-12)
+        assert cache.filters is shared
+        d_w, d_xsub = stacked_kernel_backward(cache, gout[lo:hi])
+        assert np.allclose(d_xsub, whole_xsub[lo:hi], rtol=1e-12, atol=1e-12)
         if cfg.is_deep:
-            _, _, want_w, _ = stacked_kernel_backward(
+            want_w, _ = stacked_kernel_backward(
                 stacked_kernel_forward(attr_h, adj_h, x_sub[lo:hi], adj_g[lo:hi], cfg, weights)[1],
                 gout[lo:hi])
             assert d_w.tobytes() == want_w.tobytes()
-        if c < len(cuts) - 1:
-            assert d_xh is None and d_adj is None
-    for got, want in zip((d_xh, d_adj), whole[:2]):
+        else:
+            assert d_w is None and whole_w is None
+    for got, want in zip(filter_grads(shared), whole):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    with pytest.raises(ValueError, match="all 3 chunks"):
-        stacked_kernel_backward(cache, gout[7:9])
+
+
+@pytest.mark.parametrize("variant,gram", [("plain", True), ("plain", False), ("deep", False)])
+def test_a_second_backward_of_one_forward_raises(variant, gram):
+    # every backward adds into its forward's filter side, so a repeated
+    # backward would double the filter gradients: it raises and adds nothing
+    from kergnn.graphs import stack_subgraphs
+    from kergnn.kernels import (filter_grads, filter_side, gram_maps, gram_maps_forward,
+                                stacked_kernel_backward, stacked_kernel_forward)
+
+    from conftest import random_graph
+
+    rng = np.random.default_rng(32)
+    attr_h, adj_h, x_sub, adj_g, cfg, weights = _random_stack(rng, variant)
+    gout = rng.normal(size=(len(x_sub), len(attr_h)))
+    side = filter_side(attr_h, adj_h, cfg, gram)
+    with pytest.raises(ValueError, match="no backward has added"):
+        filter_grads(side)
+    _, cache = stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg, weights, filters=side)
+    stacked_kernel_backward(cache, gout)
+    once = [grad.tobytes() for grad in filter_grads(side)]
+    for need_x in (True, False):
+        with pytest.raises(ValueError, match="has had its backward"):
+            stacked_kernel_backward(cache, gout, need_x)
+    assert [grad.tobytes() for grad in filter_grads(side)] == once
+    if gram:
+        g = random_graph(rng, 6, 0.5, d=attr_h.shape[2])
+        stack = stack_subgraphs(g, 1, 5)
+        maps = gram_maps(stack.gather(g.attributes), stack.adjacency, cfg.P)
+        _, cache = gram_maps_forward(attr_h, adj_h, maps, cfg)
+        stacked_kernel_backward(cache, gout[:6], need_x=False)
+        with pytest.raises(ValueError, match="has had its backward"):
+            stacked_kernel_backward(cache, gout[:6], need_x=False)
 
 
 def test_gram_maps_forward_equals_the_stacked_forward():
     # one map array of walk length 3 serves every P <= 3 and any lambdas,
     # with values and filter gradients equal to the stacked forward's bit for bit
     from kergnn.graphs import stack_subgraphs
-    from kergnn.kernels import gram_maps, gram_maps_forward, stacked_kernel_backward, stacked_kernel_forward
+    from kergnn.kernels import (filter_grads, filter_side, gram_maps, gram_maps_forward,
+                                stacked_kernel_backward, stacked_kernel_forward)
 
     from conftest import random_graph
 
@@ -333,12 +379,13 @@ def test_gram_maps_forward_equals_the_stacked_forward():
         for lambdas in (None, rng.random(p_steps + 1)):
             cfg = RWKernelConfig(p_steps, lambdas)
             want, want_cache = stacked_kernel_forward(attr_h, adj_h, x_sub, stack.adjacency, cfg,
-                                                      gram=True)
+                                                      filters=filter_side(attr_h, adj_h, cfg, gram=True))
             got, got_cache = gram_maps_forward(attr_h, adj_h, maps, cfg)
             assert got.tobytes() == want.tobytes()
             gout = rng.normal(size=got.shape)
-            for a, b in zip(stacked_kernel_backward(want_cache, gout, need_x=False)[:2],
-                            stacked_kernel_backward(got_cache, gout, need_x=False)[:2]):
+            for cache in (want_cache, got_cache):
+                stacked_kernel_backward(cache, gout, need_x=False)
+            for a, b in zip(filter_grads(want_cache.filters), filter_grads(got_cache.filters)):
                 assert a.tobytes() == b.tobytes()
             with pytest.raises(ValueError, match="no subgraph-feature gradient"):
                 stacked_kernel_backward(got_cache, gout)

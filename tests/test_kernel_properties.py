@@ -17,6 +17,8 @@ from hypothesis.extra import numpy as hnp
 from kergnn.graphs import Graph, SubgraphStack, extract_subgraph, stack_subgraphs
 from kergnn.kernels import (
     RWKernelConfig,
+    filter_grads,
+    filter_side,
     rw_kernel_grad,
     stacked_kernel_backward,
     stacked_kernel_forward,
@@ -177,9 +179,11 @@ def test_ragged_hadamard_form_equals_the_scalar_gradients(variant, data):
     stack = SubgraphStack.concatenate([stack_subgraphs(g, hops, k_max) for g in batch], k_max)
     x_sub = stack.gather(np.concatenate([g.attributes for g in batch]))
     values, cache = stacked_kernel_forward(attr_h, adj_h, x_sub, stack.adjacency, cfg, weights,
-                                           gram=False, layout=stack.layout)
+                                           filters=filter_side(attr_h, adj_h, cfg, gram=False),
+                                           layout=stack.layout)
     gout = data.draw(hnp.arrays(np.float64, values.shape, elements=REALS))
-    d_xh, d_adj, d_w, d_xsub = stacked_kernel_backward(cache, gout)
+    d_w, d_xsub = stacked_kernel_backward(cache, gout)
+    d_xh, d_adj = filter_grads(cache.filters)
 
     subs = [extract_subgraph(g, v, hops, k_max) for g in batch for v in range(g.num_nodes)]
     assert values.shape == (len(subs), f)

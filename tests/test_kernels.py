@@ -8,6 +8,8 @@ from kergnn.kernels import (
     SlotLayout,
     direct_product_graph,
     filter_side,
+    gram_maps,
+    gram_maps_forward,
     rw_kernel,
     rw_kernel_oracle,
     stacked_kernel_forward,
@@ -177,9 +179,9 @@ def test_deep_variant_requires_weights():
 
 
 def test_deep_variant_has_no_gram_form():
-    # asked for the Gram form, the stacked forward refuses the deep variant,
-    # as filter_side does, rather than return the plain kernel without the
-    # pair weights; left to choose, it takes the Hadamard form
+    # given a plain Gram-form filter side, the stacked forward refuses the
+    # deep variant, as filter_side does, rather than return the plain kernel
+    # without the pair weights; left to choose, it takes the Hadamard form
     rng = np.random.default_rng(13)
     f, n, d, big_n, k = 2, 3, 2, 4, 5
     cfg = RWKernelConfig(1, variant="deep")
@@ -187,14 +189,50 @@ def test_deep_variant_has_no_gram_form():
     adj_h = np.ones((f, n, n)) - np.eye(n)
     adj_g = np.ones((big_n, k, k)) - np.eye(k)
     weights = rng.random((f, n, k))
+    plain_gram = filter_side(attr_h, adj_h, RWKernelConfig(1), gram=True)
     with pytest.raises(ValueError, match="no Gram form"):
-        stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg, weights, gram=True)
+        stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg, weights, filters=plain_gram)
     with pytest.raises(ValueError, match="no Gram form"):
         filter_side(attr_h, adj_h, cfg, gram=True)
     chosen, cache = stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg, weights)
     assert cache.phi_g is None
-    hadamard, _ = stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg, weights, gram=False)
+    hadamard, _ = stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg, weights,
+                                         filters=filter_side(attr_h, adj_h, cfg, gram=False))
     assert chosen.tobytes() == hadamard.tobytes()
+
+
+def test_a_filter_side_serves_only_its_config():
+    # the side fixes the filters, the walk length, the lambdas and the form,
+    # so a forward of other filter arrays or of another config, or a forward
+    # from Gram maps given a Hadamard-form side, raises instead of mixing the two
+    rng = np.random.default_rng(14)
+    f, n, d, big_n, k = 2, 3, 2, 4, 5
+    attr_h, x_sub = rng.normal(size=(f, n, d)), rng.normal(size=(big_n, k, d))
+    adj_h = np.ones((f, n, n)) - np.eye(n)
+    adj_g = np.ones((big_n, k, k)) - np.eye(k)
+    cfg = RWKernelConfig(2)
+    for other in (RWKernelConfig(1), RWKernelConfig(2, (1.0, 0.5, 0.25))):
+        for gram in (True, False):
+            with pytest.raises(ValueError, match="filter side built for"):
+                stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg,
+                                       filters=filter_side(attr_h, adj_h, other, gram))
+    maps = gram_maps(x_sub, adj_g, 2)
+    with pytest.raises(ValueError, match="Gram-form filter side"):
+        gram_maps_forward(attr_h, adj_h, maps, cfg, filters=filter_side(attr_h, adj_h, cfg, False))
+    # equal values in other arrays are other filters to the side: it holds
+    # no copy, and the gradients it sums are read against the arrays it has.
+    # A view of the same memory in the same layout is the same filters
+    for gram in (True, False):
+        side = filter_side(attr_h, adj_h, cfg, gram)
+        for other_attr, other_adj in ((attr_h.copy(), adj_h), (attr_h, adj_h.copy()),
+                                      (attr_h[:1], adj_h[:1]), (attr_h, adj_h.transpose(0, 2, 1))):
+            with pytest.raises(ValueError, match="other filter arrays"):
+                stacked_kernel_forward(other_attr, other_adj, x_sub, adj_g, cfg, filters=side)
+        viewed, _ = stacked_kernel_forward(attr_h.view(), adj_h[:], x_sub, adj_g, cfg, filters=side)
+        own, _ = stacked_kernel_forward(attr_h, adj_h, x_sub, adj_g, cfg, filters=side)
+        assert viewed.tobytes() == own.tobytes()
+    with pytest.raises(ValueError, match="other filter arrays"):
+        gram_maps_forward(attr_h.copy(), adj_h, maps, cfg, filters=filter_side(attr_h, adj_h, cfg, True))
 
 
 def test_deep_weights_modulate_pairs():

@@ -621,9 +621,11 @@ def test_packed_batch_equals_batches_of_one(case):
 
 @pytest.mark.parametrize("case", [*sorted(BATCH_CASES), "summed"])
 def test_a_batch_builds_each_filter_side_once(case, filter_builds, monkeypatch):
-    # every graph a chunk of its own: one training step, and one
-    # predict_logits pass, build each layer's filter side once and read it
-    # in every chunk; the step's gradient is the one-chunk step's to 1e-12
+    # in one chunk and with every graph a chunk of its own, a training step,
+    # a predict_logits pass and a forward_batch/backward_batch pair build each
+    # layer's filter side once (model._filter_sides), and every kernel call
+    # of every chunk reads its layer's; the chunked step's gradient is the
+    # one-chunk step's to 1e-12
     rng = np.random.default_rng(23)
     cfg = small_config(**BATCH_CASES.get(case, {}))
     graphs = [random_graph(rng, n, 0.5, d=cfg.attr_dim, label=b % 2) for b, n in enumerate((4, 7, 5, 6))]
@@ -631,19 +633,44 @@ def test_a_batch_builds_each_filter_side_once(case, filter_builds, monkeypatch):
     params = init_params(cfg, rng)
     assert (kergnn.model._layer_forms(params) == ["summed"]) == (case == "summed")
     layers = [layer.attributes for layer in params.layers]
-    _, one_chunk, _ = _batch_step(ds.packed, ds.index, params, np.random.default_rng(0))
-    monkeypatch.setattr(kergnn.model, "_CHUNK_ENTRIES", 0)
-    assert len(packed_chunks(ds, params)) == len(graphs)
 
-    for run in (lambda: _batch_step(ds.packed, ds.index, params, np.random.default_rng(0))[1],
-                lambda: predict_logits(ds, params)):
-        del filter_builds[:]
-        run()
-        assert len(filter_builds) == len(layers)
-        assert all(got is want for got, want in zip(filter_builds, layers))
-    chunked = _batch_step(ds.packed, ds.index, params, np.random.default_rng(0))[1]
-    for (name, got), (_, want) in zip(named_parameters(params, chunked),
-                                      named_parameters(params, one_chunk)):
+    built, read = [], []
+    build_sides = kergnn.model._filter_sides
+
+    def recorded_sides(*args):
+        sides = build_sides(*args)
+        built.extend(sides)
+        return sides
+
+    for module in (kergnn.model, kergnn.training):
+        monkeypatch.setattr(module, "_filter_sides", recorded_sides)
+    for name in ("stacked_kernel_forward", "gram_maps_forward"):
+        def reading(*args, kernel=getattr(kergnn.model, name), **kwargs):
+            read.append(kwargs.get("filters"))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(kergnn.model, name, reading)
+
+    def pair():
+        fwd = forward_batch(ds, params)
+        return backward_batch(fwd, np.ones_like(fwd.logits), params)
+
+    steps = []
+    for bound, chunks in ((kergnn.model._CHUNK_ENTRIES, 1), (0, len(graphs))):
+        monkeypatch.setattr(kergnn.model, "_CHUNK_ENTRIES", bound)
+        assert len(packed_chunks(ds, params)) == chunks
+        for run, forwards in ((lambda: _batch_step(ds.packed, ds.index, params, np.random.default_rng(0)),
+                               chunks), (lambda: predict_logits(ds, params), chunks), (pair, 1)):
+            del filter_builds[:], built[:], read[:]
+            result = run()
+            assert len(filter_builds) == len(layers) == len(built)
+            assert all(got is want for got, want in zip(filter_builds, layers))
+            assert len(read) == forwards * len(built)
+            assert all(got is want for got, want in zip(read, built * forwards))
+            if isinstance(result, tuple):
+                steps.append(result[1])
+    for (name, got), (_, want) in zip(named_parameters(params, steps[1]),
+                                      named_parameters(params, steps[0])):
         assert _rel(got, want, np.max(np.abs(want))) <= 1e-12, name
 
 

@@ -77,7 +77,7 @@ def test_summed_rows_equal_each_graphs_own_maps(case, walk_length):
 def greedy_chunks(graphs, params, bound):
     """The reference: one graph at a time, a new chunk at the first graph
     that brings the running count of entries to the bound."""
-    per_graph, per_node, per_real = kergnn.model._chunk_costs(params)
+    per_graph, per_node, per_real = kergnn.model._chunk_costs(params, kergnn.model._layer_forms(params))
     chunks, start, entries = [], 0, 0
     for i, g in enumerate(graphs):
         added = per_graph + g.num_nodes * per_node

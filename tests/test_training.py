@@ -267,7 +267,7 @@ def test_diverged_chunk_gets_no_backward_and_ends_the_forwards(monkeypatch):
     assert len(list(kergnn.model.packed_chunks(ds.graphs, params))) == len(ds)
 
     calls = []
-    forward, backward = kergnn.model._forward, kergnn.model.backward_batch
+    forward, backward = kergnn.model._forward, kergnn.model._backward
 
     def recorded_forward(pack, idx, *args, **kwargs):
         calls.append(("forward", [pack.graphs[i] for i in idx]))
@@ -279,7 +279,7 @@ def test_diverged_chunk_gets_no_backward_and_ends_the_forwards(monkeypatch):
 
     for module in (kergnn.model, kergnn.training):
         monkeypatch.setattr(module, "_forward", recorded_forward)
-    monkeypatch.setattr(kergnn.training, "backward_batch", recorded_backward)
+    monkeypatch.setattr(kergnn.training, "_backward", recorded_backward)
     with pytest.raises(TrainingError, match=r"epoch 0, batch 0: layers\.0 features are the first"):
         train_fold(ds, micro_pair(), cfg, rng=0)
     names = [name for name, _ in calls]
