@@ -14,10 +14,11 @@ These and the standalone graph files are defined by one line parser: blank
 lines are skipped, and '#' comment lines too in graph files only; fields are
 split at whitespace, and at commas as well in _A.txt and _node_attributes.txt;
 an error names the file and the line it is on. The four integer files are
-read by one array scan of their bytes when they are plain (ASCII digits,
-signs, spaces, tabs, commas in _A.txt, '\n' or '\r\n' line ends, at most 18
-digits a number, the right count on every line, valid edges); any other file
-goes through the line parser, so values and errors are the same either way.
+read by an array scan of their bytes, in blocks of whole lines, when they
+are plain (ASCII digits, signs, spaces, tabs, commas in _A.txt, '\n' or
+'\r\n' line ends, at most 18 digits a number, the right count on every line,
+valid edges); any other file goes through the line parser, so values and
+errors are the same either way.
 
 Node attributes fed to models are built as: one-hot node labels when labels
 are present, raw continuous attributes when present (concatenated after the
@@ -352,22 +353,59 @@ def _expect(path: str, values: list, count: int, what: str) -> None:
 
 # Most digits of a number the array scan reads: 10**18 - 1 fits in an int64.
 _SCAN_DIGITS = 18
+# Bytes the array scan reads at a time. Its transient arrays are about ten times
+# a block, so the scan of a file of any size needs a few MB beyond its result;
+# a larger block made the scan of an IMDB-shaped edge file no faster.
+_SCAN_BLOCK = 2**18
 
 
 def _scan_integers(path: str, width: int, commas: bool) -> tuple | None:
-    """What _read_integers gives for a plain file, by one array scan of its
+    """What _read_integers gives for a plain file, by an array scan of its
     bytes, or None when the file is not plain.
 
     A plain file holds only ASCII digits, '+', '-', spaces, tabs, commas when
     `commas`, and '\n' or '\r\n' line ends; each of its tokens (a run of
     digits and signs) is one sign at most, first, then 1.._SCAN_DIGITS
-    digits; each line holding a token or a comma holds `width` tokens.
+    digits; each line holding a token or a comma holds `width` tokens. The
+    file is scanned in blocks of whole lines (_line_blocks), each on its own.
     """
+    empty = np.zeros(0, dtype=np.int64)
+    values, numbers, lines = [empty], [empty], 0
     try:
         with open(path, "rb") as fh:
-            buf = np.frombuffer(fh.read(), dtype=np.uint8)
+            for block in _line_blocks(fh):
+                scanned = _scan_block(np.frombuffer(block, dtype=np.uint8), width, commas)
+                if scanned is None:
+                    return None
+                values.append(scanned[0])
+                numbers.append(scanned[1] + lines + 1)
+                lines += block.count(b"\n")
     except OSError:
         return None
+    values = np.concatenate(values).reshape(-1, width)  # frees the blocks' values before the next join
+    return values, np.concatenate(numbers)
+
+
+def _line_blocks(fh):
+    """The bytes of fh as blocks of whole lines: each ends just after a '\n'
+    and takes the lines that end in the next _SCAN_BLOCK bytes read, or in
+    more when none does; the bytes after the last '\n' come last."""
+    pending = []
+    while chunk := fh.read(_SCAN_BLOCK):
+        end = chunk.rfind(b"\n") + 1
+        if end:
+            yield b"".join(pending + [chunk[:end]])
+            pending = []
+            chunk = chunk[end:]
+        pending.append(chunk)
+    tail = b"".join(pending)
+    if tail:
+        yield tail
+
+
+def _scan_block(buf: np.ndarray, width: int, commas: bool) -> tuple | None:
+    """(values, indexes of the data lines) of the lines in buf, bytes that end
+    with the file or just after a '\n', or None unless they are plain."""
     sign = (buf == ord("+")) | (buf == ord("-"))
     newline = buf == ord("\n")
     token = (buf - np.uint8(ord("0")) < 10) | sign  # bytes below '0' wrap around
@@ -410,15 +448,14 @@ def _scan_integers(path: str, width: int, commas: bool) -> tuple | None:
     for k in range(int(digits.max(initial=0))):  # the digit k places left of a token's end
         digit = np.where(digits > k, buf[ends - 1 - k] - np.uint8(ord("0")), np.uint8(0))
         values += digit.astype(np.int64) * 10**k
-    values = np.where(buf[starts] == ord("-"), -values, values)
-    return values.reshape(-1, width), np.flatnonzero(data) + 1
+    return np.where(buf[starts] == ord("-"), -values, values), np.flatnonzero(data)
 
 
 def _read_integers(path: str, width: int, parse, *, commas: bool = False, valid=None) -> tuple:
     """_parse_lines(path, parse, commas=commas) of a file of `width` integers
     a line, as arrays: values (lines, width) and line numbers (lines,).
 
-    A plain file (_scan_integers) whose values pass `valid` is read by one
+    A plain file (_scan_integers) whose values pass `valid` is read by an
     array scan; any other goes through _parse_lines, which gives the values
     or the DatasetError of the first bad line. Values past int64 come back in
     an object array.
@@ -474,18 +511,20 @@ def load_tudataset(directory: str, name: str) -> Dataset:
 
     edges, edge_lines = _read_integers(edges_path, 2, lambda f: _edge(f, 1, num_nodes),
                                        commas=True, valid=valid)
-    src, dst = (edges - 1).T
-    crossing = np.flatnonzero(graph_of[src] != graph_of[dst])
+    edges -= 1
+    src, dst = edges.T
+    edge_graph = graph_of[src]
+    crossing = np.flatnonzero(edge_graph != graph_of[dst])
     if crossing.size:
         raise DatasetError(f"{edges_path}:{edge_lines[crossing[0]]}: edge crosses graph boundaries")
 
     node_labels_path = prefix + "_node_labels.txt"
-    node_labels, blocks = None, []
+    node_labels = one_hot = attribute_rows = None
     if os.path.isfile(node_labels_path):
         raw_node_labels = _integers(node_labels_path)
         _expect(node_labels_path, raw_node_labels, num_nodes, "labels")
         node_labels, num_values = _codes(raw_node_labels)
-        blocks.append(np.eye(num_values)[node_labels])
+        one_hot = np.eye(num_values)
 
     attributes_path = prefix + "_node_attributes.txt"
     if os.path.isfile(attributes_path):
@@ -495,32 +534,45 @@ def load_tudataset(directory: str, name: str) -> Dataset:
         ragged = next((k for k, row in enumerate(rows) if len(row) != width), None)
         if ragged is not None:
             raise DatasetError(f"{attributes_path}:{lines[ragged]}: inconsistent attribute width")
-        blocks.append(np.array(rows, dtype=np.float64).reshape(num_nodes, width))
-    # one row per node over all graphs; without node files, each graph's degrees
-    features = np.hstack(blocks) if blocks else None
+        attribute_rows = np.array(rows, dtype=np.float64).reshape(num_nodes, width)
 
     # nodes and edges grouped by graph, both in file order inside a graph;
     # bounds[g] is where graph g's run starts, local ids count inside a run
+    def bounds(of):
+        return np.concatenate([[0], np.cumsum(np.bincount(of, minlength=num_graphs))])
+
     node_order = np.argsort(graph_of, kind="stable")
-    node_bounds = np.searchsorted(graph_of[node_order], np.arange(num_graphs + 1))
+    node_bounds = bounds(graph_of)
     local = np.argsort(node_order) - node_bounds[graph_of]
-    edge_order = np.argsort(graph_of[src], kind="stable")
-    edge_bounds = np.searchsorted(graph_of[src[edge_order]], np.arange(num_graphs + 1))
+    edge_order = np.argsort(edge_graph, kind="stable")
+    edge_bounds = bounds(edge_graph)
+    del src, dst, edge_graph
+    # what assembly reads of the edges, graph by graph: local ids and file lines
+    pairs = local[edges]
+    del edges, local
+    pairs = pairs[edge_order]
+    edge_lines = edge_lines[edge_order]
+    del edge_order
 
     graphs = []
     for gid, label in enumerate(graph_labels.tolist()):
         nodes = node_order[node_bounds[gid]:node_bounds[gid + 1]]
-        edges = edge_order[edge_bounds[gid]:edge_bounds[gid + 1]]
-        i, j = local[src[edges]], local[dst[edges]]
+        i, j = pairs[edge_bounds[gid]:edge_bounds[gid + 1]].T
         adj = np.zeros((len(nodes), len(nodes)))
         adj[i, j] = 1.0
-        lonely = edges[adj[j, i] == 0]
-        if lonely.size:
-            k = lonely[0]
-            raise DatasetError(f"{edges_path}:{edge_lines[k]}: no reverse of edge {src[k] + 1}, {dst[k] + 1}")
-        attributes = adj.sum(axis=1, keepdims=True) if features is None else features[nodes]
         labels = None if node_labels is None else node_labels[nodes]
-        graphs.append(Graph(len(nodes), adj, attributes, label, labels))
+        # one-hot node labels, then raw attributes; without node files, the degrees
+        blocks = [] if labels is None else [one_hot[labels]]
+        if attribute_rows is not None:
+            blocks.append(attribute_rows[nodes])
+        attributes = (np.hstack(blocks) if len(blocks) > 1 else blocks[0] if blocks
+                      else adj.sum(axis=1, keepdims=True))
+        try:
+            graphs.append(Graph(len(nodes), adj, attributes, label, labels))
+        except ValueError:  # the only check Graph can fail here: an edge without its reverse
+            k = edge_bounds[gid] + np.flatnonzero(adj[j, i] == 0)[0]
+            u, v = nodes[pairs[k]] + 1
+            raise DatasetError(f"{edges_path}:{edge_lines[k]}: no reverse of edge {u}, {v}") from None
 
     return Dataset(name, graphs, num_classes, attr_dim=graphs[0].attr_dim if graphs else 0)
 
@@ -546,33 +598,23 @@ def save_tudataset(ds: Dataset, directory: str) -> None:
         g.attributes[:, 0].tobytes() == g.degrees().tobytes() for g in ds.graphs
     )
 
-    edge_lines, indicator_lines, graph_label_lines = [], [], []
-    node_label_lines, attr_lines = [], []
-    offset = 0
-    for gid, g in enumerate(ds.graphs, start=1):
-        # row-major: both directions of an edge, i then j ascending
-        edge_lines.extend(f"{offset + i + 1}, {offset + j + 1}"
-                          for i, j in np.argwhere(g.adjacency).tolist())
-        indicator_lines.extend([str(gid)] * g.num_nodes)
-        if has_labels:
-            node_label_lines.extend(str(x) for x in g.node_labels.tolist())
-        if continuous_width and not degree_only:
-            attr_lines.extend(", ".join(repr(float(x)) for x in row)
-                              for row in g.attributes[:, label_width:])
-        graph_label_lines.append(str(g.graph_label))
-        offset += g.num_nodes
+    def dump(suffix, texts):  # one text per graph, written as it is made
+        with open(prefix + suffix, "w", encoding="utf-8") as fh:
+            fh.writelines(texts)
 
-    def dump(path, lines):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-
-    dump(prefix + "_A.txt", edge_lines)
-    dump(prefix + "_graph_indicator.txt", indicator_lines)
-    dump(prefix + "_graph_labels.txt", graph_label_lines)
+    offsets = np.cumsum([0] + [g.num_nodes for g in ds.graphs]).tolist()
+    # row-major: both directions of an edge, i then j ascending
+    dump("_A.txt", ("".join(f"{offset + i + 1}, {offset + j + 1}\n"
+                            for i, j in np.argwhere(g.adjacency).tolist())
+                    for g, offset in zip(ds.graphs, offsets)))
+    dump("_graph_indicator.txt", (f"{gid}\n" * g.num_nodes for gid, g in enumerate(ds.graphs, start=1)))
+    dump("_graph_labels.txt", (f"{g.graph_label}\n" for g in ds.graphs))
     if has_labels:
-        dump(prefix + "_node_labels.txt", node_label_lines)
+        dump("_node_labels.txt", ("".join(f"{x}\n" for x in g.node_labels.tolist()) for g in ds.graphs))
     if continuous_width and not degree_only:
-        dump(prefix + "_node_attributes.txt", attr_lines)
+        dump("_node_attributes.txt", ("".join(", ".join(repr(float(x)) for x in row) + "\n"
+                                              for row in g.attributes[:, label_width:])
+                                      for g in ds.graphs))
 
 
 def dataset_stats(ds: Dataset) -> DatasetStats:

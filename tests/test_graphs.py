@@ -1,4 +1,7 @@
+import os
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -668,19 +671,25 @@ def _fields(fields):
     return [int(x) for x in fields]
 
 
+# block sizes that cut short files before, inside and after line ends, and the default
+SCAN_BLOCKS = [1, 2, 3, 7, 64, kergnn.graphs._SCAN_BLOCK]
+
+
 @pytest.mark.parametrize("data,width,commas", [
     (b"", 1, False),
     (b"\n \t\r\n\n", 1, False),
     (b"7\n-0\n+12\r\n007\n123456789012345678\n-123456789012345678", 1, False),
     (b"1 2\r\n\r\n \t\r\n3,4 ,\n,5\t6", 2, True),
 ], ids=["empty", "blank", "integers", "edges"])
-def test_scan_of_a_plain_file_equals_the_line_parser(tmp_path, data, width, commas):
+def test_scan_of_a_plain_file_equals_the_line_parser(tmp_path, monkeypatch, data, width, commas):
     path = tmp_path / "ints.txt"
     path.write_bytes(data)
-    values, lines = kergnn.graphs._scan_integers(str(path), width, commas)
     rows, numbers = kergnn.graphs._parse_lines(str(path), _fields, commas=commas)
-    assert values.dtype == np.int64 and values.shape == (len(rows), width)
-    assert values.tolist() == rows and lines.tolist() == numbers
+    for block in SCAN_BLOCKS:
+        monkeypatch.setattr(kergnn.graphs, "_SCAN_BLOCK", block)
+        values, lines = kergnn.graphs._scan_integers(str(path), width, commas)
+        assert values.dtype == np.int64 and values.shape == (len(rows), width)
+        assert values.tolist() == rows and lines.tolist() == numbers
 
 
 @pytest.mark.parametrize("data,width,commas", [
@@ -701,10 +710,110 @@ def test_scan_of_a_plain_file_equals_the_line_parser(tmp_path, data, width, comm
 ], ids=["cr", "trailing-cr", "underscore", "arabic-digit", "nbsp", "vtab", "two-signs",
         "sign-last", "sign-alone", "19-digits", "extra-field", "short-line", "comma-line",
         "comma"])
-def test_scan_leaves_a_file_it_cannot_read_plainly_to_the_line_parser(tmp_path, data, width, commas):
+def test_scan_leaves_a_file_it_cannot_read_plainly_to_the_line_parser(tmp_path, monkeypatch, data,
+                                                                      width, commas):
     path = tmp_path / "ints.txt"
     path.write_bytes(data)
-    assert kergnn.graphs._scan_integers(str(path), width, commas) is None
+    for block in SCAN_BLOCKS:
+        monkeypatch.setattr(kergnn.graphs, "_SCAN_BLOCK", block)
+        assert kergnn.graphs._scan_integers(str(path), width, commas) is None
+
+
+@st.composite
+def integer_files(draw):
+    """(bytes, width, commas): lines of `width` signed integers split by spaces,
+    tabs, or commas when `commas`, blank lines among them, '\n' or '\r\n' ends,
+    with or without a final one. Half have one edit that may make them not
+    plain: a lone '\r', a comma, a sign, a digit, a field or a 19-digit one."""
+    width, commas = draw(st.integers(1, 3)), draw(st.booleans())
+    number = st.builds(lambda sign, value: sign + str(value), st.sampled_from(["", "+", "-"]),
+                       st.integers(0, 10**18 - 1))
+    gap = st.sampled_from([" ", "\t", " \t "] + ([", ", ","] if commas else []))
+    text = ""
+    for _ in range(draw(st.integers(0, 8))):
+        count = draw(st.sampled_from([0, width, width]))
+        text += "".join(draw(gap) + draw(number) for _ in range(count))
+        text += draw(st.sampled_from(["", " ", "\t"])) + draw(st.sampled_from(["\n", "\r\n"]))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["\r", ",", "-", "7", " 7", " 1234567890123456789"]))
+        text = text[:at] + edit + text[at:]
+    return text.encode(), width, commas
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(file=integer_files())
+def test_scan_is_the_same_at_every_block_size(file):
+    data, width, commas = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ints.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        whole = kergnn.graphs._scan_integers(path, width, commas)
+        if whole is not None:
+            rows, numbers = kergnn.graphs._parse_lines(path, _fields, commas=commas)
+            assert whole[0].tolist() == rows and whole[1].tolist() == numbers
+        for block in SCAN_BLOCKS:
+            with mock.patch.object(kergnn.graphs, "_SCAN_BLOCK", block):
+                scanned = kergnn.graphs._scan_integers(path, width, commas)
+            if whole is None:
+                assert scanned is None
+            else:
+                assert scanned[0].tobytes() == whole[0].tobytes() and scanned[0].shape == whole[0].shape
+                assert scanned[1].tobytes() == whole[1].tobytes()
+
+
+def _write_imdb_shaped(directory, name, count, seed):
+    """`count` dense ego-networks of about 20 nodes, as in IMDB-BINARY: ~190
+    edge lines a graph, degrees as the attributes."""
+    rng = np.random.default_rng(seed)
+    adjs = [random_graph(rng, int(12 + rng.poisson(8)), 0.5).adjacency for _ in range(count)]
+    write_tudataset(directory, name, adjs, rng.integers(0, 2, size=count))
+
+
+def test_load_is_the_same_at_a_small_block(tmp_path, monkeypatch):
+    _write_imdb_shaped(tmp_path, "I", 12, seed=5)
+    whole = load_tudataset(str(tmp_path), "I")
+    monkeypatch.setattr(kergnn.graphs, "_SCAN_BLOCK", 7)
+    blocked = load_tudataset(str(tmp_path), "I")
+    assert (blocked.num_classes, blocked.attr_dim, len(blocked)) == (whole.num_classes, whole.attr_dim, 12)
+    for g, h in zip(whole.graphs, blocked.graphs):
+        assert h.adjacency.tobytes() == g.adjacency.tobytes()
+        assert h.attributes.tobytes() == g.attributes.tobytes()
+        assert h.graph_label == g.graph_label
+
+
+@pytest.fixture(scope="module")
+def imdb_shaped(tmp_path_factory):
+    """An IMDB-BINARY-sized dataset: 1000 graphs, an edge file of ~2.2 MB."""
+    directory = tmp_path_factory.mktemp("imdb")
+    _write_imdb_shaped(directory, "I", 1000, seed=6)
+    return str(directory)
+
+
+def test_scan_peaks_near_what_it_returns(imdb_shaped):
+    # the transient of a block scan is a few times _SCAN_BLOCK; joining the
+    # blocks' results doubles them for a moment
+    tracemalloc.start()
+    try:
+        values, lines = kergnn.graphs._scan_integers(os.path.join(imdb_shaped, "I_A.txt"), 2, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = values.nbytes + lines.nbytes
+    assert returned > 2**21 and peak <= 2.5 * returned
+
+
+def test_load_peaks_near_what_it_keeps(imdb_shaped):
+    tracemalloc.start()
+    try:
+        ds = load_tudataset(imdb_shaped, "I")
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 1000 and peak <= 3 * kept
 
 
 def test_load_rejects_non_finite_attributes(tmp_path):
