@@ -1,12 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error (bad flags or missing paths), 2 data
+Exit codes: 0 success, 1 usage error (bad flags, missing paths, or an output
+directory that cannot be made, checked before any work), 2 data
 error (malformed dataset/config/checkpoint files), 3 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -44,6 +46,16 @@ def _require_dir(path: str, flag: str) -> str:
     return path
 
 
+def _require_out_dir(path: str, flag: str) -> str:
+    """path, made a directory unless it is one: a usage error when it cannot
+    be, say when it is a file, so no command runs to find that out at its end."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise _UsageError(f"{flag}: cannot make a directory at {path}: {exc.strerror}") from None
+    return path
+
+
 def cmd_train(args) -> int:
     _require_dir(args.dataset_dir, "--dataset-dir")
     _require_file(args.config, "--config")
@@ -53,23 +65,24 @@ def cmd_train(args) -> int:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad JSON in {args.config}: {exc}") from exc
     cfg = TrainConfig.from_dict(raw)
+    if args.seed is not None:  # the flag's seed is checked with the config, before any output
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     cfg.validate()
-    seed = args.seed if args.seed is not None else cfg.seed
+    _require_out_dir(args.out, "--out")
 
     ds = load_tudataset(args.dataset_dir, args.dataset_name)
     t0 = time.perf_counter()
-    result = cross_validate(ds, cfg, seed=seed, n_folds=args.folds, out_dir=args.out)
+    result = cross_validate(ds, cfg, seed=cfg.seed, n_folds=args.folds, out_dir=args.out)
     elapsed = time.perf_counter() - t0
 
     payload = {
         "result": {**result.to_dict(), "histories": result.histories,
-                   "dataset": args.dataset_name, "seed": seed, "folds": args.folds},
+                   "dataset": args.dataset_name, "seed": cfg.seed, "folds": args.folds},
         "meta": {
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "timing": {"total_seconds": elapsed, "epoch_seconds": result.epoch_seconds},
         },
     }
-    os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "results.json")
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -108,6 +121,7 @@ def cmd_kernel(args) -> int:
 def cmd_export_filters(args) -> int:
     _require_file(args.checkpoint, "--checkpoint")
     params, _, _ = load_checkpoint(args.checkpoint)
+    _require_out_dir(args.out_dir, "--out-dir")
     written = export_filters(params, args.out_dir)
     print(f"wrote {len(written)} DOT files to {args.out_dir}")
     return 0

@@ -13,12 +13,21 @@ Datasets in the TUDataset text format are read from a directory of files:
 These and the standalone graph files are defined by one line parser: blank
 lines are skipped, and '#' comment lines too in graph files only; fields are
 split at whitespace, and at commas as well in _A.txt and _node_attributes.txt;
-an error names the file and the line it is on. The four integer files are
-read by an array scan of their bytes, in blocks of whole lines, when they
-are plain (ASCII digits, signs, spaces, tabs, commas in _A.txt, '\n' or
-'\r\n' line ends, at most 18 digits a number, the right count on every line,
-valid edges); any other file goes through the line parser, so values and
-errors are the same either way.
+an error names the file and the line it is on. One reader (_read_rows) reads
+every file in blocks of whole lines, so its memory follows what it keeps, not
+the file; a file with no '\n' is one block. A block of one of the four
+integer files is read by an array scan of its bytes when it is plain (ASCII
+digits, signs, spaces, tabs, commas in _A.txt, '\n' or '\r\n' line ends, at
+most 18 digits a number, the right count on every line, valid edges); any
+other block goes through the line parser, so values and errors are the same
+either way, and the rows of a TUDataset file are made an array before the
+next block is read (a graph file's parse keeps its header, attribute rows
+and edges itself). Of two faults in different blocks, the first in file
+order is reported.
+save_tudataset and write_graph_file refuse, with ConfigError and before
+writing, what the files cannot hold: edge weights other than 0 and 1, and
+(save_tudataset) attributes that do not begin with the one-hot block of the
+node labels, labels on some graphs only, or zero-width attributes alone.
 
 Node attributes fed to models are built as: one-hot node labels when labels
 are present, raw continuous attributes when present (concatenated after the
@@ -293,33 +302,6 @@ class DatasetStats:
 # ---------------------------------------------------------------------------
 
 
-def _parse_lines(path: str, parse, *, commas: bool = False, comments: bool = False) -> tuple:
-    """parse(fields) of every data line of a text file, and those lines' numbers.
-
-    A line's fields are split at whitespace, and at commas too when `commas`.
-    Blank lines, and lines starting with '#' when `comments`, are skipped. A
-    ValueError from parse becomes a DatasetError naming path:line.
-    """
-    if not os.path.isfile(path):
-        raise DatasetError(f"missing file: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    values, numbers = [], []
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or comments and text[0] == "#":
-            continue
-        try:
-            values.append(parse((text.replace(",", " ") if commas else text).split()))
-        except ValueError as exc:
-            raise DatasetError(f"{path}:{lineno}: {exc}") from None
-        numbers.append(lineno)
-    return values, numbers
-
-
 def _integer(fields: list) -> int:
     if len(fields) != 1:
         raise ValueError("expected one integer")
@@ -359,48 +341,22 @@ _SCAN_DIGITS = 18
 _SCAN_BLOCK = 2**18
 
 
-def _scan_integers(path: str, width: int, commas: bool) -> tuple | None:
-    """What _read_integers gives for a plain file, by an array scan of its
-    bytes, or None when the file is not plain.
-
-    A plain file holds only ASCII digits, '+', '-', spaces, tabs, commas when
-    `commas`, and '\n' or '\r\n' line ends; each of its tokens (a run of
-    digits and signs) is one sign at most, first, then 1.._SCAN_DIGITS
-    digits; each line holding a token or a comma holds `width` tokens. The
-    file is scanned in blocks of whole lines (_line_blocks), each on its own.
-    """
-    empty = np.zeros(0, dtype=np.int64)
-    values, numbers, lines = [empty], [empty], 0
-    try:
-        with open(path, "rb") as fh:
-            for block in _line_blocks(fh):
-                scanned = _scan_block(np.frombuffer(block, dtype=np.uint8), width, commas)
-                if scanned is None:
-                    return None
-                values.append(scanned[0])
-                numbers.append(scanned[1] + lines + 1)
-                lines += block.count(b"\n")
-    except OSError:
-        return None
-    values = np.concatenate(values).reshape(-1, width)  # frees the blocks' values before the next join
-    return values, np.concatenate(numbers)
-
-
 def _line_blocks(fh):
     """The bytes of fh as blocks of whole lines: each ends just after a '\n'
     and takes the lines that end in the next _SCAN_BLOCK bytes read, or in
-    more when none does; the bytes after the last '\n' come last."""
+    more when none does; the last ends with the file, so a file shorter than
+    _SCAN_BLOCK is one block. The caller holds the only reference to a block."""
     pending = []
     while chunk := fh.read(_SCAN_BLOCK):
-        end = chunk.rfind(b"\n") + 1
+        last = len(chunk) < _SCAN_BLOCK  # a buffered read is short only at the end of the file
+        end = len(chunk) if last else chunk.rfind(b"\n") + 1
         if end:
-            yield b"".join(pending + [chunk[:end]])
-            pending = []
-            chunk = chunk[end:]
+            pending, chunk = [b"".join(pending + [chunk[:end]])], chunk[end:]
+            yield pending.pop()
         pending.append(chunk)
-    tail = b"".join(pending)
-    if tail:
-        yield tail
+    if any(pending):  # a file of whole reads that does not end with '\n'
+        pending = [b"".join(pending)]
+        yield pending.pop()
 
 
 def _scan_block(buf: np.ndarray, width: int, commas: bool) -> tuple | None:
@@ -451,29 +407,72 @@ def _scan_block(buf: np.ndarray, width: int, commas: bool) -> tuple | None:
     return np.where(buf[starts] == ord("-"), -values, values), np.flatnonzero(data)
 
 
-def _read_integers(path: str, width: int, parse, *, commas: bool = False, valid=None) -> tuple:
-    """_parse_lines(path, parse, commas=commas) of a file of `width` integers
-    a line, as arrays: values (lines, width) and line numbers (lines,).
+def _read_rows(path: str, parse, width: int | None = None, *, commas: bool = False,
+               comments: bool = False, valid=None) -> tuple:
+    """(values, numbers): the data lines of a text file as the rows of an
+    array, and their line numbers.
 
-    A plain file (_scan_integers) whose values pass `valid` is read by an
-    array scan; any other goes through _parse_lines, which gives the values
-    or the DatasetError of the first bad line. Values past int64 come back in
-    an object array.
+    A line's fields are split at whitespace, and at commas too when `commas`.
+    Blank lines, and lines starting with '#' when `comments`, are skipped. The
+    file is read in blocks of whole lines (_line_blocks). A block of a file of
+    `width` integers a line is taken from _scan_block when it reads the block
+    plainly and `valid` passes its values. Every other block goes through
+    parse(fields), a ValueError becoming a DatasetError naming path:line, and
+    its rows become an array before the next block is read: int64 given
+    `width` (object past int64), else float64 rows as wide as the file's
+    first, a row of another width being a DatasetError.
     """
-    scanned = _scan_integers(path, width, commas)
-    if scanned is not None and (valid is None or valid(scanned[0])):
-        return scanned
-    values, numbers = _parse_lines(path, parse, commas=commas)
-    try:
-        values = np.array(values, dtype=np.int64)
-    except OverflowError:
-        values = np.array(values, dtype=object)
-    return values.reshape(-1, width), np.array(numbers, dtype=np.int64)
+    if not os.path.isfile(path):
+        raise DatasetError(f"missing file: {path}")
+    values, numbers, lines, start = [], [np.zeros(0, dtype=np.int64)], 0, 0
+    with open(path, "rb") as fh:
+        for block in _line_blocks(fh):
+            start += len(block)
+            scanned = width and _scan_block(np.frombuffer(block, dtype=np.uint8), width, commas)
+            if scanned and (valid is None or valid(scanned[0].reshape(-1, width))):
+                values.append(scanned[0].reshape(-1, width))
+                numbers.append(scanned[1] + lines + 1)
+                lines += block.count(b"\n")
+                continue
+            try:
+                text = block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                at = start - len(block) + exc.start
+                raise DatasetError(f"{path}: not UTF-8 text ({exc.reason} at byte {at})") from None
+            del block, scanned  # the line parse holds only the block's lines
+            text = text.splitlines()
+            text.reverse()  # popped as parsed, so each line is freed once read
+            rows, found, first = [], [], lines + 1
+            lines += len(text)
+            for lineno in range(first, lines + 1):
+                line = text.pop().strip()
+                if not line or comments and line[0] == "#":
+                    continue
+                try:
+                    rows.append(parse((line.replace(",", " ") if commas else line).split()))
+                except ValueError as exc:
+                    raise DatasetError(f"{path}:{lineno}: {exc}") from None
+                found.append(lineno)
+            if not rows:
+                continue
+            cols = width or (values[0].shape[1] if values else len(rows[0]))  # reals: the file's first
+            ragged = [] if width else [k for k, row in enumerate(rows) if len(row) != cols]
+            if ragged:
+                raise DatasetError(f"{path}:{found[ragged[0]]}: inconsistent attribute width")
+            try:
+                rows = np.array(rows, dtype=np.float64 if width is None else np.int64)
+            except OverflowError:
+                rows = np.array(rows, dtype=object)
+            values.append(rows.reshape(len(found), cols))
+            numbers.append(np.array(found, dtype=np.int64))
+    empty = np.zeros((0, width or 0), dtype=np.float64 if width is None else np.int64)
+    values = np.concatenate(values or [empty])  # frees the blocks' values before the next join
+    return values, np.concatenate(numbers)
 
 
 def _integers(path: str) -> np.ndarray:
-    """The integer on each data line of path (_read_integers)."""
-    return _read_integers(path, 1, _integer)[0][:, 0]
+    """The integer on each data line of path (_read_rows)."""
+    return _read_rows(path, _integer, 1)[0][:, 0]
 
 
 def _codes(raw: np.ndarray) -> tuple:
@@ -509,8 +508,8 @@ def load_tudataset(directory: str, name: str) -> Dataset:
     def valid(edges):  # the checks of _edge, on every row at once
         return bool(np.all((edges >= 1) & (edges <= num_nodes)) and np.all(edges[:, 0] != edges[:, 1]))
 
-    edges, edge_lines = _read_integers(edges_path, 2, lambda f: _edge(f, 1, num_nodes),
-                                       commas=True, valid=valid)
+    edges, edge_lines = _read_rows(edges_path, lambda f: _edge(f, 1, num_nodes), 2,
+                                   commas=True, valid=valid)
     edges -= 1
     src, dst = edges.T
     edge_graph = graph_of[src]
@@ -528,13 +527,8 @@ def load_tudataset(directory: str, name: str) -> Dataset:
 
     attributes_path = prefix + "_node_attributes.txt"
     if os.path.isfile(attributes_path):
-        rows, lines = _parse_lines(attributes_path, _reals, commas=True)
-        _expect(attributes_path, rows, num_nodes, "rows")
-        width = len(rows[0]) if rows else 0
-        ragged = next((k for k, row in enumerate(rows) if len(row) != width), None)
-        if ragged is not None:
-            raise DatasetError(f"{attributes_path}:{lines[ragged]}: inconsistent attribute width")
-        attribute_rows = np.array(rows, dtype=np.float64).reshape(num_nodes, width)
+        attribute_rows = _read_rows(attributes_path, _reals, commas=True)[0]
+        _expect(attributes_path, attribute_rows, num_nodes, "rows")
 
     # nodes and edges grouped by graph, both in file order inside a graph;
     # bounds[g] is where graph g's run starts, local ids count inside a run
@@ -577,26 +571,49 @@ def load_tudataset(directory: str, name: str) -> Dataset:
     return Dataset(name, graphs, num_classes, attr_dim=graphs[0].attr_dim if graphs else 0)
 
 
+def _check_unweighted(g: Graph, which: str) -> None:
+    """ConfigError unless every adjacency entry is 0 or 1: the text formats hold
+    edges, not weights, so any other weight would reload as 1.0."""
+    if np.any((g.adjacency != 0) & (g.adjacency != 1)):
+        raise ConfigError(f"{which} has edge weights other than 0 and 1, which the file format cannot hold")
+
+
 def save_tudataset(ds: Dataset, directory: str) -> None:
     """Write a dataset back out in the TUDataset format.
 
-    Continuous attribute columns (anything past the one-hot label block) are
-    written to _node_attributes.txt; degree-derived attributes are not written
-    since the loader reconstructs them.
+    Node labels are written when every graph has them, and then each graph's
+    attributes must begin with the one-hot block that the loader rebuilds from
+    them (labels coded by ascending value). Continuous attribute columns
+    (anything past that block) are written to _node_attributes.txt;
+    degree-derived attributes are not written since the loader reconstructs
+    them. A dataset the files cannot hold raises ConfigError before any file
+    is written: edge weights other than 0 and 1, attributes that do not begin
+    with that one-hot block, node labels on some graphs only, or zero-width
+    attributes without node labels.
     """
-    os.makedirs(directory, exist_ok=True)
-    prefix = os.path.join(directory, ds.name)
-
-    has_labels = all(g.node_labels is not None for g in ds.graphs)
-    label_width = 0
-    if has_labels:
-        label_width = 1 + max(int(g.node_labels.max()) for g in ds.graphs if g.num_nodes)
+    labeled = [g.node_labels is not None for g in ds.graphs]
+    has_labels = all(labeled)
+    if any(labeled) and not has_labels:
+        raise ConfigError("only some graphs have node labels: _node_labels.txt holds every node's or none")
+    if ds.graphs and not has_labels and ds.attr_dim == 0:
+        raise ConfigError("zero-width attributes cannot be written: without node labels they reload as degrees")
+    values = np.unique(np.concatenate([g.node_labels for g in ds.graphs])) if has_labels and ds.graphs else []
+    label_width = len(values)
+    for k, g in enumerate(ds.graphs):
+        _check_unweighted(g, f"graph {k}")
+        # bytes of the columns there are: fewer than label_width cannot match
+        if has_labels and (g.attributes[:, :label_width].tobytes()
+                           != np.eye(label_width)[np.searchsorted(values, g.node_labels)].tobytes()):
+            raise ConfigError(f"graph {k}: its attributes do not begin with the one-hot block of its node "
+                              f"labels ({label_width} values), which is all that _node_labels.txt keeps")
     # attribute columns beyond the one-hot block are continuous payload
-    continuous_width = ds.attr_dim - label_width if has_labels else ds.attr_dim
+    continuous_width = ds.attr_dim - label_width
     # bytes, not values: a -0.0 attribute must be written, the loader's degrees are +0.0
     degree_only = not has_labels and ds.attr_dim == 1 and all(
         g.attributes[:, 0].tobytes() == g.degrees().tobytes() for g in ds.graphs
     )
+    os.makedirs(directory, exist_ok=True)
+    prefix = os.path.join(directory, ds.name)
 
     def dump(suffix, texts):  # one text per graph, written as it is made
         with open(prefix + suffix, "w", encoding="utf-8") as fh:
@@ -826,8 +843,9 @@ def read_graph_file(path: str) -> Graph:
             rows.append(_reals(fields, shape[1]))
         else:
             edges.append(_edge(fields, 0, shape[0] - 1))
+        return ()  # the three kinds of line are kept here, not as rows of one width
 
-    _parse_lines(path, parse, comments=True)
+    _read_rows(path, parse, comments=True)
     if not shape:
         raise DatasetError(f"{path}: empty graph file")
     n, d = shape
@@ -843,6 +861,9 @@ def read_graph_file(path: str) -> Graph:
 
 
 def write_graph_file(g: Graph, path: str) -> None:
+    """Write g in the graph text format (read_graph_file); ConfigError, and no
+    file, when g has edge weights other than 0 and 1."""
+    _check_unweighted(g, "the graph")
     lines = [f"{g.num_nodes} {g.attr_dim}"]
     if g.attr_dim:  # a zero-width row would be a blank line, which the reader skips
         lines.extend(" ".join(repr(float(x)) for x in row) for row in g.attributes)

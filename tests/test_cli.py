@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import kergnn.cli
 from kergnn import bundled_graph
 from kergnn.cli import main
 from kergnn.graphs import Graph, write_graph_file
@@ -271,6 +272,27 @@ def test_export_filters_corrupted_checkpoint(tmp_path, capsys):
     bad.write_text("not a checkpoint")
     assert main(["export-filters", "--checkpoint", str(bad),
                  "--out-dir", str(tmp_path / "d")]) == 2
+
+
+def test_output_path_that_cannot_be_a_directory_is_usage_error(tmp_path, capsys, monkeypatch):
+    # refused before any training or export, not found out at the end
+    calls = []
+    monkeypatch.setattr(kergnn.cli, "cross_validate", lambda *args, **kwargs: calls.append("cv"))
+    monkeypatch.setattr(kergnn.cli, "export_filters", lambda *args, **kwargs: calls.append("export"))
+    ddir, config = make_dataset_dir(tmp_path), write_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    for out in (taken, taken / "run"):
+        code = main(["train", "--dataset-dir", ddir, "--dataset-name", "SYN",
+                     "--config", config, "--out", str(out), "--folds", "2"])
+        assert code == 1
+        assert f"--out: cannot make a directory at {out}" in capsys.readouterr().err
+    cfg = TrainConfig(num_filters=3, filter_nodes=3, k_max=5)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(str(ckpt), init_params(cfg.model_config(2, 2), np.random.default_rng(0)), seed=0)
+    assert main(["export-filters", "--checkpoint", str(ckpt), "--out-dir", str(taken)]) == 1
+    assert "--out-dir: cannot make a directory" in capsys.readouterr().err
+    assert calls == [] and taken.read_text() == "a file"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import os
+import shutil
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -222,6 +223,39 @@ def test_saved_files_are_pinned_byte_for_byte(tmp_path):
     write_graph_file(g, str(tmp_path / "g.graph"))
     assert (tmp_path / "g.graph").read_text() == (
         "4 2\n0.5 1.0\n-2.0 0.0\n0.001 3.0\n7.0 -0.25\n0 2\n0 3\n1 2\n")
+
+
+def test_writers_refuse_what_the_files_cannot_hold(tmp_path):
+    # the files hold unweighted edges: weights -0.5 and 2.0 would reload as 1.0
+    adj = np.array([[0, -0.5, 0], [-0.5, 0, 2.0], [0, 2.0, 0]])
+    weighted = Graph(3, adj, np.ones((3, 1)), 0)
+    with pytest.raises(ConfigError, match="graph 0 has edge weights other than 0 and 1"):
+        save_tudataset(Dataset("W", [weighted], 1, 1), str(tmp_path / "w"))
+    with pytest.raises(ConfigError, match="the graph has edge weights other than 0 and 1"):
+        write_graph_file(weighted, str(tmp_path / "w.graph"))
+    # node labels keep only the one-hot block the loader rebuilds from them:
+    # attributes that do not begin with it would reload as it
+    path = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    labels = [0, 1, 0]
+    for attrs in (np.hstack([[[0.5], [0.25], [2.0]], np.eye(2)[labels]]),  # continuous first
+                  np.array([[1.0], [0.0], [1.0]]),  # narrower than the block
+                  np.eye(3)[[0, 2, 0]]):  # labels 0 and 2 code as 0 and 1, a block of 2
+        graph = Graph(3, path, attrs, 0, [0, 2, 0] if attrs.shape[1] == 3 else labels)
+        with pytest.raises(ConfigError, match="graph 0: its attributes do not begin with the one-hot"):
+            save_tudataset(Dataset("L", [graph], 1, attrs.shape[1]), str(tmp_path / "l"))
+    # node labels on one graph of two, and zero-width attributes, which would reload as degrees
+    pair = [Graph(3, path, np.eye(2)[labels], 0, labels), Graph(3, path, np.eye(2)[labels], 0)]
+    with pytest.raises(ConfigError, match="only some graphs have node labels"):
+        save_tudataset(Dataset("M", pair, 1, 2), str(tmp_path / "m"))
+    with pytest.raises(ConfigError, match="zero-width attributes"):
+        save_tudataset(Dataset("Z", [Graph(3, path, np.zeros((3, 0)), 0)], 1, 0), str(tmp_path / "z"))
+    assert sorted(os.listdir(tmp_path)) == []
+    # labels 1 and 3 code as 0 and 1: a block of 2, then the continuous column
+    coded = Graph(3, path, np.hstack([np.eye(2)[labels], [[0.5], [0.25], [2.0]]]), 0, [1, 3, 1])
+    save_tudataset(Dataset("C", [coded], 1, 3), str(tmp_path / "c"))
+    loaded = load_tudataset(str(tmp_path / "c"), "C").graphs[0]
+    assert loaded.attributes.tobytes() == coded.attributes.tobytes()
+    assert loaded.node_labels.tolist() == labels
 
 
 @st.composite
@@ -613,10 +647,10 @@ def test_load_edge_errors_count_blank_lines(tmp_path):
 
 @pytest.fixture(params=["scan", "lines"])
 def reader(request, monkeypatch):
-    """Loads through the array scan of plain integer files ("scan"), or with
-    every file left to the line parser ("lines")."""
+    """Loads through the array scan of plain integer blocks ("scan"), or with
+    every block left to the line parser ("lines")."""
     if request.param == "lines":
-        monkeypatch.setattr(kergnn.graphs, "_scan_integers", lambda *args: None)
+        monkeypatch.setattr(kergnn.graphs, "_scan_block", lambda *args: None)
     return request.param
 
 
@@ -633,12 +667,13 @@ def test_load_spellings_equal_the_plain_twin(tmp_path, reader):
     pairs = [line.split(", ") for line in (tmp_path / "plain" / "T_A.txt").read_text().splitlines()]
     rows = [f"{i},{j}" if k % 3 == 0 else f"\t+{i}\t{j} \t" if k % 3 == 1 else f" {i} ,{j}  "
             for k, (i, j) in enumerate(pairs)]
-    (spelled / "T_A.txt").write_bytes("\r\n".join(rows + ["", " \t", ""]).encode())
+    edges = "\r\n".join(rows + ["", " \t", ""]).encode()
+    (spelled / "T_A.txt").write_bytes(edges)
     (spelled / "T_graph_indicator.txt").write_bytes(b"1\r\n1\r\n1\r\n2\r\n2\r\n3\r\n3\r\n")
     (spelled / "T_graph_labels.txt").write_bytes(b"-1\r\n99999999999999999999\r\n\t-1 ")
     (spelled / "T_node_labels.txt").write_bytes(b"4\t\n+2\n\n2\n4\n9\n2\n2")
     if reader == "scan":  # the edges are plain: the scan reads them itself
-        assert kergnn.graphs._scan_integers(str(spelled / "T_A.txt"), 2, True) is not None
+        assert kergnn.graphs._scan_block(np.frombuffer(edges, dtype=np.uint8), 2, True) is not None
     loaded = load_tudataset(str(spelled), "T")
     assert (loaded.num_classes, loaded.attr_dim, len(loaded)) == (twin.num_classes, twin.attr_dim, 3)
     for g, h in zip(twin.graphs, loaded.graphs):
@@ -667,8 +702,32 @@ def test_load_errors_name_the_same_line_either_way(tmp_path, reader):
         load_tudataset(str(tmp_path), "gap")
 
 
-def _fields(fields):
-    return [int(x) for x in fields]
+def _row_of(width):
+    """The line parser's reading of a line of `width` integers."""
+    def parse(fields):
+        if len(fields) != width:
+            raise ValueError(f"expected {width} integers")
+        return [int(x) for x in fields]
+    return parse
+
+
+def _read(path, width, commas, scan=True):
+    """_read_rows of a file of `width` integers a line, as (values, dtype,
+    line numbers), or the DatasetError message; scan=False leaves every block
+    to the line parser."""
+    with mock.patch.object(kergnn.graphs, "_scan_block",
+                           kergnn.graphs._scan_block if scan else lambda *args: None):
+        try:
+            values, lines = kergnn.graphs._read_rows(str(path), _row_of(width), width, commas=commas)
+        except DatasetError as exc:
+            return str(exc)
+    assert values.shape == (len(lines), width) and lines.dtype == np.int64
+    return values.tolist(), values.dtype, lines.tolist()
+
+
+def _blocks(path):
+    with open(path, "rb") as fh:
+        return [np.frombuffer(block, dtype=np.uint8) for block in kergnn.graphs._line_blocks(fh)]
 
 
 # block sizes that cut short files before, inside and after line ends, and the default
@@ -684,12 +743,12 @@ SCAN_BLOCKS = [1, 2, 3, 7, 64, kergnn.graphs._SCAN_BLOCK]
 def test_scan_of_a_plain_file_equals_the_line_parser(tmp_path, monkeypatch, data, width, commas):
     path = tmp_path / "ints.txt"
     path.write_bytes(data)
-    rows, numbers = kergnn.graphs._parse_lines(str(path), _fields, commas=commas)
+    parsed = _read(path, width, commas, scan=False)
+    assert parsed[1] == np.int64
     for block in SCAN_BLOCKS:
         monkeypatch.setattr(kergnn.graphs, "_SCAN_BLOCK", block)
-        values, lines = kergnn.graphs._scan_integers(str(path), width, commas)
-        assert values.dtype == np.int64 and values.shape == (len(rows), width)
-        assert values.tolist() == rows and lines.tolist() == numbers
+        assert all(kergnn.graphs._scan_block(buf, width, commas) is not None for buf in _blocks(path))
+        assert _read(path, width, commas) == parsed
 
 
 @pytest.mark.parametrize("data,width,commas", [
@@ -714,17 +773,22 @@ def test_scan_leaves_a_file_it_cannot_read_plainly_to_the_line_parser(tmp_path, 
                                                                       width, commas):
     path = tmp_path / "ints.txt"
     path.write_bytes(data)
+    assert kergnn.graphs._scan_block(np.frombuffer(data, dtype=np.uint8), width, commas) is None
+    parsed = _read(path, width, commas, scan=False)
     for block in SCAN_BLOCKS:
         monkeypatch.setattr(kergnn.graphs, "_SCAN_BLOCK", block)
-        assert kergnn.graphs._scan_integers(str(path), width, commas) is None
+        assert any(kergnn.graphs._scan_block(buf, width, commas) is None for buf in _blocks(path))
+        assert _read(path, width, commas) == parsed
 
 
 @st.composite
 def integer_files(draw):
     """(bytes, width, commas): lines of `width` signed integers split by spaces,
     tabs, or commas when `commas`, blank lines among them, '\n' or '\r\n' ends,
-    with or without a final one. Half have one edit that may make them not
-    plain: a lone '\r', a comma, a sign, a digit, a field or a 19-digit one."""
+    with or without a final one. Most have up to three edits, so a file cut
+    into blocks holds plain blocks and blocks that are not: a lone '\r', a
+    comma, a sign, a digit, a field, a 19- or 20-digit one, a no-break space,
+    an 'x' or a byte that is not UTF-8."""
     width, commas = draw(st.integers(1, 3)), draw(st.booleans())
     number = st.builds(lambda sign, value: sign + str(value), st.sampled_from(["", "+", "-"]),
                        st.integers(0, 10**18 - 1))
@@ -736,41 +800,67 @@ def integer_files(draw):
         text += draw(st.sampled_from(["", " ", "\t"])) + draw(st.sampled_from(["\n", "\r\n"]))
     if text and draw(st.booleans()):
         text = text.rstrip("\r\n")  # no final line end
-    if draw(st.booleans()):
-        at = draw(st.integers(0, len(text)))
-        edit = draw(st.sampled_from(["\r", ",", "-", "7", " 7", " 1234567890123456789"]))
-        text = text[:at] + edit + text[at:]
-    return text.encode(), width, commas
+    data = text.encode()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from([b"\r", b",", b"-", b"7", b" 7", b" 1234567890123456789",
+                                     b" 99999999999999999999", b"\xc2\xa0", b"x", b"\xff"]))
+        data = data[:at] + edit + data[at:]
+    return data, width, commas
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(file=integer_files())
 def test_scan_is_the_same_at_every_block_size(file):
+    # at every block size the read equals the line parser's at that size: the
+    # same values and line numbers, or the same error; a file that reads
+    # reads the same at every size
     data, width, commas = file
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ints.txt")
         with open(path, "wb") as fh:
             fh.write(data)
-        whole = kergnn.graphs._scan_integers(path, width, commas)
-        if whole is not None:
-            rows, numbers = kergnn.graphs._parse_lines(path, _fields, commas=commas)
-            assert whole[0].tolist() == rows and whole[1].tolist() == numbers
+        whole = _read(path, width, commas, scan=False)
         for block in SCAN_BLOCKS:
             with mock.patch.object(kergnn.graphs, "_SCAN_BLOCK", block):
-                scanned = kergnn.graphs._scan_integers(path, width, commas)
-            if whole is None:
-                assert scanned is None
-            else:
-                assert scanned[0].tobytes() == whole[0].tobytes() and scanned[0].shape == whole[0].shape
-                assert scanned[1].tobytes() == whole[1].tobytes()
+                scanned, parsed = _read(path, width, commas), _read(path, width, commas, scan=False)
+            assert scanned == parsed
+            if not isinstance(whole, str):
+                assert scanned == whole
 
 
-def _write_imdb_shaped(directory, name, count, seed):
+def test_of_two_faults_in_different_blocks_the_first_is_named(tmp_path, monkeypatch):
+    # a bad line before a bad UTF-8 byte in a later block, and a ragged
+    # attribute row in a file of the wrong count of rows, are the ones named
+    adj = np.array([[0, 1], [1, 0]])
+    write_tudataset(tmp_path, "two", [adj], [0], node_attributes=[[0.5, 1.0], [1.5, 2.0]])
+    attributes = tmp_path / "two_node_attributes.txt"
+    monkeypatch.setattr(kergnn.graphs, "_SCAN_BLOCK", 8)
+    attributes.write_bytes(b"0.5, 1.0\nx, 2.0\n\xff\n")
+    with pytest.raises(DatasetError, match=r"two_node_attributes\.txt:2: could not convert"):
+        load_tudataset(str(tmp_path), "two")
+    attributes.write_bytes(b"0.5, 1.0\n1.5\n2.5, 3.0\n")
+    with pytest.raises(DatasetError, match=r"two_node_attributes\.txt:2: inconsistent attribute width"):
+        load_tudataset(str(tmp_path), "two")
+    # a bad byte in a later block is named by its offset in the file
+    attributes.write_bytes(b"0.5, 1.0\n1.5, 2.0\n\xff\n")
+    with pytest.raises(DatasetError, match=r"not UTF-8 text \(invalid start byte at byte 18\)"):
+        load_tudataset(str(tmp_path), "two")
+    # in one block the UTF-8 check still comes first
+    monkeypatch.setattr(kergnn.graphs, "_SCAN_BLOCK", 64)
+    attributes.write_bytes(b"0.5, 1.0\nx, 2.0\n\xff\n")
+    with pytest.raises(DatasetError, match=r"not UTF-8 text \(invalid start byte at byte 16\)"):
+        load_tudataset(str(tmp_path), "two")
+
+
+def _write_imdb_shaped(directory, name, count, seed, attributes=0):
     """`count` dense ego-networks of about 20 nodes, as in IMDB-BINARY: ~190
-    edge lines a graph, degrees as the attributes."""
+    edge lines a graph, degrees as the attributes, or `attributes` random
+    reals a node."""
     rng = np.random.default_rng(seed)
     adjs = [random_graph(rng, int(12 + rng.poisson(8)), 0.5).adjacency for _ in range(count)]
-    write_tudataset(directory, name, adjs, rng.integers(0, 2, size=count))
+    rows = rng.normal(size=(sum(map(len, adjs)), attributes)) if attributes else None
+    write_tudataset(directory, name, adjs, rng.integers(0, 2, size=count), node_attributes=rows)
 
 
 def test_load_is_the_same_at_a_small_block(tmp_path, monkeypatch):
@@ -793,27 +883,49 @@ def imdb_shaped(tmp_path_factory):
     return str(directory)
 
 
+def _traced(fn):
+    """fn(), and the bytes it still holds and its peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept, peak
+
+
 def test_scan_peaks_near_what_it_returns(imdb_shaped):
     # the transient of a block scan is a few times _SCAN_BLOCK; joining the
     # blocks' results doubles them for a moment
-    tracemalloc.start()
-    try:
-        values, lines = kergnn.graphs._scan_integers(os.path.join(imdb_shaped, "I_A.txt"), 2, True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    path = os.path.join(imdb_shaped, "I_A.txt")
+    (values, lines), _, peak = _traced(lambda: kergnn.graphs._read_rows(path, _row_of(2), 2, commas=True))
     returned = values.nbytes + lines.nbytes
     assert returned > 2**21 and peak <= 2.5 * returned
 
 
 def test_load_peaks_near_what_it_keeps(imdb_shaped):
-    tracemalloc.start()
-    try:
-        ds = load_tudataset(imdb_shaped, "I")
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    ds, kept, peak = _traced(lambda: load_tudataset(imdb_shaped, "I"))
     assert len(ds) == 1000 and peak <= 3 * kept
+
+
+def test_load_of_an_odd_byte_peaks_as_its_plain_twin(imdb_shaped, tmp_path):
+    # one no-break space sends one block of the edge file, not the whole file,
+    # to the line parser
+    odd_dir = shutil.copytree(imdb_shaped, tmp_path / "odd")
+    edges = odd_dir / "I_A.txt"
+    edges.write_bytes(edges.read_bytes().replace(b", ", b",\xc2\xa0", 1))
+    plain, _, plain_peak = _traced(lambda: load_tudataset(imdb_shaped, "I"))
+    odd, _, odd_peak = _traced(lambda: load_tudataset(str(odd_dir), "I"))
+    assert [g.adjacency.tobytes() for g in odd.graphs] == [g.adjacency.tobytes() for g in plain.graphs]
+    assert odd_peak <= 1.5 * plain_peak
+
+
+def test_load_of_wide_attributes_peaks_near_what_it_keeps(tmp_path):
+    # 18 reals a node, as in ENZYMES: the attribute file is read block by block
+    _write_imdb_shaped(tmp_path, "W", 1000, seed=7, attributes=18)
+    assert os.path.getsize(tmp_path / "W_node_attributes.txt") > 4 * kergnn.graphs._SCAN_BLOCK
+    ds, kept, peak = _traced(lambda: load_tudataset(str(tmp_path), "W"))
+    assert ds.attr_dim == 18 and peak <= 3 * kept
 
 
 def test_load_rejects_non_finite_attributes(tmp_path):

@@ -168,11 +168,11 @@ def load_outcome(directory: str) -> tuple:
 @given(edits=DATASET_EDITS, removed=REMOVED_FILE)
 def test_mutated_tudataset_loads_as_the_line_parser_reads_it(edits, removed):
     # the array scan of the integer files gives the graphs, or the error,
-    # of a load that leaves every file to _parse_lines
+    # of a load that leaves every block to the line parser
     with tempfile.TemporaryDirectory() as tmp:
         write_mutated_dataset(tmp, edits, removed)
         scanned = load_outcome(tmp)
-        with mock.patch.object(kergnn.graphs, "_scan_integers", lambda *args: None):
+        with mock.patch.object(kergnn.graphs, "_scan_block", lambda *args: None):
             parsed = load_outcome(tmp)
     assert scanned == parsed
 
